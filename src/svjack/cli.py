@@ -300,8 +300,6 @@ def build_parser():
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", default="sym")
-    p.add_argument("--max-degree", default="auto",
-                   help="accepted for compatibility; bounds are derived from (r, s)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("screening", help="one-screening residue (odd s)")

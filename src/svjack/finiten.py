@@ -21,6 +21,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .kernel import KernelError
+from .linalg import operator_matrix
 from .symfunc import SymFunc, convert, partitions, to_p
 
 
@@ -320,34 +321,16 @@ def c1n_corrected_apply(orbits, n, gamma):
 # the restriction diagnostic
 # ---------------------------------------------------------------------------
 
-def _orbit_matrix(apply_fn, n, degree):
-    """Matrix of an orbit-space operator on partitions of the given degree
-    with length <= n (rows/cols in canonical partition order)."""
-    cols = [lam for lam in partitions(degree) if len(lam) <= n]
-    index = {lam: i for i, lam in enumerate(cols)}
-    mat = [[Fraction(0)] * len(cols) for _ in cols]
-    for j, lam in enumerate(cols):
-        image = apply_fn({lam: Fraction(1)})
-        for mu, c in image.items():
-            if mu not in index:
-                raise KernelError("operator left the length-restricted space")
-            mat[index[mu]][j] = c
-    return cols, mat
-
-
-def _projected_infinite_matrix(which, gamma, n, degree):
+def _projected_infinite_image(which, gamma, n):
+    """Image function of the infinite-variable mode followed by pr_n, which
+    drops every m_mu with more than n parts."""
     from .vertexops import c0_apply, c1_apply
-    cols = [lam for lam in partitions(degree) if len(lam) <= n]
-    index = {lam: i for i, lam in enumerate(cols)}
-    mat = [[Fraction(0)] * len(cols) for _ in cols]
-    for j, lam in enumerate(cols):
+
+    def image_of(lam):
         f = SymFunc("m", {lam: Fraction(1)})
         image = c0_apply(0, f) if which == "c0" else c1_apply(Fraction(gamma), 0, f)
-        image_m = convert(image, "m")
-        for mu, c in image_m.terms.items():
-            if len(mu) <= n:
-                mat[index[mu]][j] = c
-    return cols, mat
+        return {mu: c for mu, c in convert(image, "m").terms.items() if len(mu) <= n}
+    return image_of
 
 
 def limit_diagnostic(dmax, n_range, which="c0", gamma=Fraction(1)):
@@ -363,15 +346,15 @@ def limit_diagnostic(dmax, n_range, which="c0", gamma=Fraction(1)):
     for n in n_range:
         for degree in range(dmax + 1):
             if which == "c0":
-                apply_fn = lambda orb, n=n: c0n_apply(orb, n)
-                corr_fn = lambda orb, n=n: c0n_corrected_apply(orb, n)
+                apply_fn = lambda lam: c0n_apply({lam: Fraction(1)}, n)
+                corr_fn = lambda lam: c0n_corrected_apply({lam: Fraction(1)}, n)
             else:
-                apply_fn = lambda orb, n=n: c1n_apply(orb, n, gamma)
-                corr_fn = lambda orb, n=n: c1n_corrected_apply(orb, n, gamma)
-            cols, finite_mat = _orbit_matrix(apply_fn, n, degree)
-            _, corrected_mat = _orbit_matrix(corr_fn, n, degree)
-            cols2, proj_mat = _projected_infinite_matrix(which, gamma, n, degree)
-            assert cols == cols2
+                apply_fn = lambda lam: c1n_apply({lam: Fraction(1)}, n, gamma)
+                corr_fn = lambda lam: c1n_corrected_apply({lam: Fraction(1)}, n, gamma)
+            cols = [lam for lam in partitions(degree) if len(lam) <= n]
+            finite_mat = operator_matrix(apply_fn, cols, cols)
+            corrected_mat = operator_matrix(corr_fn, cols, cols)
+            proj_mat = operator_matrix(_projected_infinite_image(which, gamma, n), cols, cols)
             cells[(n, degree)] = {
                 "partitions": cols,
                 "finite": finite_mat,
@@ -388,7 +371,7 @@ def limit_diagnostic(dmax, n_range, which="c0", gamma=Fraction(1)):
             a = cells[(n, degree)]
             b = cells[(n + 1, degree)]
             cols = a["partitions"]
-            avg = [[(a["finite"][i][j] + _entry(b, cols, i, j, a)) / 2
+            avg = [[(a["finite"][i][j] + _entry(b, cols, i, j)) / 2
                     for j in range(len(cols))] for i in range(len(cols))]
             averages[(n, degree)] = {
                 "partitions": cols,
@@ -399,7 +382,7 @@ def limit_diagnostic(dmax, n_range, which="c0", gamma=Fraction(1)):
             "n_range": n_range, "cells": cells, "averages": averages}
 
 
-def _entry(cell_b, cols_a, i, j, cell_a):
+def _entry(cell_b, cols_a, i, j):
     """Entry of the larger-n matrix at the partition pair indexed in the
     smaller-n basis (the smaller basis is a prefix-subset of the larger)."""
     cols_b = cell_b["partitions"]

@@ -177,7 +177,7 @@ def ff_act(gen, f, alpha, rho, t):
 # Verma -> symmetric functions
 # ---------------------------------------------------------------------------
 
-def verma_to_lambda(v, normalize=False, branch="plus"):
+def verma_to_lambda(v, normalize=False):
     """Image of a Verma vector under the free-field substitution followed by
     the boson-fermion dictionary, as a symmetric function of degree 2*level.
 
@@ -190,8 +190,7 @@ def verma_to_lambda(v, normalize=False, branch="plus"):
     if v.weight is None:
         raise ValueError("verma_to_lambda needs weight data on the vector")
     hw = v.weight
-    alpha = hw.alpha_plus if branch == "plus" else hw.alpha_minus
-    rho, t = hw.rho, hw.t
+    alpha, rho, t = hw.alpha_plus, hw.rho, hw.t
     one = t * 0 + 1
     total = SymFunc("p", {})
     for sp, coeff in v.terms.items():
@@ -210,7 +209,14 @@ def verma_to_lambda(v, normalize=False, branch="plus"):
         raise ProportionalityFailure(
             "image of the (%d,%d) singular vector has no m_%s component"
             % (hw.r, hw.s, list(lam)))
-    monic = total_m.scale(1 / lead)
+    return _monic_image(total_m, lead)
+
+
+def _monic_image(image_m, lead):
+    """The m-basis image divided by its leading coefficient, in the p basis.
+    The quotient lies in the sqrt2-free base field, so each coefficient is
+    replaced by its base part."""
+    monic = image_m.scale(1 / lead)
 
     def strip(c):
         return c.base_part() if isinstance(c, Sqrt2Ext) else c
@@ -315,7 +321,7 @@ def verify_conjecture(r, s, t="sym"):
         raise ProportionalityFailure(
             "image is not proportional to the shape-%s family member; first "
             "mismatch at m_%s" % (list(lam), list(mismatch)))
-    monic = verma_to_lambda(chi, normalize=True)
+    monic = _monic_image(raw_m, scalar)
     image = c1_apply(gamma, 0, monic)
     eigencheck = (image - to_p(monic).scale(eps1(lam, gamma))).is_zero()
     from .kernel import scalar_to_json

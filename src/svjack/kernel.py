@@ -675,11 +675,6 @@ class Jet:
             raise KernelError("jet log requires constant term 1")
         return (self - 1).log1p()
 
-    def sqrt(self):
-        """Square root of a jet with constant term 1."""
-        half = Fraction(1, 2)
-        return (self.log() * half).exp()
-
     def truncate(self, order):
         if order > self.order:
             raise PrecisionError("cannot extend a jet's truncation order")

@@ -201,6 +201,23 @@ def mat_vec(a, v):
     return out
 
 
+def operator_matrix(image_of, cols, rows):
+    """Row-major matrix of a linear operator between two finite bases.
+
+    Column j holds the coordinates of ``image_of(cols[j])``, a mapping from
+    row keys to coefficients; absent keys are Fraction(0).  Raises
+    KernelError when an image has a key outside ``rows``.
+    """
+    index = {key: i for i, key in enumerate(rows)}
+    mat = [[Fraction(0)] * len(cols) for _ in rows]
+    for j, key in enumerate(cols):
+        for mu, c in image_of(key).items():
+            if mu not in index:
+                raise KernelError("operator image leaves the row basis at %r" % (mu,))
+            mat[index[mu]][j] = c
+    return mat
+
+
 def identity(n, one=Fraction(1)):
     zero = one * 0
     return [[one if i == j else zero for j in range(n)] for i in range(n)]

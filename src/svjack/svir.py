@@ -167,7 +167,6 @@ class HighestWeightData:
     s: int
     h: object
     alpha_plus: object
-    alpha_minus: object
 
 
 def _as_t(t):
@@ -192,10 +191,8 @@ def hw_data(t, r, s):
     t_minus = -t_inv
     h = (r * tv + s * t_minus) ** 2 * Fraction(1, 8) - rho * rho * HALF
     alpha_plus = tv * Fraction(r + 1, 2) + t_minus * Fraction(s + 1, 2)
-    alpha_minus = t_minus * Fraction(r + 1, 2) + tv * Fraction(s + 1, 2)
     return HighestWeightData(t=tv, rho=rho, c=c, t_plus=tv, t_minus=t_minus,
-                             r=r, s=s, h=h, alpha_plus=alpha_plus,
-                             alpha_minus=alpha_minus)
+                             r=r, s=s, h=h, alpha_plus=alpha_plus)
 
 
 # ---------------------------------------------------------------------------

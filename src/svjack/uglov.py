@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .kernel import DivisionByZero, Jet, KernelError, RatFun, is_zero
-from .linalg import nullspace
+from .linalg import nullspace, operator_matrix
 from .symfunc import (
     SymFunc,
     canonical_key,
@@ -30,33 +31,49 @@ from .symfunc import (
     to_p,
     z_lambda,
 )
-from .vertexops import c0_apply, c1_apply, eps0, eps1, eps_macdonald, eta_apply, hbar_parameters
-
-
-class DegenerateEigenvalue(KernelError):
-    pass
+from .vertexops import (
+    MismatchError,
+    c0_apply,
+    c1_apply,
+    eps0,
+    eps1,
+    eps_macdonald,
+    eta_apply,
+    hbar_parameters,
+)
 
 
 class DegeneracyError(KernelError):
     pass
 
 
-class MismatchError(KernelError):
-    pass
+def _m_block(apply_fn, parts):
+    """Row-major block of a degree-preserving operator in the m basis."""
+    return operator_matrix(
+        lambda lam: convert(apply_fn(SymFunc("m", {lam: Fraction(1)})), "m").terms,
+        parts, parts)
 
 
-def _block_matrix(apply_fn, n):
-    """Degree-preserving operator block in the m basis at degree n."""
-    parts = partitions(n)
-    index = {lam: i for i, lam in enumerate(parts)}
-    cols = []
-    for lam in parts:
-        image = convert(apply_fn(SymFunc("m", {lam: Fraction(1)})), "m")
-        col = [Fraction(0)] * len(parts)
-        for mu, c in image.terms.items():
-            col[index[mu]] = c
-        cols.append(col)
-    return parts, cols
+def _gram_schmidt(lam, member, inner):
+    """Monic dominance-triangular expansion with leading term m_lam that is
+    orthogonal under ``inner`` to member(mu) for every mu strictly below lam.
+
+    The members must be monic, triangular and mutually orthogonal, so
+    subtracting each one's projection once gives the unique such expansion.
+    Raises DegeneracyError on a null member.
+    """
+    lower = [mu for mu in partitions(sum(lam)) if mu != lam and dominance_leq(mu, lam)]
+    lower.sort(key=canonical_key)
+    f = SymFunc("m", {lam: Fraction(1)})
+    for mu in reversed(lower):
+        p_mu = member(mu)
+        den = inner(p_mu, p_mu)
+        if is_zero(den):
+            raise DegeneracyError("vanishing norm in the Gram-Schmidt ladder at %r" % (mu,))
+        num = inner(f, p_mu)
+        if not is_zero(num):
+            f = f - p_mu.scale(num / den)
+    return f
 
 
 def _triangular_eigenvector(apply_fn, lam, eig_of, zero, one):
@@ -68,8 +85,8 @@ def _triangular_eigenvector(apply_fn, lam, eig_of, zero, one):
     coupled eigenvalue difference vanishes, and verifies the eigenrelation
     on the whole degree block afterwards.
     """
-    n = sum(lam)
-    parts, cols = _block_matrix(apply_fn, n)
+    parts = partitions(sum(lam))
+    mat = _m_block(apply_fn, parts)
     index = {p: i for i, p in enumerate(parts)}
     lower = [p for p in parts if dominance_leq(p, lam)]
     lower.sort(key=canonical_key)  # reverse-lex descending refines dominance
@@ -81,7 +98,7 @@ def _triangular_eigenvector(apply_fn, lam, eig_of, zero, one):
         i = index[mu]
         acc = zero
         for kappa, c in coeffs.items():
-            a = cols[index[kappa]][i]
+            a = mat[i][index[kappa]]
             if not is_zero(a):
                 acc = acc + a * c
         diff = eig_lam - eig_of(mu)
@@ -127,13 +144,10 @@ def macdonald(lam, q, t):
     via the eta_0 eigenproblem."""
     lam = tuple(lam)
     q, t = _check_generic_qt(q, t, sum(lam))
-    try:
-        return _triangular_eigenvector(
-            lambda f: eta_apply(q, t, 0, f), lam,
-            lambda mu: eps_macdonald(mu, q, t),
-            Fraction(0), Fraction(1))
-    except DegeneracyError as exc:
-        raise DegenerateEigenvalue(str(exc)) from None
+    return _triangular_eigenvector(
+        lambda f: eta_apply(q, t, 0, f), lam,
+        lambda mu: eps_macdonald(mu, q, t),
+        Fraction(0), Fraction(1))
 
 
 def macdonald_gram_schmidt(lam, q, t):
@@ -141,17 +155,13 @@ def macdonald_gram_schmidt(lam, q, t):
     lower P_mu under the (q, t) inner product."""
     lam = tuple(lam)
     q, t = _check_generic_qt(q, t, sum(lam))
-    lower = [mu for mu in partitions(sum(lam)) if mu != lam and dominance_leq(mu, lam)]
-    lower.sort(key=canonical_key)
-    f = SymFunc("m", {lam: Fraction(1)})
-    for mu in reversed(lower):  # smallest first; order does not matter
-        p_mu = macdonald_gram_schmidt(mu, q, t)
-        num = inner_qt(f, p_mu, q, t)
-        den = inner_qt(p_mu, p_mu, q, t)
-        if is_zero(den):
-            raise DegenerateEigenvalue("null vector in the Gram-Schmidt ladder at %r" % (mu,))
-        f = f - p_mu.scale(num / den)
-    return f
+    return _macdonald_ladder(lam, q, t)
+
+
+@lru_cache(maxsize=None)
+def _macdonald_ladder(lam, q, t):
+    return _gram_schmidt(lam, lambda mu: _macdonald_ladder(mu, q, t),
+                         lambda f, g: inner_qt(f, g, q, t))
 
 
 # ---------------------------------------------------------------------------
@@ -251,21 +261,10 @@ def uglov2_orth(lam, gamma="sym"):
     lam = tuple(lam)
     g = _as_gamma(gamma)
     key = (lam, g)
-    if key in _ORTH_CACHE:
-        return _ORTH_CACHE[key]
-    lower = [mu for mu in partitions(sum(lam)) if mu != lam and dominance_leq(mu, lam)]
-    lower.sort(key=canonical_key)
-    f = SymFunc("m", {lam: Fraction(1)})
-    for mu in reversed(lower):
-        p_mu = uglov2_orth(mu, g)
-        den = uglov_inner(p_mu, p_mu, g)
-        if is_zero(den):
-            raise DegeneracyError("vanishing norm in the orthogonalization at %r" % (mu,))
-        num = uglov_inner(f, p_mu, g)
-        if not is_zero(num):
-            f = f - p_mu.scale(num / den)
-    _ORTH_CACHE[key] = f
-    return f
+    if key not in _ORTH_CACHE:
+        _ORTH_CACHE[key] = _gram_schmidt(lam, lambda mu: uglov2_orth(mu, g),
+                                         lambda f, h: uglov_inner(f, h, g))
+    return _ORTH_CACHE[key]
 
 
 def uglov2_kernel_dimension(lam, gamma="sym"):
@@ -273,11 +272,10 @@ def uglov2_kernel_dimension(lam, gamma="sym"):
     block; the characterization demands exactly 1."""
     lam = tuple(lam)
     g = _as_gamma(gamma)
-    n = sum(lam)
-    parts, cols = _block_matrix(lambda f: c1_apply(g, 0, f), n)
+    block = _m_block(lambda f: c1_apply(g, 0, f), partitions(sum(lam)))
     e = eps1(lam, g)
-    mat = [[cols[j][i] - (e if i == j else 0) for j in range(len(parts))]
-           for i in range(len(parts))]
+    mat = [[x - (e if i == j else 0) for j, x in enumerate(row)]
+           for i, row in enumerate(block)]
     return len(nullspace(mat))
 
 
@@ -349,7 +347,4 @@ def jack(lam, alpha):
     order = 3 * len(partitions(sum(lam))) + 4
     q = Jet.exp_linear(Fraction(1), order)
     t = Jet.exp_linear(gamma_j, order)
-    try:
-        return _jet_triangular_limit(lam, q, t, order)
-    except DegeneracyError as exc:
-        raise DegeneracyError(str(exc)) from None
+    return _jet_triangular_limit(lam, q, t, order)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .kernel import Jet, KernelError, RatFun, is_zero
-from .linalg import identity, mat_mul
+from .linalg import identity, mat_mul, operator_matrix
 from .symfunc import (
     SymFunc,
     convert,
@@ -317,22 +317,12 @@ class GradedOperator:
     @classmethod
     def build(cls, apply_fn, n, dmax, basis="m"):
         shift = -n
-        blocks = {}
-        for d in range(0, dmax + 1):
-            if d + shift < 0 or d + shift > dmax:
-                continue
-            cols = partitions(d)
-            rows = partitions(d + shift)
-            row_index = {lam: i for i, lam in enumerate(rows)}
-            mat = [[Fraction(0)] * len(cols) for _ in rows]
-            for j, lam in enumerate(cols):
-                image = apply_fn(SymFunc(basis, {lam: Fraction(1)}))
-                image = convert(image, basis)
-                for mu, c in image.terms.items():
-                    if sum(mu) != d + shift:
-                        raise KernelError("operator violates its degree shift")
-                    mat[row_index[mu]][j] = c
-            blocks[d] = mat
+
+        def image_of(lam):
+            return convert(apply_fn(SymFunc(basis, {lam: Fraction(1)})), basis).terms
+
+        blocks = {d: operator_matrix(image_of, partitions(d), partitions(d + shift))
+                  for d in range(0, dmax + 1) if 0 <= d + shift <= dmax}
         return cls(shift=shift, blocks=blocks, basis=basis, max_degree=dmax)
 
     def block(self, d):
@@ -539,6 +529,20 @@ def dvir_modes(q, t, alpha_two, n, dmax):
     return cur.t_mode(n, dmax), cur.psi_mode(n, dmax)
 
 
+def _zero_mode_sums(cur, dmax):
+    """Yield (lam, m_lam, sum_{n>=0} psi_{-n} T_n m_lam) for every partition
+    of degree at most dmax; T_n m_lam = 0 for n > |lam|."""
+    for d in range(dmax + 1):
+        for lam in partitions(d):
+            f = SymFunc("m", {lam: Fraction(1)})
+            out = SymFunc("p", {})
+            for n in range(d + 1):
+                tn = cur.t_apply(n, f)
+                if not tn.is_zero():
+                    out = out + cur.psi_apply(n, tn)
+            yield lam, f, out
+
+
 def pt_eta_check(cur, dmax, eta_params=None):
     """Verify sum_{n=0..d} psi_{-n} T_n = eta_0 + kappa blockwise up to dmax.
 
@@ -546,19 +550,10 @@ def pt_eta_check(cur, dmax, eta_params=None):
     Returns a report dict; raises MismatchError on failure.
     """
     q, t = eta_params if eta_params is not None else (cur.q, cur.t)
-    for d in range(dmax + 1):
-        for lam in partitions(d):
-            f = SymFunc("m", {lam: Fraction(1)})
-            lhs = SymFunc("p", {})
-            for n in range(d + 1):
-                tn = cur.t_apply(n, f)
-                if tn.is_zero():
-                    continue
-                lhs = lhs + cur.psi_apply(n, tn)
-            rhs = eta_apply(q, t, 0, f) + to_p(f).scale(cur.kappa)
-            diff = lhs - rhs
-            if not diff.is_zero():
-                raise MismatchError("zero-mode identity fails at %r: %r" % (lam, diff))
+    for lam, f, lhs in _zero_mode_sums(cur, dmax):
+        diff = lhs - (eta_apply(q, t, 0, f) + to_p(f).scale(cur.kappa))
+        if not diff.is_zero():
+            raise MismatchError("zero-mode identity fails at %r: %r" % (lam, diff))
     return {"dmax": dmax, "verified": True}
 
 
@@ -568,19 +563,11 @@ def pt_c10_check(gamma, alpha, dmax):
     gamma, alpha = Fraction(gamma), Fraction(alpha)
     cur = dvir_jet(gamma, alpha, 1)
     shift = gamma - 1 - 2 * alpha
-    for d in range(dmax + 1):
-        for lam in partitions(d):
-            f = SymFunc("m", {lam: Fraction(1)})
-            lhs = SymFunc("p", {})
-            for n in range(d + 1):
-                tn = cur.t_apply(n, f)
-                if tn.is_zero():
-                    continue
-                lhs = lhs + cur.psi_apply(n, tn)
-            lhs1 = SymFunc("p", {mu: _jet_coeff(c, 1) for mu, c in lhs.terms.items()})
-            rhs = c1_apply(gamma, 0, f) + to_p(f).scale(shift)
-            if not (lhs1 - rhs).is_zero():
-                raise MismatchError("h^1 zero-mode identity fails at %r" % (lam,))
+    for lam, f, lhs in _zero_mode_sums(cur, dmax):
+        lhs1 = SymFunc("p", {mu: _jet_coeff(c, 1) for mu, c in lhs.terms.items()})
+        rhs = c1_apply(gamma, 0, f) + to_p(f).scale(shift)
+        if not (lhs1 - rhs).is_zero():
+            raise MismatchError("h^1 zero-mode identity fails at %r" % (lam,))
     return {"gamma": str(gamma), "alpha": str(alpha), "dmax": dmax, "verified": True}
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -48,6 +50,29 @@ def test_verify_11_exit_zero(capsys):
     assert code == 0
     assert doc["result"]["proportional"] is True
     _validate(doc)
+
+
+DIGESTS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --r 1 --s 1 --t sym",
+    "verify --r 1 --s 3 --t sym",
+    "verify --r 3 --s 1 --t sym",
+    "verify --r 2 --s 2 --t sym",
+    "kacdet --level 5/2",
+])
+def test_json_output_matches_recorded_digest(capsys, argv):
+    code, out = run_cli(capsys, "--json", *argv.split())
+    assert code == 0
+    digests = json.loads(DIGESTS.read_text())
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[argv]
+
+
+def test_verify_rejects_removed_max_degree_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--r", "1", "--s", "1", "--max-degree", "4"])
+    assert err.value.code == 2
 
 
 def test_verify_parity_usage_error(capsys):
@@ -142,6 +167,13 @@ def test_macdonald_and_jack_subcommands(capsys):
     code, doc = run_json(capsys, "jack", "--partition", "2", "--alpha", "1")
     assert code == 0
     _validate(doc)
+
+
+def test_macdonald_eigenvalue_tie_reports_degeneracy_error(capsys):
+    # at (q, t) = (-2, -1/2) the eta_0 eigenvalues of (2) and (1,1) coincide
+    code, doc = run_json(capsys, "macdonald", "--partition", "2", "--q=-2", "--t=-1/2")
+    assert code == 1
+    assert doc["error"].startswith("DegeneracyError: eigenvalue tie")
 
 
 def test_reproduce_paper_bound_two(capsys):

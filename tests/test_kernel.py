@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from svjack.kernel import (
     DivisionByZero,
     Jet,
+    KernelError,
     MixedFieldError,
     Poly,
     RatFun,
@@ -22,6 +23,7 @@ from svjack.linalg import (
     identity,
     mat_vec,
     nullspace,
+    operator_matrix,
     poly_interpolate,
     rank,
 )
@@ -180,6 +182,15 @@ def test_nullspace_over_ratfun():
     assert len(basis) == 1
     v = basis[0]
     assert all(x.is_zero() for x in mat_vec(m, v))
+
+
+def test_operator_matrix_layout_and_row_basis_check():
+    images = {"a": {"x": Fraction(2)}, "b": {"y": Fraction(-1), "x": Fraction(1, 3)}}
+    mat = operator_matrix(images.get, ["a", "b"], ["x", "y"])
+    assert mat == [[Fraction(2), Fraction(1, 3)], [Fraction(0), Fraction(-1)]]
+    assert all(type(x) is Fraction for row in mat for x in row)
+    with pytest.raises(KernelError):
+        operator_matrix(images.get, ["a", "b"], ["x"])
 
 
 def test_det_values():

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from svjack.kernel import Jet, RatFun
-from svjack.symfunc import SymFunc, convert, e_gen, m_gen, p_gen, partitions
+from svjack.kernel import Jet, KernelError, RatFun
+from svjack.symfunc import SymFunc, convert, e_gen, m_gen, multiply, p_gen, partitions
 from svjack.vertexops import (
+    GradedOperator,
     apply_vertex_mode,
     c0_apply,
     c0_mode,
@@ -228,6 +229,12 @@ def test_c0_mode_blocks_golden():
     golden = json.loads((pathlib.Path(__file__).parent /
                          "golden" / "c0_mode0_blocks.json").read_text())
     assert c0_mode(0, 3).to_json() == golden
+
+
+def test_graded_operator_rejects_wrong_degree_shift():
+    # multiplication by p_1 raises the degree, so it is no degree-0 operator
+    with pytest.raises(KernelError):
+        GradedOperator.build(lambda f: multiply(p_gen((1,)), f), 0, 2)
 
 
 def test_dvir_modes_graded_operators():
