@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -51,6 +50,21 @@ def _parse_partition(text):
                                         for i in range(len(parts) - 1)):
         raise UsageError("parts must be weakly decreasing positive integers")
     return parts
+
+
+def _parse_moment(text):
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError("not a comma-separated list of integers: %r" % text)
+
+
+def _parse_range(text):
+    try:
+        lo, hi = (int(x) for x in text.split(".."))
+    except ValueError:
+        raise UsageError("not a range lo..hi: %r" % text)
+    return lo, hi
 
 
 def _emit(args, command, parameters, result, ok=True):
@@ -216,7 +230,7 @@ def cmd_selberg_integral(args):
 def cmd_selberg_vanish(args):
     from .selberg import vanishing_check
     t = _parse_rational(args.t)
-    moment = tuple(int(x) for x in args.m.split(","))
+    moment = _parse_moment(args.m)
     rep = vanishing_check(args.r, t, moment, samples=args.samples, seed=args.seed)
     ok = rep["consistent_with_zero"] is not False and rep["exact_moment"] == "0" \
         if sum(moment) != 0 else True
@@ -237,7 +251,7 @@ def cmd_selberg_recursion(args):
 
 def cmd_finite_n(args):
     from .finiten import limit_diagnostic_report
-    lo, hi = (int(x) for x in args.n_range.split(".."))
+    lo, hi = _parse_range(args.n_range)
     gamma = _parse_rational(args.gamma)
     rep = limit_diagnostic_report(args.dmax, list(range(lo, hi + 1)),
                                   which=args.op, gamma=gamma)
@@ -350,16 +364,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache_dir = os.environ.get("SVJACK_CACHE_DIR")
-    cache_file = None
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache_file = os.path.join(cache_dir, "transitions.json")
-        from .symfunc import load_transition_cache
-        load_transition_cache(cache_file)
     try:
         code = args.fn(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # the library raises ValueError only from its argument checks
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
     except KernelError as exc:
@@ -368,10 +376,6 @@ def main(argv=None):
                           "error": "%s: %s" % (type(exc).__name__, exc)},
                          sort_keys=True))
         return 1
-    finally:
-        if cache_file:
-            from .symfunc import save_transition_cache
-            save_transition_cache(cache_file)
     return code
 
 

@@ -35,26 +35,10 @@ class PrecisionError(KernelError):
     """A jet coefficient beyond the tracked truncation order was requested."""
 
 
-def rat(num, den=1):
-    return Fraction(num, den)
-
-
-def is_rational(x):
-    return isinstance(x, (int, Fraction))
-
-
 def is_zero(x):
     if isinstance(x, (int, Fraction)):
         return x == 0
     return x.is_zero()
-
-
-def as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise MixedFieldError("expected a rational, got %r" % (x,))
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +255,6 @@ class RatFun:
     def is_zero(self):
         return self.numer.is_zero()
 
-    def is_constant(self):
-        return self.numer.degree() <= 0 and self.denom.degree() == 0
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise KernelError("not a constant rational function")
-        if self.numer.is_zero():
-            return Fraction(0)
-        return self.numer.coeffs[0] / self.denom.coeffs[0]
-
     def _coerce(self, other):
         if isinstance(other, RatFun):
             if other.var != self.var:
@@ -406,6 +380,9 @@ class Sqrt2Ext:
         return is_zero(self.a - o.a) and is_zero(self.b - o.b)
 
     def __hash__(self):
+        # equal to its base part when b = 0, so it must hash like it
+        if is_zero(self.b):
+            return hash(self.a)
         return hash(("sqrt2", self.a, self.b))
 
     def __add__(self, other):
@@ -553,7 +530,9 @@ class Jet:
         return all(is_zero(self.coeffs[i] - o.coeffs[i]) for i in range(k + 1))
 
     def __hash__(self):
-        return hash(("jet", self.order, self.coeffs))
+        # __eq__ ignores the orders beyond the lower of the two, and a
+        # constant equals its jet, so only the constant term may enter the hash
+        return hash(self.coeffs[0])
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -674,11 +653,6 @@ class Jet:
         if not is_zero(one - 1):
             raise KernelError("jet log requires constant term 1")
         return (self - 1).log1p()
-
-    def truncate(self, order):
-        if order > self.order:
-            raise PrecisionError("cannot extend a jet's truncation order")
-        return Jet(list(self.coeffs[: order + 1]), order)
 
     def __repr__(self):
         return "Jet(%s; O(h^%d))" % (list(self.coeffs), self.order + 1)

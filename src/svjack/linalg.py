@@ -153,27 +153,6 @@ def nullspace(mat):
     return basis
 
 
-def solve(mat, rhs):
-    """Solve mat @ x = rhs exactly; raises if singular or inconsistent."""
-    n = len(mat)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    ech, piv_cols, _ = bareiss_echelon(aug)
-    cols = len(mat[0])
-    if cols in piv_cols:
-        raise InconsistentData("inconsistent linear system")
-    if len(piv_cols) < cols:
-        raise KernelError("singular linear system")
-    zero = rhs[0] * 0
-    x = [zero] * cols
-    for r in range(cols - 1, -1, -1):
-        pc = piv_cols[r]
-        acc = ech[r][cols]
-        for j in range(pc + 1, cols):
-            acc = acc - ech[r][j] * x[j]
-        x[pc] = acc / ech[r][pc]
-    return x
-
-
 def mat_mul(a, b):
     if not a or not b:
         return []

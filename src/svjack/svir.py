@@ -65,9 +65,6 @@ class SuperPartition:
     def size(self):
         return sum(self.bosonic, Fraction(0)) + sum(self.fermionic, Fraction(0))
 
-    def fermion_count(self):
-        return len(self.fermionic)
-
     def sort_key(self):
         # reverse-lexicographic with larger parts first; the trailing
         # sentinel makes a proper prefix sort before its extensions' absence

@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .kernel import KernelError, PoleError, is_zero
-from .linalg import solve
 
 
 def check_partition(lam):
@@ -222,52 +221,27 @@ _M_TO_P_CACHE = {}
 
 
 def _m_to_p_matrix(n):
-    """Per-degree transition: columns m_mu expressed in the p basis.
+    """Per-degree transition: {mu: m_mu in the p basis as {lam: coeff}}.
 
-    Obtained by inverting the p -> m transition degree by degree.  The cache
-    is a write-once per-degree map; it can be persisted through
-    save_transition_cache / load_transition_cache.
+    p_mu = sum over nu >= mu (dominance) of L_{mu nu} m_nu with L_{mu mu} != 0
+    (Macdonald I.6), and the canonical order of partitions(n) refines
+    dominance, so one pass of back-substitution inverts the transition:
+    m_mu = (p_mu - sum_{nu != mu} L_{mu nu} m_nu) / L_{mu mu}.
     """
     if n in _M_TO_P_CACHE:
         return _M_TO_P_CACHE[n]
     parts = partitions(n)
-    index = {lam: i for i, lam in enumerate(parts)}
-    k = len(parts)
-    p_to_m = [[Fraction(0)] * k for _ in range(k)]  # rows m, cols p
-    for j, lam in enumerate(parts):
-        for mu, c in _p_to_m_row(lam).items():
-            p_to_m[index[mu]][j] = c
-    cols = []
-    for j in range(k):
-        rhs = [Fraction(1) if i == j else Fraction(0) for i in range(k)]
-        cols.append(solve(p_to_m, rhs))
-    _M_TO_P_CACHE[n] = (parts, cols)
-    return parts, cols
-
-
-def save_transition_cache(path):
-    """Persist the computed monomial -> power-sum transition matrices."""
-    import json
-    payload = {
-        str(n): [[str(x) for x in col] for col in cols]
-        for n, (parts, cols) in _M_TO_P_CACHE.items()
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-
-
-def load_transition_cache(path):
-    import json
-    import os
-    if not os.path.exists(path):
-        return 0
-    with open(path) as fh:
-        payload = json.load(fh)
-    for key, cols in payload.items():
-        n = int(key)
-        parts = partitions(n)
-        _M_TO_P_CACHE[n] = (parts, [[Fraction(x) for x in col] for col in cols])
-    return len(payload)
+    rows = {}
+    for mu in parts:
+        p_mu = _p_to_m_row(mu)
+        acc = {mu: Fraction(1)}
+        for nu, c in p_mu.items():
+            if nu != mu:
+                for lam, x in rows[nu].items():
+                    acc[lam] = acc.get(lam, 0) - c * x
+        rows[mu] = {lam: acc[lam] / p_mu[mu] for lam in parts if acc.get(lam)}
+    _M_TO_P_CACHE[n] = rows
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -327,41 +301,30 @@ def _p_lam_to_e(lam):
     return _expand_product([_p_to_e_single(r) for r in lam])
 
 
+def _change_basis(f, basis, row_of):
+    """Expand every term f_lam * b_lam through row_of(lam) = {mu: coeff}."""
+    out = {}
+    for lam, c in f.terms.items():
+        for mu, r in row_of(lam).items():
+            out[mu] = out.get(mu, 0) + c * r
+    return SymFunc(basis, out)
+
+
 def to_p(f):
     if f.basis == "p":
         return f
-    out = {}
     if f.basis == "e":
-        for lam, c in f.terms.items():
-            for mu, r in _e_lam_to_p(lam).items():
-                out[mu] = out.get(mu, 0) + c * r
-        return SymFunc("p", out)
-    # m -> p, degree by degree
-    for lam, c in f.terms.items():
-        n = sum(lam)
-        parts, cols = _m_to_p_matrix(n)
-        j = parts.index(lam)
-        for i, mu in enumerate(parts):
-            r = cols[j][i]
-            if r != 0:
-                out[mu] = out.get(mu, 0) + c * r
-    return SymFunc("p", out)
+        return _change_basis(f, "p", _e_lam_to_p)
+    return _change_basis(f, "p", lambda lam: _m_to_p_matrix(sum(lam))[lam])
 
 
 def from_p(f, target):
     if target == "p":
         return f
-    out = {}
     if target == "m":
-        for lam, c in f.terms.items():
-            for mu, r in _p_to_m_row(lam).items():
-                out[mu] = out.get(mu, 0) + c * r
-        return SymFunc("m", out)
+        return _change_basis(f, "m", _p_to_m_row)
     if target == "e":
-        for lam, c in f.terms.items():
-            for mu, r in _p_lam_to_e(lam).items():
-                out[mu] = out.get(mu, 0) + c * r
-        return SymFunc("e", out)
+        return _change_basis(f, "e", _p_lam_to_e)
     raise ValueError("unknown basis %r" % (target,))
 
 

@@ -109,6 +109,24 @@ def test_jet_arithmetic_and_truncation():
     assert g == 1 + h
 
 
+@given(rationals, rationals, st.lists(rationals, max_size=3),
+       st.lists(rationals, max_size=3))
+@settings(max_examples=200)
+def test_equal_scalars_hash_equal(a, b, tail1, tail2):
+    pairs = [
+        # jets that agree up to the lower of their two orders
+        (Jet([a] + tail1), Jet([a] + tail1 + tail2)),
+        # a constant jet and a Sqrt2Ext with no sqrt(2) part equal their base
+        (Jet([a] + [Fraction(0)] * len(tail2)), a),
+        (Sqrt2Ext(a, 0), a),
+        (Sqrt2Ext(a, Fraction(0)), Sqrt2Ext(a)),
+        (Sqrt2Ext(a, b), Sqrt2Ext(a, b) + 0),
+    ]
+    for x, y in pairs:
+        assert x == y
+        assert hash(x) == hash(y)
+
+
 def test_jet_exp_log_roundtrip():
     h = Jet.hbar(6)
     j = h + 3 * h * h

@@ -6,6 +6,8 @@ import pytest
 from svjack.kernel import PoleError, RatFun
 from svjack.symfunc import (
     SymFunc,
+    _m_to_p_matrix,
+    _p_to_m_row,
     convert,
     dominance_leq,
     e_gen,
@@ -78,6 +80,23 @@ def test_product_in_p_concatenates():
     assert multiply(g, one) == g
 
 
+def _compose(first, then, lam):
+    out = {}
+    for mu, c in first(lam).items():
+        for nu, r in then(mu).items():
+            out[nu] = out.get(nu, 0) + c * r
+    return {nu: c for nu, c in out.items() if c}
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_m_to_p_inverts_p_to_m(n):
+    m_to_p = _m_to_p_matrix(n)
+    assert set(m_to_p) == set(partitions(n))
+    for lam in partitions(n):
+        assert _compose(m_to_p.__getitem__, _p_to_m_row, lam) == {lam: 1}
+        assert _compose(_p_to_m_row, m_to_p.__getitem__, lam) == {lam: 1}
+
+
 def _random_symfunc(rng, basis, max_deg=6, nterms=3):
     terms = {}
     for _ in range(nterms):
@@ -91,7 +110,7 @@ def _random_symfunc(rng, basis, max_deg=6, nterms=3):
                                         ("e", "p"), ("m", "e"), ("e", "m")])
 def test_convert_roundtrip_randomized(basis_pair):
     src, dst = basis_pair
-    rng = random.Random(hash(basis_pair) & 0xFFFF)
+    rng = random.Random("".join(basis_pair))
     for _ in range(12):
         f = _random_symfunc(rng, src, max_deg=8)
         g = convert(convert(f, dst), src)
