@@ -82,6 +82,11 @@ def _emit(args, command, parameters, result, ok=True):
     return 0 if ok else 1
 
 
+def _emit_error(command, kind, exc):
+    print(json.dumps({"schema": SCHEMA_VERSION, "command": command, "ok": False,
+                      "error": "%s: %s" % (kind, exc)}, sort_keys=True))
+
+
 def _human(doc):
     print("[%s] %s" % (doc["command"], "ok" if doc["ok"] else "FAILED"))
     for key, value in sorted(doc["parameters"].items()):
@@ -252,6 +257,10 @@ def cmd_selberg_recursion(args):
 def cmd_finite_n(args):
     from .finiten import limit_diagnostic_report
     lo, hi = _parse_range(args.n_range)
+    if not 1 <= lo <= hi:
+        raise UsageError("need 1 <= lo <= hi in --n-range lo..hi, got %r" % args.n_range)
+    if args.dmax < 0:
+        raise UsageError("--dmax must be nonnegative")
     gamma = _parse_rational(args.gamma)
     rep = limit_diagnostic_report(args.dmax, list(range(lo, hi + 1)),
                                   which=args.op, gamma=gamma)
@@ -369,12 +378,11 @@ def main(argv=None):
     except (UsageError, ValueError) as exc:
         # the library raises ValueError only from its argument checks
         print("usage error: %s" % exc, file=sys.stderr)
+        if args.json:
+            _emit_error(args.command, "UsageError", exc)
         return 2
     except KernelError as exc:
-        print(json.dumps({"schema": SCHEMA_VERSION, "command": args.command,
-                          "ok": False,
-                          "error": "%s: %s" % (type(exc).__name__, exc)},
-                         sort_keys=True))
+        _emit_error(args.command, type(exc).__name__, exc)
         return 1
     return code
 

@@ -18,11 +18,14 @@ instead of asserting a limit.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
+from math import factorial, lcm
+from operator import add
 
 from .kernel import KernelError
-from .linalg import operator_matrix
-from .symfunc import SymFunc, convert, partitions, to_p
+from .linalg import identity, operator_matrix
+from .symfunc import SymFunc, convert, multiplicities, partitions, to_p
 
 
 class NonpolynomialResult(KernelError):
@@ -30,42 +33,32 @@ class NonpolynomialResult(KernelError):
 
 
 # ---------------------------------------------------------------------------
-# dense multivariate polynomials over Q (exponent-tuple keyed)
+# dense multivariate polynomials (exponent-tuple keyed)
 # ---------------------------------------------------------------------------
-
-def mp_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, Fraction(0)) + c
-        if out[e] == 0:
-            del out[e]
-    return out
-
+#
+# Coefficients are Python ints inside the shift operators and Fractions in
+# the restriction pr_n; every helper works for both.
 
 def mp_mul(a, b):
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            key = tuple(x + y for x, y in zip(e1, e2))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
     return {e: c for e, c in out.items() if c != 0}
 
 
-def mp_scale(a, c):
-    return {e: x * c for e, x in a.items()} if c != 0 else {}
+def mp_const(n, c):
+    return {tuple([0] * n): c} if c != 0 else {}
 
 
-def mp_const(n, c=Fraction(1)):
-    return {tuple([0] * n): Fraction(c)} if c != 0 else {}
-
-
-def mp_linear(n, i, j, sign_j=-1):
-    """x_i + sign_j * x_j."""
+def _mp_linear(n, i, j, ci, cj):
+    """ci x_i + cj x_j."""
     ei = [0] * n
     ei[i] = 1
     ej = [0] * n
     ej[j] = 1
-    return {tuple(ei): Fraction(1), tuple(ej): Fraction(sign_j)}
+    return {tuple(ei): ci, tuple(ej): cj}
 
 
 def mp_flip(a, i):
@@ -78,31 +71,40 @@ def mp_euler(a, i):
     return {e: c * e[i] for e, c in a.items() if e[i] != 0}
 
 
+def _mp_accumulate(out, a, c=1):
+    """out += c * a, in place."""
+    for e, x in a.items():
+        out[e] = out.get(e, 0) + c * x
+
+
 def mp_div_linear(a, i, j):
     """Exact division by (x_i - x_j); raises NonpolynomialResult on remainder.
 
-    Uses the monomial telescoping (x_i^p x_j^q - x_j^{p+q}) / (x_i - x_j)
-    = sum_{u=0}^{p-1} x_i^u x_j^{p+q-1-u}; the collected remainder is the
-    substitution x_i -> x_j, which must cancel.
+    Terms sharing the other exponents and the total s = p + q of x_i^p x_j^q
+    form one group.  By the telescoping (x_i^p x_j^q - x_j^s) / (x_i - x_j)
+    = sum_{u<p} x_i^u x_j^{s-1-u}, the group's quotient has coefficient
+    sum_{p>u} c_p at x_i^u x_j^{s-1-u}, and its remainder is the substitution
+    x_i -> x_j, the sum of all c_p, which must cancel.
     """
-    quot = {}
-    rem = {}
+    groups = {}
     for e, c in a.items():
-        p, q = e[i], e[j]
-        for u in range(p):
-            key = list(e)
-            key[i] = u
-            key[j] = p + q - 1 - u
-            key = tuple(key)
-            quot[key] = quot.get(key, Fraction(0)) + c
-        rkey = list(e)
-        rkey[i] = 0
-        rkey[j] = p + q
-        rkey = tuple(rkey)
-        rem[rkey] = rem.get(rkey, Fraction(0)) + c
-    if any(c != 0 for c in rem.values()):
-        raise NonpolynomialResult("division by (x_%d - x_%d) leaves a remainder" % (i, j))
-    return {e: c for e, c in quot.items() if c != 0}
+        base = list(e)
+        base[i] = 0
+        base[j] = e[i] + e[j]
+        groups.setdefault(tuple(base), {})[e[i]] = c
+    quot = {}
+    for base, coeffs in groups.items():
+        run = 0  # sum_{p > u} c_p
+        for u in range(max(coeffs) - 1, -1, -1):
+            run += coeffs.get(u + 1, 0)
+            if run:
+                key = list(base)
+                key[i] = u
+                key[j] = base[j] - 1 - u
+                quot[tuple(key)] = run
+        if run + coeffs.get(0, 0) != 0:
+            raise NonpolynomialResult("division by (x_%d - x_%d) leaves a remainder" % (i, j))
+    return quot
 
 
 # ---------------------------------------------------------------------------
@@ -114,30 +116,33 @@ def orbit_to_mp(lam, n):
     if len(lam) > n:
         return {}
     exps = list(lam) + [0] * (n - len(lam))
-    out = {}
-    for perm in set(permutations(exps)):
-        out[tuple(perm)] = Fraction(1)
-    return out
+    return {perm: 1 for perm in set(permutations(exps))}
 
 
-def mp_to_orbits(a, n):
-    """Collect a symmetric exponent dict into {partition: coefficient};
-    raises if the polynomial is not symmetric."""
+def _orbit_size(lam, n):
+    size = factorial(n) // factorial(n - len(lam))
+    for m in multiplicities(lam).values():
+        size //= factorial(m)
+    return size
+
+
+def mp_to_orbits(a, n, scale=1):
+    """Collect a symmetric exponent dict into {partition: scale * coefficient};
+    raises if the polynomial is not symmetric.
+
+    Symmetric means every exponent vector of an orbit carries the same
+    coefficient and the whole orbit is present, which is checked by counting
+    against the orbit size."""
     seen = {}
+    count = {}
     for e, c in a.items():
-        lam = tuple(sorted(e, reverse=True))
-        lam = tuple(p for p in lam if p != 0)
-        if lam in seen:
-            if seen[lam] != c:
-                raise KernelError("polynomial is not symmetric")
-        else:
-            seen[lam] = c
-    # verify every orbit member carries the same coefficient
-    for lam, c in seen.items():
-        for e in orbit_to_mp(lam, n):
-            if a.get(e, Fraction(0)) != c:
-                raise KernelError("polynomial is not symmetric")
-    return seen
+        lam = tuple(sorted((p for p in e if p != 0), reverse=True))
+        if seen.setdefault(lam, c) != c:
+            raise KernelError("polynomial is not symmetric")
+        count[lam] = count.get(lam, 0) + 1
+    if any(k != _orbit_size(lam, n) for lam, k in count.items()):
+        raise KernelError("polynomial is not symmetric")
+    return {lam: c * scale for lam, c in seen.items()}
 
 
 def pr_n(f, n):
@@ -169,7 +174,6 @@ def pr_n_exponential(f, n):
     this way exercises that identity independently of pr_n."""
     import math as _math
 
-    from .symfunc import multiplicities
     from .vertexops import _submultisets  # same enumeration the modes use
     fp = to_p(f)
     out = {}
@@ -200,14 +204,39 @@ def pr_n_exponential(f, n):
     return mp_to_orbits(out, n)
 
 
-def _sub_vandermonde(n, skip):
-    out = mp_const(n, Fraction(1))
-    for a in range(n):
+# ---------------------------------------------------------------------------
+# the n-variable shift operators
+# ---------------------------------------------------------------------------
+#
+# Over the common denominator V = prod_{a<b} (x_a - x_b) the i = 0 summand of
+# either operator is a product of flip_0(f), or of its derivatives in x_0,
+# with the kernel K = W P: here W = V / prod_{j >= 1} (x_0 - x_j) is the
+# Vandermonde of x_1..x_{n-1} and P = prod_{j >= 1} -(x_0 + x_j).  Since f is
+# symmetric and V alternating, the i-th summand is minus the 0th with x_0 and
+# x_i swapped.  So K is built once per n, each image costs one product per
+# part, and the numerator keeps integer coefficients through the exact
+# division; the rational scale is applied when collecting orbits.
+
+@lru_cache(maxsize=None)
+def _kernel(n):
+    """prod_{j >= 1} -(x_0 + x_j) * prod_{1 <= a < b < n} (x_a - x_b)."""
+    out = mp_const(n, 1)
+    for j in range(1, n):
+        out = mp_mul(out, _mp_linear(n, 0, j, -1, -1))
+    for a in range(1, n):
         for b in range(a + 1, n):
-            if a == skip or b == skip:
-                continue
-            out = mp_mul(out, mp_linear(n, a, b, -1))
+            out = mp_mul(out, _mp_linear(n, a, b, 1, -1))
     return out
+
+
+def _integer_poly(orbits, n):
+    """(den * sum_lam c_lam m_lam(x_1..x_n), den) with den the least common
+    denominator of the coefficients, so the polynomial has int coefficients."""
+    den = lcm(*(Fraction(c).denominator for c in orbits.values()))
+    f = {}
+    for lam, c in orbits.items():
+        _mp_accumulate(f, orbit_to_mp(lam, n), int(Fraction(c) * den))
+    return f, den
 
 
 def _divide_by_vandermonde(num, n):
@@ -218,26 +247,29 @@ def _divide_by_vandermonde(num, n):
     return out
 
 
+def _collect(first, n, scale):
+    """Orbits of scale * (numerator / V), given the numerator's i = 0 summand."""
+    num = dict(first)
+    for i in range(1, n):
+        for e, c in first.items():
+            key = list(e)
+            key[0], key[i] = e[i], e[0]
+            key = tuple(key)
+            num[key] = num.get(key, 0) - c
+    num = {e: c for e, c in num.items() if c != 0}
+    return mp_to_orbits(_divide_by_vandermonde(num, n), n, scale)
+
+
 def c0n_apply(orbits, n):
     """The degree-preserving shift operator at level zero on n variables:
 
       2 (-1)^{n-1} sum_i prod_{j != i} ( -(x_i + x_j)/(x_i - x_j) ) T_{-1,i}
     """
-    f = {}
-    for lam, c in orbits.items():
-        f = mp_add(f, mp_scale(orbit_to_mp(lam, n), c))
-    num = {}
-    for i in range(n):
-        term = mp_flip(f, i)
-        for j in range(n):
-            if j != i:
-                term = mp_mul(term, mp_scale(mp_linear(n, i, j, +1), Fraction(-1)))
-        term = mp_mul(term, _sub_vandermonde(n, i))
-        sign = Fraction((-1) ** i)  # V = (-1)^i W_i prod_{j != i} (x_i - x_j)
-        num = mp_add(num, mp_scale(term, sign))
-    quot = _divide_by_vandermonde(num, n)
-    quot = mp_scale(quot, Fraction(2 * (-1) ** (n - 1)))
-    return mp_to_orbits(quot, n)
+    if n == 0:
+        return {}  # an empty sum
+    f, den = _integer_poly(orbits, n)
+    first = mp_mul(mp_flip(f, 0), _kernel(n))
+    return _collect(first, n, Fraction(2 * (-1) ** (n - 1), den))
 
 
 def c1n_apply(orbits, n, gamma):
@@ -247,38 +279,20 @@ def c1n_apply(orbits, n, gamma):
             ( D_i + gamma sum_{k != i} x_i/(x_i + x_k) ) T_{-1,i}
 
     The x_i/(x_i + x_k) factor cancels one (x_i + x_k) of the prefactor, so
-    only the Vandermonde denominator remains.
+    only the Vandermonde denominator remains, and the gamma part of the
+    numerator is  T_{-1,i} f  times  D_i  of the prefactor, D_i = x_i d/dx_i.
+    With gamma = p/q the integer numerator is q (Euler part) + p (gamma part).
     """
+    if n == 0:
+        return {}  # an empty sum
     gamma = Fraction(gamma)
-    f = {}
-    for lam, c in orbits.items():
-        f = mp_add(f, mp_scale(orbit_to_mp(lam, n), c))
-    num = {}
-    for i in range(n):
-        flipped = mp_flip(f, i)
-        inner = mp_euler(flipped, i)
-        for j in range(n):
-            if j != i:
-                inner = mp_mul(inner, mp_scale(mp_linear(n, i, j, +1), Fraction(-1)))
-        if gamma != 0:
-            xi = [0] * n
-            xi[i] = 1
-            xi = {tuple(xi): Fraction(1)}
-            for k in range(n):
-                if k == i:
-                    continue
-                piece = mp_mul(xi, mp_flip(f, i))
-                piece = mp_scale(piece, -gamma)  # -x_i from the cancelled factor's sign
-                for j in range(n):
-                    if j != i and j != k:
-                        piece = mp_mul(piece, mp_scale(mp_linear(n, i, j, +1), Fraction(-1)))
-                inner = mp_add(inner, piece)
-        term = mp_mul(inner, _sub_vandermonde(n, i))
-        sign = Fraction((-1) ** i)
-        num = mp_add(num, mp_scale(term, sign))
-    quot = _divide_by_vandermonde(num, n)
-    quot = mp_scale(quot, Fraction((-1) ** (n - 1), 2))
-    return mp_to_orbits(quot, n)
+    f, den = _integer_poly(orbits, n)
+    flipped = mp_flip(f, 0)
+    first = {}
+    _mp_accumulate(first, mp_mul(mp_euler(flipped, 0), _kernel(n)), gamma.denominator)
+    if gamma != 0:
+        _mp_accumulate(first, mp_mul(flipped, mp_euler(_kernel(n), 0)), gamma.numerator)
+    return _collect(first, n, Fraction((-1) ** (n - 1), 2 * den * gamma.denominator))
 
 
 def c0n_corrected_apply(orbits, n):
@@ -341,19 +355,25 @@ def limit_diagnostic(dmax, n_range, which="c0", gamma=Fraction(1)):
     which = which.lower()
     if which not in ("c0", "c1"):
         raise ValueError("which must be c0 or c1")
+    gamma = Fraction(gamma)
     n_range = sorted(set(n_range))
     cells = {}
     for n in n_range:
         for degree in range(dmax + 1):
-            if which == "c0":
-                apply_fn = lambda lam: c0n_apply({lam: Fraction(1)}, n)
-                corr_fn = lambda lam: c0n_corrected_apply({lam: Fraction(1)}, n)
-            else:
-                apply_fn = lambda lam: c1n_apply({lam: Fraction(1)}, n, gamma)
-                corr_fn = lambda lam: c1n_corrected_apply({lam: Fraction(1)}, n, gamma)
             cols = [lam for lam in partitions(degree) if len(lam) <= n]
-            finite_mat = operator_matrix(apply_fn, cols, cols)
-            corrected_mat = operator_matrix(corr_fn, cols, cols)
+            c0_mat = operator_matrix(lambda lam: c0n_apply({lam: Fraction(1)}, n), cols, cols)
+            eye = identity(len(cols))
+            # the corrected operators of c0n_corrected_apply and
+            # c1n_corrected_apply, combined from matrices already built
+            if which == "c0":
+                finite_mat = c0_mat
+                corrected_mat = _combine((1, c0_mat), ((-1) ** n, eye))
+            else:
+                finite_mat = operator_matrix(
+                    lambda lam: c1n_apply({lam: Fraction(1)}, n, gamma), cols, cols)
+                corrected_mat = _combine((4, finite_mat),
+                                         (gamma * Fraction(1 - 2 * n, 2), c0_mat),
+                                         (-(-1) ** n * n * gamma, eye))
             proj_mat = operator_matrix(_projected_infinite_image(which, gamma, n), cols, cols)
             cells[(n, degree)] = {
                 "partitions": cols,
@@ -378,8 +398,15 @@ def limit_diagnostic(dmax, n_range, which="c0", gamma=Fraction(1)):
                 "average": avg,
                 "matches_projected": avg == a["projected"],
             }
-    return {"which": which, "gamma": Fraction(gamma), "dmax": dmax,
+    return {"which": which, "gamma": gamma, "dmax": dmax,
             "n_range": n_range, "cells": cells, "averages": averages}
+
+
+def _combine(*terms):
+    """sum of c * M over the (c, M) pairs, entrywise."""
+    size = len(terms[0][1])
+    return [[sum(c * mat[i][j] for c, mat in terms) for j in range(size)]
+            for i in range(size)]
 
 
 def _entry(cell_b, cols_a, i, j):

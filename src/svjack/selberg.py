@@ -160,13 +160,20 @@ def selberg_montecarlo(n, alpha, beta, gamma, samples=10 ** 6, seed=0,
     # Beta(alpha, beta) density absorbs x^{a-1}(1-x)^{b-1}/B(a,b)
     log_b = (gammaln(alpha_f) + gammaln(beta_f) - gammaln(alpha_f + beta_f))
     vals = np.full(samples, math.exp(log_b) ** n)
+    # pairwise factors go through one scratch buffer; the elementwise
+    # operations are those of vals * np.abs(x_i - x_j) ** (2 gamma)
+    tmp = np.empty(samples)
     for i in range(n):
         for j in range(i + 1, n):
-            vals = vals * np.abs(x[:, i] - x[:, j]) ** (2 * gamma_f)
+            np.subtract(x[:, i], x[:, j], out=tmp)
+            np.abs(tmp, out=tmp)
+            tmp **= 2 * gamma_f
+            vals *= tmp
+    del tmp  # before the moment factors and np.std take their own temporaries
     if moment is not None:
         for i, mi in enumerate(moment):
             if mi:
-                vals = vals * x[:, i] ** mi
+                vals *= x[:, i] ** mi
     mean = float(np.mean(vals))
     err = float(np.std(vals) / math.sqrt(samples))
     return mean, err

@@ -10,7 +10,9 @@ both.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
+from svjack.finiten import mp_div_linear
 from svjack.symfunc import SymFunc, partitions, to_p
 
 
@@ -115,3 +117,139 @@ def vertex_mode_apply_oracle(creation, annihilation, n, f, dmax):
         if lam in fp.terms:
             out[mu] = out.get(mu, Fraction(0)) + c * fp.terms[lam]
     return SymFunc("p", out)
+
+
+# ---------------------------------------------------------------------------
+# finite-variable shift operators, rebuilt per basis vector over Fraction
+# ---------------------------------------------------------------------------
+#
+# These are the direct implementations the production operators replaced:
+# every factor of every summand is rebuilt for each input, all arithmetic is
+# in Fraction, and symmetry is checked by enumerating every orbit member.
+
+def _mp_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+        if out[e] == 0:
+            del out[e]
+    return out
+
+
+def _mp_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _mp_scale(a, c):
+    return {e: x * c for e, x in a.items()} if c != 0 else {}
+
+
+def _mp_linear(n, i, j, sign_j=-1):
+    """x_i + sign_j * x_j."""
+    ei = [0] * n
+    ei[i] = 1
+    ej = [0] * n
+    ej[j] = 1
+    return {tuple(ei): Fraction(1), tuple(ej): Fraction(sign_j)}
+
+
+def _mp_flip(a, i):
+    return {e: (-c if e[i] % 2 == 1 else c) for e, c in a.items()}
+
+
+def _mp_euler(a, i):
+    return {e: c * e[i] for e, c in a.items() if e[i] != 0}
+
+
+def _orbit_to_mp(lam, n):
+    if len(lam) > n:
+        return {}
+    exps = list(lam) + [0] * (n - len(lam))
+    return {perm: Fraction(1) for perm in set(permutations(exps))}
+
+
+def _mp_to_orbits(a, n):
+    seen = {}
+    for e, c in a.items():
+        lam = tuple(p for p in sorted(e, reverse=True) if p != 0)
+        if seen.setdefault(lam, c) != c:
+            raise AssertionError("polynomial is not symmetric")
+    for lam, c in seen.items():
+        for e in _orbit_to_mp(lam, n):
+            if a.get(e, Fraction(0)) != c:
+                raise AssertionError("polynomial is not symmetric")
+    return seen
+
+
+def _sub_vandermonde(n, skip):
+    out = {tuple([0] * n): Fraction(1)}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if a == skip or b == skip:
+                continue
+            out = _mp_mul(out, _mp_linear(n, a, b, -1))
+    return out
+
+
+def _divide_by_vandermonde(num, n):
+    out = num
+    for a in range(n):
+        for b in range(a + 1, n):
+            out = mp_div_linear(out, a, b)
+    return out
+
+
+def _orbits_to_mp(orbits, n):
+    f = {}
+    for lam, c in orbits.items():
+        f = _mp_add(f, _mp_scale(_orbit_to_mp(lam, n), c))
+    return f
+
+
+def c0n_apply_oracle(orbits, n):
+    """2 (-1)^{n-1} sum_i prod_{j != i} ( -(x_i + x_j)/(x_i - x_j) ) T_{-1,i}."""
+    f = _orbits_to_mp(orbits, n)
+    num = {}
+    for i in range(n):
+        term = _mp_flip(f, i)
+        for j in range(n):
+            if j != i:
+                term = _mp_mul(term, _mp_scale(_mp_linear(n, i, j, +1), Fraction(-1)))
+        term = _mp_mul(term, _sub_vandermonde(n, i))
+        num = _mp_add(num, _mp_scale(term, Fraction((-1) ** i)))
+    quot = _mp_scale(_divide_by_vandermonde(num, n), Fraction(2 * (-1) ** (n - 1)))
+    return _mp_to_orbits(quot, n)
+
+
+def c1n_apply_oracle(orbits, n, gamma):
+    """(1/2) (-1)^{n-1} sum_i prod_{j != i} ( -(x_i + x_j)/(x_i - x_j) )
+    ( D_i + gamma sum_{k != i} x_i/(x_i + x_k) ) T_{-1,i}."""
+    gamma = Fraction(gamma)
+    f = _orbits_to_mp(orbits, n)
+    num = {}
+    for i in range(n):
+        inner = _mp_euler(_mp_flip(f, i), i)
+        for j in range(n):
+            if j != i:
+                inner = _mp_mul(inner, _mp_scale(_mp_linear(n, i, j, +1), Fraction(-1)))
+        if gamma != 0:
+            xi = [0] * n
+            xi[i] = 1
+            xi = {tuple(xi): Fraction(1)}
+            for k in range(n):
+                if k == i:
+                    continue
+                piece = _mp_scale(_mp_mul(xi, _mp_flip(f, i)), -gamma)
+                for j in range(n):
+                    if j != i and j != k:
+                        piece = _mp_mul(piece, _mp_scale(_mp_linear(n, i, j, +1), Fraction(-1)))
+                inner = _mp_add(inner, piece)
+        term = _mp_mul(inner, _sub_vandermonde(n, i))
+        num = _mp_add(num, _mp_scale(term, Fraction((-1) ** i)))
+    quot = _mp_scale(_divide_by_vandermonde(num, n), Fraction((-1) ** (n - 1), 2))
+    return _mp_to_orbits(quot, n)

@@ -64,6 +64,10 @@ DIGESTS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "digests.j
     "verify --r 2 --s 4 --t 3/2",
     "verify --r 4 --s 2 --t 5/3",
     "kacdet --level 5/2",
+    # the finite-variable operators and the Monte Carlo of the benchmark
+    "finite-n --dmax 2 --n-range 1..6",
+    "selberg integral --n 3 --alpha 1 --beta 1 --gamma 1 --method montecarlo "
+    "--samples 10000000 --seed 42",
 ])
 def test_json_output_matches_recorded_digest(capsys, argv):
     code, out = run_cli(capsys, "--json", *argv.split())
@@ -89,10 +93,29 @@ def test_verify_parity_usage_error(capsys):
     "finite-n --n-range 1-3",
     "macdonald --partition 2 --q 1 --t 2",
     "selberg integral --n 3 --alpha 1 --beta 1 --gamma 1 --method quadrature",
+    "finite-n --n-range 3..1",
+    "finite-n --n-range 0..1",
+    "finite-n --dmax -1",
 ])
 def test_bad_argument_exits_two_without_traceback(capsys, argv):
     assert main(argv.split()) == 2
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    "finite-n --n-range 3..1",
+    "verify --r 5 --s 0",
+    "selberg vanish --r 2 --t 1 --m 1",
+])
+def test_usage_error_json_document(capsys, argv):
+    code = main(["--json"] + argv.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("usage error: ")
+    doc = json.loads(captured.out)
+    assert doc == {"schema": "svjack-report/1", "command": argv.split()[0],
+                   "ok": False, "error": doc["error"]}
+    assert doc["error"].startswith("UsageError: ")
 
 
 def test_unknown_flag_exits_two(capsys):

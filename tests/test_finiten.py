@@ -14,7 +14,10 @@ from svjack.finiten import (
     pr_n_exponential,
     mp_to_orbits,
 )
+from svjack.linalg import operator_matrix
 from svjack.symfunc import e_gen, m_gen, p_gen
+
+from oracles import c0n_apply_oracle, c1n_apply_oracle
 
 
 def test_pr_n_power_sum():
@@ -147,3 +150,45 @@ def test_diagnostic_report_shape():
 def test_orbit_roundtrip():
     mp = orbit_to_mp((2, 1), 3)
     assert mp_to_orbits(mp, 3) == {(2, 1): Fraction(1)}
+
+
+@pytest.mark.parametrize("which,gamma", [("c0", Fraction(1)), ("c1", Fraction(1)),
+                                         ("c1", Fraction(1, 3))])
+def test_diagnostic_matrices_match_per_vector_oracle(which, gamma):
+    """Every cell with N <= 5 and degree <= 3: the cached-kernel operator
+    equals the per-vector Fraction implementation, and the corrected matrix
+    the diagnostic combines from finished matrices equals the per-vector
+    corrected operator."""
+    from svjack.finiten import c0n_corrected_apply, c1n_corrected_apply
+    diag = limit_diagnostic(3, [1, 2, 3, 4, 5], which=which, gamma=gamma)
+    assert len(diag["cells"]) == 20
+    for (n, degree), cell in diag["cells"].items():
+        cols = cell["partitions"]
+        if which == "c0":
+            oracle = lambda lam: c0n_apply_oracle({lam: Fraction(1)}, n)
+            corrected = lambda lam: c0n_corrected_apply({lam: Fraction(1)}, n)
+        else:
+            oracle = lambda lam: c1n_apply_oracle({lam: Fraction(1)}, n, gamma)
+            corrected = lambda lam: c1n_corrected_apply({lam: Fraction(1)}, n, gamma)
+        assert cell["finite"] == operator_matrix(oracle, cols, cols), (n, degree)
+        assert cell["corrected"] == operator_matrix(corrected, cols, cols), (n, degree)
+
+
+def test_shift_operators_on_fractional_combinations():
+    # common denominators are cleared before the integer pipeline
+    orbits = {(3,): Fraction(5), (2, 1): Fraction(3, 4), (1, 1, 1): Fraction(-2, 3)}
+    for n in (2, 3, 4):
+        assert c0n_apply(orbits, n) == c0n_apply_oracle(orbits, n)
+        for gamma in (Fraction(0), Fraction(2, 7), Fraction(-5, 2)):
+            assert c1n_apply(orbits, n, gamma) == c1n_apply_oracle(orbits, n, gamma)
+
+
+def test_nonsymmetric_polynomial_is_rejected():
+    from svjack.kernel import KernelError
+    # x_0 x_1^2 alone: one member of the (2, 1) orbit, the other is missing
+    with pytest.raises(KernelError):
+        mp_to_orbits({(1, 2): 1}, 2)
+    # both members present with different coefficients
+    with pytest.raises(KernelError):
+        mp_to_orbits({(1, 2): 1, (2, 1): 2}, 2)
+    assert mp_to_orbits({(1, 2): 3, (2, 1): 3}, 2, Fraction(1, 2)) == {(2, 1): Fraction(3, 2)}
