@@ -295,42 +295,6 @@ def c1n_apply(orbits, n, gamma):
     return _collect(first, n, Fraction((-1) ** (n - 1), 2 * den * gamma.denominator))
 
 
-def c0n_corrected_apply(orbits, n):
-    """The restriction-compatible form of the level-zero operator.
-
-    Matching eigenvalues through the n-variable shift-operator dictionary
-    forces an extra scalar: the operator compatible with the infinite-
-    variable zero mode is  C0_(n) + (-1)^n.  (The alternating scalar is why
-    averaging two consecutive n restores agreement for the raw operator.)
-    """
-    out = dict(c0n_apply(orbits, n))
-    sign = Fraction((-1) ** n)
-    for lam, c in orbits.items():
-        out[lam] = out.get(lam, Fraction(0)) + sign * c
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def c1n_corrected_apply(orbits, n, gamma):
-    """The restriction-compatible first-order operator:
-
-        4 C1_(n) + (gamma (1-2n)/2) C0_(n) - (-1)^n n gamma.
-
-    Derived from the same eigenvalue dictionary at first order; exact on
-    every cell the diagnostic computes.
-    """
-    gamma = Fraction(gamma)
-    out = {}
-    for lam, c in c1n_apply(orbits, n, gamma).items():
-        out[lam] = out.get(lam, Fraction(0)) + 4 * c
-    coef = gamma * Fraction(1 - 2 * n, 2)
-    for lam, c in c0n_apply(orbits, n).items():
-        out[lam] = out.get(lam, Fraction(0)) + coef * c
-    scal = -Fraction((-1) ** n) * n * gamma
-    for lam, c in orbits.items():
-        out[lam] = out.get(lam, Fraction(0)) + scal * c
-    return {k: v for k, v in out.items() if v != 0}
-
-
 # ---------------------------------------------------------------------------
 # the restriction diagnostic
 # ---------------------------------------------------------------------------
@@ -363,8 +327,10 @@ def limit_diagnostic(dmax, n_range, which="c0", gamma=Fraction(1)):
             cols = [lam for lam in partitions(degree) if len(lam) <= n]
             c0_mat = operator_matrix(lambda lam: c0n_apply({lam: Fraction(1)}, n), cols, cols)
             eye = identity(len(cols))
-            # the corrected operators of c0n_corrected_apply and
-            # c1n_corrected_apply, combined from matrices already built
+            # the restriction-compatible operators C0_(n) + (-1)^n and
+            # 4 C1_(n) + gamma (1-2n)/2 C0_(n) - (-1)^n n gamma, the extra
+            # scalars forced by matching eigenvalues through the n-variable
+            # shift-operator dictionary; combined from matrices already built
             if which == "c0":
                 finite_mat = c0_mat
                 corrected_mat = _combine((1, c0_mat), ((-1) ** n, eye))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .kernel import KernelError, RatFun, Sqrt2Ext, is_zero
+from .kernel import KernelError, Sqrt2Ext, as_scalar, is_zero
 from .symfunc import (
     SymFunc,
     convert,
@@ -279,10 +279,7 @@ def screening_r1(s, t="sym"):
     evaluates to -t e_s."""
     if s < 1 or s % 2 == 0:
         raise ValueError("s must be a positive odd integer")
-    if t == "sym" or t is None:
-        t = RatFun.variable("t")
-    elif isinstance(t, (int, Fraction)):
-        t = Fraction(t)
+    t = as_scalar(t, "t")
     series = screening_series(s)
     return series[s].scale(t * HALF)
 

@@ -41,6 +41,18 @@ def is_zero(x):
     return x.is_zero()
 
 
+def as_scalar(x, var):
+    """The field element a parameter stands for, fixed where the parameter
+    enters the code: "sym" (or None) is the formal variable of Q(var), an int
+    is the rational it names, and a field element is returned unchanged.
+    Zero and one of the field are then ``x * 0`` and ``x * 0 + 1``."""
+    if x is None or x == "sym":
+        return RatFun.variable(var)
+    if isinstance(x, int):
+        return Fraction(x)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # dense univariate polynomials
 # ---------------------------------------------------------------------------
@@ -353,10 +365,6 @@ class Sqrt2Ext:
         self.a = a
         self.b = b
 
-    @classmethod
-    def sqrt2(cls, one=Fraction(1)):
-        return cls(one * 0, one)
-
     def is_zero(self):
         return is_zero(self.a) and is_zero(self.b)
 
@@ -483,9 +491,8 @@ class Jet:
         return cls([c] + [zero] * order, order)
 
     @classmethod
-    def hbar(cls, order, one=Fraction(1)):
-        zero = one * 0
-        return cls([zero, one] + [zero] * (order - 1), order)
+    def hbar(cls, order):
+        return cls([Fraction(0), Fraction(1)], order)
 
     @classmethod
     def exp_linear(cls, c, order):
@@ -659,30 +666,8 @@ class Jet:
 
 
 # ---------------------------------------------------------------------------
-# generic field operations and serialization
+# serialization
 # ---------------------------------------------------------------------------
-
-def field_ops(x, y, op):
-    """Apply one of {add, sub, mul, div} to two scalars of the same field."""
-    try:
-        if op == "add":
-            r = x + y
-        elif op == "sub":
-            r = x - y
-        elif op == "mul":
-            r = x * y
-        elif op == "div":
-            if is_zero(y):
-                raise DivisionByZero("division by zero")
-            r = x / y
-        else:
-            raise ValueError("unknown op %r" % (op,))
-    except TypeError as exc:
-        raise MixedFieldError(str(exc)) from None
-    if r is NotImplemented:
-        raise MixedFieldError("incompatible scalars %r and %r" % (x, y))
-    return r
-
 
 def scalar_to_json(x):
     """Canonical JSON form: rationals as {num, den} with string payloads."""

@@ -169,17 +169,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = row[0] * 0
-        for x, y in zip(row, v):
-            if not is_zero(x) and not is_zero(y):
-                acc = acc + x * y
-        out.append(acc)
-    return out
-
-
 def operator_matrix(image_of, cols, rows):
     """Row-major matrix of a linear operator between two finite bases.
 
@@ -197,9 +186,8 @@ def operator_matrix(image_of, cols, rows):
     return mat
 
 
-def identity(n, one=Fraction(1)):
-    zero = one * 0
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def poly_interpolate(points, degree_bound, var="h"):

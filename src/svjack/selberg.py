@@ -49,15 +49,6 @@ def _log_gamma_signed(x):
     return gammaln(x), gammasgn(x)
 
 
-def check_selberg_domain(n, alpha, beta, gamma):
-    if alpha <= 0 or beta <= 0:
-        return False
-    bound = min(1.0 / n,
-                alpha / (n - 1) if n > 1 else math.inf,
-                beta / (n - 1) if n > 1 else math.inf)
-    return gamma > -bound
-
-
 def selberg_closed(n, alpha, beta, gamma):
     """prod_{j=1}^n G(a+(j-1)g) G(b+(j-1)g) G(1+jg) / (G(a+b+(n+j-2)g) G(1+g))."""
     alpha, beta, gamma = float(alpha), float(beta), float(gamma)
@@ -101,19 +92,6 @@ def aomoto_ratio_exact(r, t, k):
             raise SelbergPoleError("vanishing denominator at j = %d" % j)
         out *= Fraction(1 - j) * t / den
     return out
-
-
-def i0_closed(r, t):
-    """Gamma-product form of the normalization I(0) = S_r((1-r)t, 1, t)."""
-    t = float(t)
-    log = 0.0
-    sign = 1.0
-    for j in range(1, r):
-        for x, s in (((j - r) * t, +1), (1 + (j + 1) * t, +1), (1 + t, -1)):
-            lg, sg = _log_gamma_signed(x)
-            log += s * lg
-            sign *= sg
-    return sign * math.exp(log)
 
 
 # ---------------------------------------------------------------------------
@@ -177,25 +155,6 @@ def selberg_montecarlo(n, alpha, beta, gamma, samples=10 ** 6, seed=0,
     mean = float(np.mean(vals))
     err = float(np.std(vals) / math.sqrt(samples))
     return mean, err
-
-
-def montecarlo_symmetrized_moment(n, alpha, beta, gamma, moment, samples=10 ** 6,
-                                  seed=0):
-    """Self-normalized estimate of E_w[x^m] for permutation-symmetry checks."""
-    rng = np.random.default_rng(seed)
-    x = rng.beta(float(alpha), float(beta), size=(samples, n))
-    w = np.ones(samples)
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = w * np.abs(x[:, i] - x[:, j]) ** (2 * float(gamma))
-    num = w.copy()
-    for i, mi in enumerate(moment):
-        if mi:
-            num = num * x[:, i] ** mi
-    ratio = float(np.sum(num) / np.sum(w))
-    resid = num - ratio * w
-    err = float(np.sqrt(np.sum(resid ** 2)) / np.sum(w))
-    return ratio, err
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .kernel import KernelError, Poly, RatFun, is_zero
+from .kernel import KernelError, Poly, as_scalar, is_zero
 from .linalg import det, nullspace, poly_interpolate
 from .symfunc import partitions
 
@@ -117,38 +117,6 @@ def pns(level):
     return len(superpartitions(int(2 * level)))
 
 
-def pns_generating_function(max_level2):
-    """Coefficients of prod_k (1 + x^k) / prod_m (1 - x^m), k half-odd,
-    m a positive integer, as a list indexed by twice the exponent."""
-    n = max_level2
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[0] = Fraction(1)
-
-    def mul_series(a, b):
-        out = [Fraction(0)] * (n + 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if i + j > n:
-                    break
-                out[i + j] += x * y
-        return out
-
-    for k2 in range(1, n + 1, 2):         # fermionic factors (1 + y^{2k}), y = x^{1/2}
-        factor = [Fraction(0)] * (n + 1)
-        factor[0] = Fraction(1)
-        if k2 <= n:
-            factor[k2] = Fraction(1)
-        coeffs = mul_series(coeffs, factor)
-    for m2 in range(2, n + 1, 2):         # bosonic factors 1/(1 - y^{2m})
-        geo = [Fraction(0)] * (n + 1)
-        for j in range(0, n + 1, m2):
-            geo[j] = Fraction(1)
-        coeffs = mul_series(coeffs, geo)
-    return coeffs
-
-
 # ---------------------------------------------------------------------------
 # highest-weight data
 # ---------------------------------------------------------------------------
@@ -166,19 +134,11 @@ class HighestWeightData:
     alpha_plus: object
 
 
-def _as_t(t):
-    if t == "sym" or t is None:
-        return RatFun.variable("t")
-    if isinstance(t, (int, Fraction)):
-        return Fraction(t)
-    return t
-
-
 def hw_data(t, r, s):
     """All derived weights of the (r, s) module as exact functions of t."""
     if r < 1 or s < 1 or (r - s) % 2 != 0:
         raise ParityError("need r, s >= 1 with r = s (mod 2); got (%s, %s)" % (r, s))
-    tv = _as_t(t)
+    tv = as_scalar(t, "t")
     if is_zero(tv):
         raise ValueError("t must be nonzero")
     one = tv * 0 + 1
@@ -207,77 +167,62 @@ def _gen_key(gen):
     return (cls, block, abs(idx))
 
 
-class _OrderingContext:
-    def __init__(self, h, c, one):
-        self.h = h
-        self.c = c
-        self.one = one
-        self.cache = {}
-
-
-def _vacuum(gen, ctx):
+def _vacuum(gen, h, c):
     kind = gen[0]
     if kind == "C":
-        return {(): ctx.c}
+        return {(): c}
     idx = gen[1]
     if idx > 0:
         return {}
     if idx == 0:
-        return {(): ctx.h}
-    return {(gen,): ctx.one}
+        return {(): h}
+    return {(gen,): h * 0 + 1}
 
 
-def _swap(x, y, ctx):
+def _swap(x, y, c, one):
     """x y = sign * y x + brackets; brackets is a list of (scalar, gen or None)."""
     kx, ky = x[0], y[0]
     if kx == "L" and ky == "L":
         m, n = x[1], y[1]
         br = []
         if m != n:
-            br.append((Fraction(m - n) * ctx.one, ("L", m + n)))
+            br.append((Fraction(m - n) * one, ("L", m + n)))
         if m + n == 0:
-            br.append((Fraction(m ** 3 - m, 12) * ctx.c, None))
+            br.append((Fraction(m ** 3 - m, 12) * c, None))
         return 1, br
     if kx == "L" and ky == "G":
         n, k = x[1], y[1]
-        return 1, [((Fraction(n) * HALF - k) * ctx.one, ("G", n + k))]
+        return 1, [((Fraction(n) * HALF - k) * one, ("G", n + k))]
     if kx == "G" and ky == "L":
         k, n = x[1], y[1]
-        return 1, [((k - Fraction(n) * HALF) * ctx.one, ("G", n + k))]
+        return 1, [((k - Fraction(n) * HALF) * one, ("G", n + k))]
     # G G: anticommutator
     k, l = x[1], y[1]
-    br = [(2 * ctx.one, ("L", int(k + l)))] if k + l != 0 else [(2 * ctx.one, ("L", 0))]
+    br = [(2 * one, ("L", int(k + l)))] if k + l != 0 else [(2 * one, ("L", 0))]
     if k + l == 0:
-        br.append((Fraction(1, 3) * (k * k - Fraction(1, 4)) * ctx.c, None))
+        br.append((Fraction(1, 3) * (k * k - Fraction(1, 4)) * c, None))
     return -1, br
 
 
-def _push(gen, word, ctx):
-    """Normal-order gen * (word |h, c>) into canonical monomials."""
-    key = (gen, word)
-    hit = ctx.cache.get(key)
-    if hit is not None:
-        return hit
+# typed: equal h of different fields (Fraction(3) == RatFun.const("t", 3))
+# must not share entries, because the coefficients carry the field of h
+@lru_cache(maxsize=None, typed=True)
+def _push(gen, word, h, c):
+    """Normal-order gen * (word |h, c>) into canonical monomials, with
+    coefficients in the field of h."""
     if gen[0] == "C":
-        out = {word: ctx.c}
-        ctx.cache[key] = out
-        return out
+        return {word: c}
     if not word:
-        out = _vacuum(gen, ctx)
-        ctx.cache[key] = out
-        return out
+        return _vacuum(gen, h, c)
     y = word[0]
     rest = word[1:]
     if gen[0] == "G" and y[0] == "G" and gen[1] == y[1]:
         # G_k G_k = L_{2k}  (the central term needs k + k = 0, impossible)
-        out = _push(("L", int(2 * gen[1])), rest, ctx)
-        ctx.cache[key] = out
-        return out
+        return _push(("L", int(2 * gen[1])), rest, h, c)
+    one = h * 0 + 1
     if _gen_key(gen) <= _gen_key(y) and _gen_key(gen)[0] == 0:
-        out = {(gen,) + word: ctx.one}
-        ctx.cache[key] = out
-        return out
-    sign, brackets = _swap(gen, y, ctx)
+        return {(gen,) + word: one}
+    sign, brackets = _swap(gen, y, c, one)
     out = {}
 
     def add(w, coeff):
@@ -286,19 +231,17 @@ def _push(gen, word, ctx):
         else:
             out[w] = coeff
 
-    for w1, c1 in _push(gen, rest, ctx).items():
+    for w1, c1 in _push(gen, rest, h, c).items():
         c1s = c1 if sign == 1 else -c1
-        for w2, c2 in _push(y, w1, ctx).items():
+        for w2, c2 in _push(y, w1, h, c).items():
             add(w2, c1s * c2)
     for coeff, g in brackets:
         if g is None:
             add(rest, coeff)
         else:
-            for w2, c2 in _push(g, rest, ctx).items():
+            for w2, c2 in _push(g, rest, h, c).items():
                 add(w2, coeff * c2)
-    out = {w: c for w, c in out.items() if not is_zero(c)}
-    ctx.cache[key] = out
-    return out
+    return {w: x for w, x in out.items() if not is_zero(x)}
 
 
 def _word_of(sp):
@@ -345,23 +288,17 @@ class VermaVector:
         return self + other.scale(-1)
 
 
-def highest_weight_vector(hw=None, h=None, c=None, one=Fraction(1)):
+def highest_weight_vector(hw=None, h=None, c=None):
+    return monomial_vector(SuperPartition((), ()), hw, h, c)
+
+
+def monomial_vector(sp, hw=None, h=None, c=None):
+    """The basis monomial of ``sp`` on |h, c>, with coefficient one in the
+    field of h; ``hw`` supplies h and c when given."""
     if hw is not None:
         h, c = hw.h, hw.c
-        one = hw.t * 0 + 1
-    return VermaVector(Fraction(0), {SuperPartition((), ()): one}, hw, h, c)
-
-
-def monomial_vector(sp, hw=None, h=None, c=None, one=Fraction(1)):
-    if hw is not None:
-        h, c = hw.h, hw.c
-        one = hw.t * 0 + 1
-    return VermaVector(sp.size(), {sp: one}, hw, h, c)
-
-
-def _ctx_for(v):
-    one = v.h * 0 + 1
-    return _OrderingContext(v.h, v.c, one)
+    h, c = as_scalar(h, "h"), as_scalar(c, "c")
+    return VermaVector(sp.size(), {sp: h * 0 + 1}, hw, h, c)
 
 
 def act(gen, v):
@@ -376,10 +313,9 @@ def act(gen, v):
     else:
         gen = ("C",)
         shift = Fraction(0)
-    ctx = _ctx_for(v)
     out = {}
     for sp, coeff in v.terms.items():
-        for word, scal in _push(gen, _word_of(sp), ctx).items():
+        for word, scal in _push(gen, _word_of(sp), v.h, v.c).items():
             key = _sp_of(word)
             term = coeff * scal
             out[key] = out[key] + term if key in out else term
@@ -405,10 +341,10 @@ def _dual_word(sp):
     return word
 
 
-def gram_matrix(level, h, c, one=Fraction(1)):
+def gram_matrix(level, h, c):
     """Contravariant form on the level subspace, rows and columns in the
     canonical superpartition order.  h may be symbolic (a Poly in 'h') or a
-    scalar; c likewise.
+    scalar; c likewise.  The entries lie in the field of h.
     """
     level = Fraction(level)
     basis = superpartitions(int(2 * level))
@@ -417,23 +353,21 @@ def gram_matrix(level, h, c, one=Fraction(1)):
     for row_sp in basis:
         row = []
         for col_sp in basis:
-            v = monomial_vector(col_sp, h=h, c=c, one=one)
+            v = monomial_vector(col_sp, h=h, c=c)
             w = apply_word(_dual_word(row_sp), v)
-            row.append(w.terms.get(vac, one * 0))
+            row.append(w.terms[vac] if vac in w.terms else v.h * 0)
         mat.append(row)
     return mat
 
 
 def gram_matrix_symbolic_h(level, t="sym"):
     """Gram matrix with h a polynomial variable and c = c(t)."""
-    tv = _as_t(t)
+    tv = as_scalar(t, "t")
     one_t = tv * 0 + 1
     rho = (tv - 1 / tv) * HALF
     c_val = one_t * Fraction(3, 2) - 12 * rho * rho
     h_poly = Poly("h", [one_t * 0, one_t])
-    c_poly = Poly.const("h", c_val)
-    one_poly = Poly.const("h", one_t)
-    return gram_matrix(level, h_poly, c_poly, one_poly)
+    return gram_matrix(level, h_poly, Poly.const("h", c_val))
 
 
 def kac_factor_exponents(level):
@@ -459,7 +393,7 @@ def kac_det_check(level, t="sym"):
     a factor fails to divide or the quotient retains h-dependence.
     """
     level = Fraction(level)
-    tv = _as_t(t)
+    tv = as_scalar(t, "t")
     one = tv * 0 + 1
     rho = (tv - 1 / tv) * HALF
     c_val = one * Fraction(3, 2) - 12 * rho * rho
@@ -468,7 +402,7 @@ def kac_det_check(level, t="sym"):
     points = []
     for i in range(degree + 2):
         hval = one * Fraction(i)
-        mat = gram_matrix(level, hval, c_val, one)
+        mat = gram_matrix(level, hval, c_val)
         points.append((Fraction(i), det(mat)))
     poly = poly_interpolate(points, degree, var="h")
     if poly.degree() != degree:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .kernel import KernelError, PoleError, is_zero
+from .kernel import KernelError, PoleError, as_scalar, is_zero
 
 
 def check_partition(lam):
@@ -110,8 +110,8 @@ class SymFunc:
         return cls(basis, {})
 
     @classmethod
-    def one(cls, basis="p", one=Fraction(1)):
-        return cls(basis, {(): one})
+    def one(cls, basis="p"):
+        return cls(basis, {(): Fraction(1)})
 
     @classmethod
     def gen(cls, basis, lam, coeff=Fraction(1)):
@@ -366,6 +366,7 @@ def e_gen(lam, coeff=Fraction(1)):
 def inner_qt(f, g, q, t):
     """Macdonald (q,t) inner product, bilinear with
     <p_lam, p_mu> = delta z_lam prod (1-q^{lam_i})/(1-t^{lam_i})."""
+    q, t = as_scalar(q, "q"), as_scalar(t, "t")
     fp, gp = to_p(f), to_p(g)
     acc = None
     for lam, a in fp.terms.items():
@@ -374,16 +375,15 @@ def inner_qt(f, g, q, t):
             continue
         w = a * b * z_lambda(lam)
         for part in lam:
-            qn = q ** part if not isinstance(q, (int, Fraction)) else Fraction(q) ** part
-            tn = t ** part if not isinstance(t, (int, Fraction)) else Fraction(t) ** part
+            qn = q ** part
+            tn = t ** part
             den = 1 - tn
             if is_zero(den):
                 raise PoleError("inner product pole: 1 - t^%d = 0" % part)
             w = w * (1 - qn) / den
         acc = w if acc is None else acc + w
     if acc is None:
-        zero = q * 0 if not isinstance(q, (int, Fraction)) else Fraction(0)
-        return zero
+        return q * 0
     return acc
 
 

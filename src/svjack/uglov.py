@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .kernel import DivisionByZero, Jet, KernelError, RatFun, is_zero
+from .kernel import DivisionByZero, Jet, KernelError, as_scalar, is_zero
 from .linalg import nullspace, operator_matrix
 from .symfunc import (
     SymFunc,
@@ -76,7 +76,7 @@ def _gram_schmidt(lam, member, inner):
     return f
 
 
-def _triangular_eigenvector(apply_fn, lam, eig_of, zero, one):
+def _triangular_eigenvector(apply_fn, lam, eig_of):
     """Monic dominance-triangular eigenvector with leading term m_lam.
 
     Solves (A - eig(lam)) f = 0 by back-substitution over the partitions
@@ -91,7 +91,8 @@ def _triangular_eigenvector(apply_fn, lam, eig_of, zero, one):
     lower = [p for p in parts if dominance_leq(p, lam)]
     lower.sort(key=canonical_key)  # reverse-lex descending refines dominance
     eig_lam = eig_of(lam)
-    coeffs = {lam: one}
+    zero = eig_lam * 0
+    coeffs = {lam: zero + 1}
     for mu in lower:
         if mu == lam:
             continue
@@ -146,8 +147,7 @@ def macdonald(lam, q, t):
     q, t = _check_generic_qt(q, t, sum(lam))
     return _triangular_eigenvector(
         lambda f: eta_apply(q, t, 0, f), lam,
-        lambda mu: eps_macdonald(mu, q, t),
-        Fraction(0), Fraction(1))
+        lambda mu: eps_macdonald(mu, q, t))
 
 
 def macdonald_gram_schmidt(lam, q, t):
@@ -181,19 +181,11 @@ class UglovFunction:
         from .symfunc import symfunc_to_json
         return {
             "partition": list(self.lam),
-            "gamma": scalar_to_json(self.gamma) if not isinstance(self.gamma, str) else self.gamma,
+            "gamma": scalar_to_json(self.gamma),
             "expansion_m": symfunc_to_json(self.expansion),
             "eigenvalue0": scalar_to_json(self.eigenvalue0),
             "eigenvalue1": scalar_to_json(self.eigenvalue1),
         }
-
-
-def _as_gamma(gamma):
-    if gamma == "sym" or gamma is None:
-        return RatFun.variable("g")
-    if isinstance(gamma, (int, Fraction)):
-        return Fraction(gamma)
-    return gamma
 
 
 def uglov2(lam, gamma="sym"):
@@ -205,12 +197,10 @@ def uglov2(lam, gamma="sym"):
     field element (e.g. a rational function of t).
     """
     lam = tuple(lam)
-    g = _as_gamma(gamma)
-    zero = g * 0 if not isinstance(g, Fraction) else Fraction(0)
-    one = zero + 1
+    g = as_scalar(gamma, "g")
     vec = _triangular_eigenvector(
         lambda f: c1_apply(g, 0, f), lam,
-        lambda mu: eps1(mu, g), zero, one)
+        lambda mu: eps1(mu, g))
     e0 = eps0(lam)
     image0 = convert(c0_apply(0, vec), "m")
     if not (image0 - vec.scale(e0)).is_zero():
@@ -227,7 +217,7 @@ def uglov_inner(f, g, gamma):
     Odd parts contribute (1+e^{l h})/(1+e^{gamma l h}) -> 1, even parts
     (1-e^{l h})/(1-e^{gamma l h}) -> 1/gamma.
     """
-    g_ = _as_gamma(gamma)
+    g_ = as_scalar(gamma, "g")
     fp, gp = to_p(f), to_p(g)
     acc = None
     for lam, a in fp.terms.items():
@@ -240,7 +230,7 @@ def uglov_inner(f, g, gamma):
             w = w / g_ ** evens
         acc = w if acc is None else acc + w
     if acc is None:
-        return g_ * 0 if not isinstance(g_, Fraction) else Fraction(0)
+        return g_ * 0
     return acc
 
 
@@ -259,7 +249,7 @@ def uglov2_orth(lam, gamma="sym"):
     determines the coefficients left free by the eigenproblem.
     """
     lam = tuple(lam)
-    g = _as_gamma(gamma)
+    g = as_scalar(gamma, "g")
     key = (lam, g)
     if key not in _ORTH_CACHE:
         _ORTH_CACHE[key] = _gram_schmidt(lam, lambda mu: uglov2_orth(mu, g),
@@ -271,7 +261,7 @@ def uglov2_kernel_dimension(lam, gamma="sym"):
     """Dimension of ker(C^1_0(gamma) - eps1(lam, gamma)) on the full degree
     block; the characterization demands exactly 1."""
     lam = tuple(lam)
-    g = _as_gamma(gamma)
+    g = as_scalar(gamma, "g")
     block = _m_block(lambda f: c1_apply(g, 0, f), partitions(sum(lam)))
     e = eps1(lam, g)
     mat = [[x - (e if i == j else 0) for j, x in enumerate(row)]
@@ -287,11 +277,9 @@ def _jet_triangular_limit(lam, q, t, order):
     """Triangular eigenproblem for eta_0 over jets; the constant jet
     coefficient of the result is the q -> 1 limit of P_lambda."""
     lam = tuple(lam)
-    zero = Jet.const(Fraction(0), order)
-    one = Jet.const(Fraction(1), order)
     vec = _triangular_eigenvector(
         lambda f: eta_apply(q, t, 0, f), lam,
-        lambda mu: _as_jet(eps_macdonald(mu, q, t), order), zero, one)
+        lambda mu: _as_jet(eps_macdonald(mu, q, t), order))
     out = {}
     for mu, c in vec.terms.items():
         c0 = c.coeff(0) if isinstance(c, Jet) else c

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .kernel import Jet, KernelError, RatFun, is_zero
-from .linalg import identity, mat_mul, operator_matrix
+from .kernel import Jet, KernelError, RatFun, as_scalar, is_zero
+from .linalg import mat_mul, operator_matrix
 from .symfunc import (
     SymFunc,
     convert,
@@ -208,10 +208,7 @@ def p_derivative(f, j):
 
 def eta_apply(q, t, n, f):
     """Mode eta_n at parameters (q, t) applied to f."""
-    if isinstance(q, (int, Fraction)):
-        q = Fraction(q)
-    if isinstance(t, (int, Fraction)):
-        t = Fraction(t)
+    q, t = as_scalar(q, "q"), as_scalar(t, "t")
     t_inv = 1 / t
 
     def cre(a):
@@ -265,15 +262,9 @@ def c1_apply(gamma, n, f):
 
 def eps_macdonald(lam, q, t):
     """Eigenvalue of eta_0 on the Macdonald function: 1 + (t-1) sum (q^l_i - 1) t^{-i}."""
-    one = (q * 0 + 1) if not isinstance(q, (int, Fraction)) else Fraction(1)
-    acc = one
-    if isinstance(t, (int, Fraction)):
-        t = Fraction(t)
-        t_inv = Fraction(1) / t
-    else:
-        t_inv = 1 / t
-    if isinstance(q, (int, Fraction)):
-        q = Fraction(q)
+    q, t = as_scalar(q, "q"), as_scalar(t, "t")
+    acc = q * 0 + 1
+    t_inv = 1 / t
     for i, part in enumerate(lam, start=1):
         acc = acc + (t - 1) * (q ** part - 1) * t_inv ** i
     return acc
@@ -289,7 +280,8 @@ def eps0(lam):
 
 def eps1(lam, gamma):
     """- sum_i (-1)^i { 2 (-1)^{lam_i} lam_i + gamma (1 - 2i) ((-1)^{lam_i} - 1) }."""
-    acc = gamma * 0 if not isinstance(gamma, (int, Fraction)) else Fraction(0)
+    gamma = as_scalar(gamma, "g")
+    acc = gamma * 0
     for i, part in enumerate(lam, start=1):
         sgn = (-1) ** i
         term = Fraction(2 * ((-1) ** part) * part) + gamma * Fraction((1 - 2 * i) * (((-1) ** part) - 1))
@@ -379,11 +371,13 @@ def c1_mode(gamma, n, dmax):
 # hbar expansion checks
 # ---------------------------------------------------------------------------
 
-def hbar_parameters(gamma, order, one=Fraction(1)):
-    """The specialization q = -e^h, t = -e^{gamma h} as jets over a base field."""
-    q = Jet.exp_linear(one, order)
+def hbar_parameters(gamma, order):
+    """The specialization q = -e^h, t = -e^{gamma h} as jets over the field
+    of gamma."""
+    gamma = as_scalar(gamma, "g")
+    q = Jet.exp_linear(gamma * 0 + 1, order)
     q = Jet([-c for c in q.coeffs], order)
-    tg = Jet.exp_linear(one * gamma, order)
+    tg = Jet.exp_linear(gamma, order)
     t = Jet([-c for c in tg.coeffs], order)
     return q, t
 
@@ -510,15 +504,16 @@ def dvir_rational(q, t, two_alpha):
     return DVirCurrent(q, t, p_sqrt, kappa)
 
 
-def dvir_jet(gamma, alpha, order, one=Fraction(1)):
+def dvir_jet(gamma, alpha, order):
     """Current over hbar-jets at q = -e^h, t = -e^{gamma h}.
 
     gamma and alpha may live in any base field containing the rationals;
     p^{1/2} = e^{(1-gamma)h/2} and kappa = e^{(gamma-1-2 alpha)h} stay exact.
     """
-    q, t = hbar_parameters(gamma, order, one)
-    p_sqrt = Jet.exp_linear((one - gamma) * Fraction(1, 2), order)
-    kappa = Jet.exp_linear(one * gamma - 1 - 2 * alpha, order)
+    gamma = as_scalar(gamma, "g")
+    q, t = hbar_parameters(gamma, order)
+    p_sqrt = Jet.exp_linear((1 - gamma) * Fraction(1, 2), order)
+    kappa = Jet.exp_linear(gamma - 1 - 2 * alpha, order)
     return DVirCurrent(q, t, p_sqrt, kappa)
 
 
@@ -619,11 +614,10 @@ def t1_annihilation_check(r, s, nmax=None):
         nmax = level2
     chi = singular_vector(r, s, "sym")
     v = verma_to_lambda(chi, normalize=True)  # coefficients in Q(t)
-    one = RatFun.const("t", 1)
     tvar = RatFun.variable("t")
-    gamma = one / (tvar * tvar)
+    gamma = 1 / (tvar * tvar)
     alpha = dvir_alpha_for_singular(r, s, gamma)
-    cur = dvir_jet(gamma, alpha, 1, one=one)
+    cur = dvir_jet(gamma, alpha, 1)
     checked = []
     for n in range(1, nmax + 1):
         image = cur.t_apply(n, v)
@@ -652,17 +646,17 @@ def solve_t1_alpha(r, s):
 
     chi = singular_vector(r, s, "sym")
     v = verma_to_lambda(chi, normalize=True)
-    one = RatFun.const("t", 1)
     tvar = RatFun.variable("t")
-    gamma = one / (tvar * tvar)
-    cur0 = dvir_jet(gamma, one * 0, 1, one=one)
+    gamma = 1 / (tvar * tvar)
+    zero = gamma * 0
+    cur0 = dvir_jet(gamma, zero, 1)
     solved = None
     for n in range(1, r * s + 1):
         base = cur0.t_apply(n, v)
         b2 = cur0.b2_apply(n, v, with_kappa=False)
         for mu in set(base.terms) | set(b2.terms):
-            c1 = _jet_coeff(base.terms.get(mu, one * 0), 1)
-            y0 = _jet_coeff(b2.terms.get(mu, one * 0), 0)
+            c1 = _jet_coeff(base.terms.get(mu, zero), 1)
+            y0 = _jet_coeff(b2.terms.get(mu, zero), 0)
             if is_zero(y0):
                 if not is_zero(c1):
                     raise NonzeroResult("no alpha can cancel mode %d at %r" % (n, mu))

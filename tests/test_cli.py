@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import pathlib
+import re
+import shlex
+import subprocess
+import sys
 
 import pytest
 
-from svjack.cli import main
+from svjack.cli import build_parser, main
 
 try:
     import jsonschema
@@ -74,6 +79,39 @@ def test_json_output_matches_recorded_digest(capsys, argv):
     assert code == 0
     digests = json.loads(DIGESTS.read_text())
     assert hashlib.sha256(out.encode()).hexdigest() == digests[argv]
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _readme_cli_lines():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("svjack ")]
+
+
+def test_readme_examples_parse():
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            raise AssertionError("README example does not parse: %s" % line) from exc
+
+
+def test_benchmark_tracer_installs():
+    """perfbench/tracer.py wraps svjack functions by name and refuses to
+    install when one is missing, so renaming a traced name fails here."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys; sys.path.insert(0, 'perfbench'); "
+            "import tracer; tracer.install()")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_rejects_removed_max_degree_flag(capsys):

@@ -17,7 +17,12 @@ from svjack.finiten import (
 from svjack.linalg import operator_matrix
 from svjack.symfunc import e_gen, m_gen, p_gen
 
-from oracles import c0n_apply_oracle, c1n_apply_oracle
+from oracles import (
+    c0n_apply_oracle,
+    c0n_corrected_apply,
+    c1n_apply_oracle,
+    c1n_corrected_apply,
+)
 
 
 def test_pr_n_power_sum():
@@ -127,7 +132,6 @@ def test_diagnostic_c0_corrected_matches():
 
 
 def test_corrected_operators_values():
-    from svjack.finiten import c0n_corrected_apply, c1n_corrected_apply
     # constants: both corrected operators reproduce the upstairs action
     assert c0n_corrected_apply({(): Fraction(1)}, 1) == {(): Fraction(1)}
     assert c0n_corrected_apply({(): Fraction(1)}, 2) == {(): Fraction(1)}
@@ -159,7 +163,6 @@ def test_diagnostic_matrices_match_per_vector_oracle(which, gamma):
     equals the per-vector Fraction implementation, and the corrected matrix
     the diagnostic combines from finished matrices equals the per-vector
     corrected operator."""
-    from svjack.finiten import c0n_corrected_apply, c1n_corrected_apply
     diag = limit_diagnostic(3, [1, 2, 3, 4, 5], which=which, gamma=gamma)
     assert len(diag["cells"]) == 20
     for (n, degree), cell in diag["cells"].items():

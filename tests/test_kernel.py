@@ -12,7 +12,7 @@ from svjack.kernel import (
     Poly,
     RatFun,
     Sqrt2Ext,
-    field_ops,
+    as_scalar,
     poly_gcd,
     scalar_to_json,
 )
@@ -21,12 +21,13 @@ from svjack.linalg import (
     InconsistentData,
     det,
     identity,
-    mat_vec,
     nullspace,
     operator_matrix,
     poly_interpolate,
     rank,
 )
+
+from oracles import field_ops, mat_vec
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -242,3 +243,68 @@ def test_scalar_json_shapes():
     assert j["var"] == "t"
     assert j["numer"] == [{"num": "1", "den": "1"}, {"num": "1", "den": "1"}]
     assert j["denom"] == [{"num": "1", "den": "1"}]
+
+
+# --- the field is read off the parameters ------------------------------------
+
+def test_as_scalar_embeds_parameters():
+    assert as_scalar("sym", "g") == RatFun.variable("g")
+    assert as_scalar(None, "t").var == "t"
+    x = as_scalar(3, "t")
+    assert x == 3 and type(x) is Fraction
+    t = RatFun.variable("t")
+    assert as_scalar(t, "g") is t
+
+
+def _scalars(x):
+    from svjack.svir import HighestWeightData
+    from svjack.symfunc import SymFunc
+    if isinstance(x, SymFunc):
+        return [x.terms[lam] for lam in sorted(x.terms)]
+    if isinstance(x, HighestWeightData):
+        return [x.t, x.rho, x.c, x.t_minus, x.h, x.alpha_plus]
+    return [x]
+
+
+def _embedding_cases():
+    from svjack.fock import screening_r1
+    from svjack.svir import hw_data
+    from svjack.symfunc import SymFunc, inner_qt
+    from svjack.uglov import uglov2_orth
+    from svjack.vertexops import eps1, eps_macdonald, eta_apply
+    f = SymFunc("p", {(2, 1): Fraction(1), (3,): Fraction(1, 2)})
+    return {
+        "eps_macdonald": lambda k: eps_macdonald((2, 1), 2 * k, 3 * k),
+        "eps1": lambda k: eps1((2, 1), 3 * k),
+        "inner_qt": lambda k: inner_qt(f, f, 2 * k, 3 * k),
+        "eta_apply": lambda k: eta_apply(2 * k, 3 * k, 0, f),
+        "hw_data": lambda k: hw_data(2 * k, 3, 1),
+        "uglov2_orth": lambda k: uglov2_orth((2, 1), 3 * k),
+        "screening_r1": lambda k: screening_r1(3, 2 * k),
+    }
+
+
+@pytest.mark.parametrize("name", ["eps_macdonald", "eps1", "inner_qt", "eta_apply",
+                                  "hw_data", "uglov2_orth", "screening_r1"])
+def test_int_parameter_gives_the_fraction_result(name):
+    """An int parameter is the rational it names: same value, same scalar
+    types, as the equal Fraction."""
+    call = _embedding_cases()[name]
+    from_int, from_fraction = _scalars(call(1)), _scalars(call(Fraction(1)))
+    assert from_int == from_fraction, name
+    assert [type(x) for x in from_int] == [type(x) for x in from_fraction], name
+    assert all(type(x) is Fraction for x in from_int), name
+
+
+def test_gram_matrix_entries_follow_the_field_of_h():
+    """One process, equal h over Q and over Q(t): the shared normal-ordering
+    memo must keep the two apart, since each matrix lies in its own field."""
+    from svjack.svir import gram_matrix
+    level = Fraction(3, 2)
+    over_q = gram_matrix(level, Fraction(3), Fraction(7))
+    over_qt = gram_matrix(level, RatFun.const("t", 3), RatFun.const("t", 7))
+    from_int = gram_matrix(level, 3, 7)
+    assert over_q == over_qt == from_int
+    assert len(over_q) == 2
+    assert all(type(x) is Fraction for row in over_q + from_int for x in row)
+    assert all(type(x) is RatFun for row in over_qt for x in row)

@@ -9,15 +9,14 @@ from svjack.selberg import (
     aomoto_closed,
     aomoto_ratio_exact,
     aomoto_recursion_check,
-    check_selberg_domain,
-    i0_closed,
-    montecarlo_symmetrized_moment,
     selberg_closed,
     selberg_montecarlo,
     selberg_quadrature,
     vanishing_check,
     vanishing_moment_exact,
 )
+
+from oracles import check_selberg_domain, i0_closed, montecarlo_symmetrized_moment
 
 
 def test_selberg_n1_is_beta():

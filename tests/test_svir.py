@@ -18,10 +18,11 @@ from svjack.svir import (
     kac_factor_exponents,
     monomial_vector,
     pns,
-    pns_generating_function,
     singular_vector,
     superpartitions,
 )
+
+from oracles import pns_generating_function
 
 T = RatFun.variable("t")
 ONE = RatFun.const("t", 1)
@@ -84,7 +85,7 @@ def test_hw_parity_error():
 def _hv():
     h = RatFun.variable("h")
     c = RatFun.const("h", 7)  # arbitrary distinct constant for independence
-    return highest_weight_vector(h=h, c=c, one=RatFun.const("h", 1))
+    return highest_weight_vector(h=h, c=c)
 
 
 def test_act_pairing_examples():
@@ -102,10 +103,9 @@ def test_act_pairing_examples():
 
 def test_l0_grading():
     h = RatFun.variable("h")
-    one = RatFun.const("h", 1)
     for level2 in range(0, 7):
         for sp in superpartitions(level2):
-            v = monomial_vector(sp, h=h, c=RatFun.const("h", 5), one=one)
+            v = monomial_vector(sp, h=h, c=RatFun.const("h", 5))
             w = act(("L", 0), v)
             expected = v.scale(h + Fraction(level2, 2))
             assert set(w.terms) == set(expected.terms)
@@ -286,8 +286,7 @@ def test_singular_vector_gram_kernel_consistency():
         chi = singular_vector(r, s, "sym")
         level = Fraction(r * s, 2)
         basis = superpartitions(r * s)
-        one = ONE
-        mat = gram_matrix(level, hw.h, hw.c, one)
+        mat = gram_matrix(level, hw.h, hw.c)
         vec = [chi.terms.get(sp, 0 * ONE) for sp in basis]
         for i in range(len(basis)):
             acc = 0 * ONE
