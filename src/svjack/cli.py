@@ -30,12 +30,13 @@ def _parse_rational(text):
         raise UsageError("not a rational number: %r" % text)
 
 
-def _parse_t(text):
+def _parse_symbolic(text, name):
+    """"sym" or a nonzero rational."""
     if text == "sym":
         return "sym"
     value = _parse_rational(text)
     if value == 0:
-        raise UsageError("t must be nonzero")
+        raise UsageError("%s must be nonzero" % name)
     return value
 
 
@@ -123,7 +124,7 @@ def cmd_uglov(args):
     from .symfunc import convert
     from .uglov import uglov2_orth
     lam = _parse_partition(args.partition)
-    gamma = "sym" if args.gamma == "sym" else _parse_rational(args.gamma)
+    gamma = _parse_symbolic(args.gamma, "gamma")
     f = uglov2_orth(lam, gamma)
     out = convert(f, args.basis)
     return _emit(args, "uglov",
@@ -160,7 +161,7 @@ def cmd_singular(args):
     from .svir import singular_vector
     if (args.r - args.s) % 2 != 0 or args.r < 1 or args.s < 1:
         raise UsageError("need r, s >= 1 with equal parity")
-    t = _parse_t(args.t)
+    t = _parse_symbolic(args.t, "t")
     chi = singular_vector(args.r, args.s, t)
     terms = []
     for sp in sorted(chi.terms, key=lambda sp: sp.sort_key()):
@@ -177,7 +178,7 @@ def cmd_singular(args):
 def cmd_kacdet(args):
     from .svir import kac_det_check
     level = _parse_rational(args.level)
-    t = _parse_t(args.t)
+    t = _parse_symbolic(args.t, "t")
     rep = kac_det_check(level, t)
     return _emit(args, "kacdet",
                  {"level": args.level, "t": args.t},
@@ -189,7 +190,7 @@ def cmd_verify(args):
     from .fock import verify_conjecture
     if (args.r - args.s) % 2 != 0 or args.r < 1 or args.s < 1:
         raise UsageError("need r, s >= 1 with equal parity")
-    t = _parse_t(args.t)
+    t = _parse_symbolic(args.t, "t")
     rep = verify_conjecture(args.r, args.s, t)
     ok = rep["proportional"] and rep["eigencheck"] and rep["triangular"]
     return _emit(args, "verify",
@@ -204,7 +205,7 @@ def cmd_screening(args):
     from .fock import screening_r1
     if args.s < 1 or args.s % 2 == 0:
         raise UsageError("s must be a positive odd integer")
-    t = _parse_t(args.t)
+    t = _parse_symbolic(args.t, "t")
     out = screening_r1(args.s, t)
     return _emit(args, "screening",
                  {"s": args.s, "t": args.t},

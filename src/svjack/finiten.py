@@ -25,7 +25,7 @@ from operator import add
 
 from .kernel import KernelError
 from .linalg import identity, operator_matrix
-from .symfunc import SymFunc, convert, multiplicities, partitions, to_p
+from .symfunc import SymFunc, convert, multiplicities, partitions
 
 
 class NonpolynomialResult(KernelError):
@@ -36,8 +36,8 @@ class NonpolynomialResult(KernelError):
 # dense multivariate polynomials (exponent-tuple keyed)
 # ---------------------------------------------------------------------------
 #
-# Coefficients are Python ints inside the shift operators and Fractions in
-# the restriction pr_n; every helper works for both.
+# Coefficients are Python ints inside the shift operators; every helper
+# works for Fractions as well.
 
 def mp_mul(a, b):
     out = {}
@@ -143,65 +143,6 @@ def mp_to_orbits(a, n, scale=1):
     if any(k != _orbit_size(lam, n) for lam, k in count.items()):
         raise KernelError("polynomial is not symmetric")
     return {lam: c * scale for lam, c in seen.items()}
-
-
-def pr_n(f, n):
-    """Restriction to n variables: p_r -> x_1^r + ... + x_n^r, collected into
-    monomial orbits {partition: coefficient}."""
-    fp = to_p(f)
-    out = {}
-    for lam, c in fp.terms.items():
-        term = mp_const(n, Fraction(1))
-        for part in lam:
-            power = {}
-            for i in range(n):
-                e = [0] * n
-                e[i] = part
-                power[tuple(e)] = Fraction(1)
-            term = mp_mul(term, power)
-        for e, x in term.items():
-            out[e] = out.get(e, Fraction(0)) + c * x
-    out = {e: c for e, c in out.items() if c != 0}
-    return mp_to_orbits(out, n)
-
-
-def pr_n_exponential(f, n):
-    """Restriction through the shift-operator identity: expand
-    exp(sum_a P_a d/dp_a), with P_a the a-th power sum of x_1..x_n, over all
-    derivative multisets nu and project the leftover power sums to zero.
-    Only nu equal to the full index multiset survives, and the exponential's
-    1/m! cancels the derivative's falling factorial; computing the whole sum
-    this way exercises that identity independently of pr_n."""
-    import math as _math
-
-    from .vertexops import _submultisets  # same enumeration the modes use
-    fp = to_p(f)
-    out = {}
-    for lam, c in fp.terms.items():
-        mult = multiplicities(lam)
-        for nu in _submultisets(mult):
-            # derivative of p_lam by prod_a (d/dp_a)^{nu_a}, then p -> 0
-            if sum(nu.values()) != len(lam):
-                continue  # a power sum survives and dies under the projection
-            weight = Fraction(1)
-            for a, m in nu.items():
-                fall = 1
-                for u in range(m):
-                    fall *= (mult[a] - u)
-                weight *= Fraction(fall, _math.factorial(m))
-            term = mp_const(n, weight * c)
-            for a, m in nu.items():
-                power = {}
-                for i in range(n):
-                    e = [0] * n
-                    e[i] = a
-                    power[tuple(e)] = Fraction(1)
-                for _ in range(m):
-                    term = mp_mul(term, power)
-            for e, x in term.items():
-                out[e] = out.get(e, Fraction(0)) + x
-    out = {e: c for e, c in out.items() if c != 0}
-    return mp_to_orbits(out, n)
 
 
 # ---------------------------------------------------------------------------

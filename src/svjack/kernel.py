@@ -113,6 +113,9 @@ class Poly:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # a constant equals its coefficient, so it must hash like it
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash((self.var, self.coeffs))
 
     def __add__(self, other):
@@ -285,6 +288,10 @@ class RatFun:
         return self.numer == o.numer and self.denom == o.denom
 
     def __hash__(self):
+        # the denominator is monic, so a polynomial hashes like its numerator
+        # and a constant, which equals its rational, like that rational
+        if self.denom.degree() == 0:
+            return hash(self.numer)
         return hash((self.var, self.numer.coeffs, self.denom.coeffs))
 
     def __add__(self, other):

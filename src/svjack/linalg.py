@@ -90,10 +90,6 @@ def bareiss_echelon(mat):
     return m, piv_cols, sign
 
 
-def rank(mat):
-    return len(bareiss_echelon(mat)[1])
-
-
 def det(mat):
     """Determinant by the Bareiss recurrence (square matrices)."""
     n = len(mat)
@@ -151,22 +147,6 @@ def nullspace(mat):
             v[pc] = -acc / ech[r][pc]
         basis.append(v)
     return basis
-
-
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    rows, inner, cols = len(a), len(b), len(b[0])
-    zero = a[0][0] * 0
-    out = [[zero for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            aik = a[i][k]
-            if is_zero(aik):
-                continue
-            for j in range(cols):
-                out[i][j] = out[i][j] + aik * b[k][j]
-    return out
 
 
 def operator_matrix(image_of, cols, rows):

@@ -28,19 +28,24 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln, gammasgn, roots_jacobi
 
-from .kernel import KernelError
 
-
-class SelbergPoleError(KernelError):
+# Bad parameters rather than failed checks: ValueError, which the command
+# line reports as a usage error (exit 2).
+class SelbergPoleError(ValueError):
     pass
 
 
-class BudgetExceeded(KernelError):
+class BudgetExceeded(ValueError):
     pass
 
 
-class DomainError(KernelError):
+class DomainError(ValueError):
     pass
+
+
+def _require_samples(samples):
+    if samples < 1:
+        raise ValueError("samples must be at least 1, got %d" % samples)
 
 
 def _log_gamma_signed(x):
@@ -130,6 +135,7 @@ def selberg_montecarlo(n, alpha, beta, gamma, samples=10 ** 6, seed=0,
                        moment=None, max_samples=5 * 10 ** 7):
     """Plain Monte Carlo over the unit cube with per-variable Beta importance
     sampling for the endpoint factors; returns (value, standard_error)."""
+    _require_samples(samples)
     if samples > max_samples:
         raise BudgetExceeded("sample budget %d exceeds the cap" % samples)
     rng = np.random.default_rng(seed)
@@ -250,6 +256,7 @@ def vanishing_check(r, t, moment, samples=10 ** 5, seed=7):
     t, two_t = _require_torus_exponents(r, t)
     if len(moment) != r:
         raise ValueError("moment must have %d entries" % r)
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * math.pi, size=(samples, r))
     w = np.exp(1j * theta)

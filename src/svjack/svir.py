@@ -134,6 +134,14 @@ class HighestWeightData:
     alpha_plus: object
 
 
+def _rho_and_c(tv):
+    """rho = (t - 1/t)/2 and the central charge c = 3/2 - 12 rho^2, in the
+    field of t."""
+    one = tv * 0 + 1
+    rho = (tv - one / tv) * HALF
+    return rho, one * Fraction(3, 2) - 12 * rho * rho
+
+
 def hw_data(t, r, s):
     """All derived weights of the (r, s) module as exact functions of t."""
     if r < 1 or s < 1 or (r - s) % 2 != 0:
@@ -141,11 +149,8 @@ def hw_data(t, r, s):
     tv = as_scalar(t, "t")
     if is_zero(tv):
         raise ValueError("t must be nonzero")
-    one = tv * 0 + 1
-    t_inv = one / tv
-    rho = (tv - t_inv) * HALF
-    c = one * Fraction(3, 2) - 12 * rho * rho
-    t_minus = -t_inv
+    rho, c = _rho_and_c(tv)
+    t_minus = -1 / tv
     h = (r * tv + s * t_minus) ** 2 * Fraction(1, 8) - rho * rho * HALF
     alpha_plus = tv * Fraction(r + 1, 2) + t_minus * Fraction(s + 1, 2)
     return HighestWeightData(t=tv, rho=rho, c=c, t_plus=tv, t_minus=t_minus,
@@ -288,10 +293,6 @@ class VermaVector:
         return self + other.scale(-1)
 
 
-def highest_weight_vector(hw=None, h=None, c=None):
-    return monomial_vector(SuperPartition((), ()), hw, h, c)
-
-
 def monomial_vector(sp, hw=None, h=None, c=None):
     """The basis monomial of ``sp`` on |h, c>, with coefficient one in the
     field of h; ``hw`` supplies h and c when given."""
@@ -364,8 +365,7 @@ def gram_matrix_symbolic_h(level, t="sym"):
     """Gram matrix with h a polynomial variable and c = c(t)."""
     tv = as_scalar(t, "t")
     one_t = tv * 0 + 1
-    rho = (tv - 1 / tv) * HALF
-    c_val = one_t * Fraction(3, 2) - 12 * rho * rho
+    _, c_val = _rho_and_c(tv)
     h_poly = Poly("h", [one_t * 0, one_t])
     return gram_matrix(level, h_poly, Poly.const("h", c_val))
 
@@ -393,10 +393,11 @@ def kac_det_check(level, t="sym"):
     a factor fails to divide or the quotient retains h-dependence.
     """
     level = Fraction(level)
+    if (2 * level).denominator != 1 or level < 0:
+        raise ValueError("level must be a nonnegative half-integer, got %s" % level)
     tv = as_scalar(t, "t")
     one = tv * 0 + 1
-    rho = (tv - 1 / tv) * HALF
-    c_val = one * Fraction(3, 2) - 12 * rho * rho
+    _, c_val = _rho_and_c(tv)
     factors = kac_factor_exponents(level)
     degree = sum(factors.values())
     points = []

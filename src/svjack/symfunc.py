@@ -44,10 +44,6 @@ def partitions(n):
     return tuple(out)
 
 
-def num_partitions(n):
-    return len(partitions(n))
-
-
 def multiplicities(lam):
     mult = {}
     for p in lam:
@@ -106,10 +102,6 @@ class SymFunc:
         self.terms = clean
 
     @classmethod
-    def zero(cls, basis="p"):
-        return cls(basis, {})
-
-    @classmethod
     def one(cls, basis="p"):
         return cls(basis, {(): Fraction(1)})
 
@@ -128,10 +120,6 @@ class SymFunc:
         if len(degs) > 1:
             raise KernelError("not homogeneous: degrees %s" % sorted(degs))
         return degs.pop() if degs else None
-
-    def degree_component(self, d):
-        return SymFunc(self.basis, {lam: c for lam, c in self.terms.items()
-                                    if sum(lam) == d})
 
     def map_coeffs(self, fn):
         return SymFunc(self.basis, {lam: fn(c) for lam, c in self.terms.items()})
@@ -349,14 +337,6 @@ def multiply(f, g):
             key = merge_partitions(mu, nu)
             out[key] = out[key] + a * b if key in out else a * b
     return convert(SymFunc("p", out), target)
-
-
-def p_gen(lam, coeff=Fraction(1)):
-    return SymFunc.gen("p", lam, coeff)
-
-
-def m_gen(lam, coeff=Fraction(1)):
-    return SymFunc.gen("m", lam, coeff)
 
 
 def e_gen(lam, coeff=Fraction(1)):

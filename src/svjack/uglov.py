@@ -17,22 +17,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .kernel import DivisionByZero, Jet, KernelError, as_scalar, is_zero
-from .linalg import nullspace, operator_matrix
 from .symfunc import (
     SymFunc,
     canonical_key,
     convert,
     dominance_leq,
-    inner_qt,
     partitions,
     to_p,
     z_lambda,
 )
 from .vertexops import (
     MismatchError,
+    _jet_coeff,
     c0_apply,
     c1_apply,
     eps0,
@@ -40,18 +38,12 @@ from .vertexops import (
     eps_macdonald,
     eta_apply,
     hbar_parameters,
+    m_block,
 )
 
 
 class DegeneracyError(KernelError):
     pass
-
-
-def _m_block(apply_fn, parts):
-    """Row-major block of a degree-preserving operator in the m basis."""
-    return operator_matrix(
-        lambda lam: convert(apply_fn(SymFunc("m", {lam: Fraction(1)})), "m").terms,
-        parts, parts)
 
 
 def _gram_schmidt(lam, member, inner):
@@ -86,7 +78,7 @@ def _triangular_eigenvector(apply_fn, lam, eig_of):
     on the whole degree block afterwards.
     """
     parts = partitions(sum(lam))
-    mat = _m_block(apply_fn, parts)
+    mat = m_block(apply_fn, parts, parts)
     index = {p: i for i, p in enumerate(parts)}
     lower = [p for p in parts if dominance_leq(p, lam)]
     lower.sort(key=canonical_key)  # reverse-lex descending refines dominance
@@ -132,6 +124,8 @@ def _triangular_eigenvector(apply_fn, lam, eig_of):
 
 def _check_generic_qt(q, t, n):
     q, t = Fraction(q), Fraction(t)
+    if t == 0:
+        raise ValueError("t must be nonzero")
     if t == 1:
         raise ValueError("t = 1 is excluded")
     for k in range(1, n + 1):
@@ -148,20 +142,6 @@ def macdonald(lam, q, t):
     return _triangular_eigenvector(
         lambda f: eta_apply(q, t, 0, f), lam,
         lambda mu: eps_macdonald(mu, q, t))
-
-
-def macdonald_gram_schmidt(lam, q, t):
-    """Independent construction: monic triangular expansion orthogonal to all
-    lower P_mu under the (q, t) inner product."""
-    lam = tuple(lam)
-    q, t = _check_generic_qt(q, t, sum(lam))
-    return _macdonald_ladder(lam, q, t)
-
-
-@lru_cache(maxsize=None)
-def _macdonald_ladder(lam, q, t):
-    return _gram_schmidt(lam, lambda mu: _macdonald_ladder(mu, q, t),
-                         lambda f, g: inner_qt(f, g, q, t))
 
 
 # ---------------------------------------------------------------------------
@@ -250,48 +230,32 @@ def uglov2_orth(lam, gamma="sym"):
     """
     lam = tuple(lam)
     g = as_scalar(gamma, "g")
-    key = (lam, g)
+    # typed: a constant RatFun equals and hashes like its Fraction, but the
+    # coefficients carry the field of gamma
+    key = (lam, type(g), g)
     if key not in _ORTH_CACHE:
         _ORTH_CACHE[key] = _gram_schmidt(lam, lambda mu: uglov2_orth(mu, g),
                                          lambda f, h: uglov_inner(f, h, g))
     return _ORTH_CACHE[key]
 
 
-def uglov2_kernel_dimension(lam, gamma="sym"):
-    """Dimension of ker(C^1_0(gamma) - eps1(lam, gamma)) on the full degree
-    block; the characterization demands exactly 1."""
-    lam = tuple(lam)
-    g = as_scalar(gamma, "g")
-    block = _m_block(lambda f: c1_apply(g, 0, f), partitions(sum(lam)))
-    e = eps1(lam, g)
-    mat = [[x - (e if i == j else 0) for j, x in enumerate(row)]
-           for i, row in enumerate(block)]
-    return len(nullspace(mat))
-
-
 # ---------------------------------------------------------------------------
 # limit checks through hbar-jets
 # ---------------------------------------------------------------------------
 
-def _jet_triangular_limit(lam, q, t, order):
+def _jet_triangular_limit(lam, q, t):
     """Triangular eigenproblem for eta_0 over jets; the constant jet
     coefficient of the result is the q -> 1 limit of P_lambda."""
     lam = tuple(lam)
     vec = _triangular_eigenvector(
         lambda f: eta_apply(q, t, 0, f), lam,
-        lambda mu: _as_jet(eps_macdonald(mu, q, t), order))
+        lambda mu: eps_macdonald(mu, q, t))
     out = {}
     for mu, c in vec.terms.items():
-        c0 = c.coeff(0) if isinstance(c, Jet) else c
+        c0 = _jet_coeff(c, 0)
         if not is_zero(c0):
             out[mu] = c0
     return SymFunc("m", out)
-
-
-def _as_jet(x, order):
-    if isinstance(x, Jet):
-        return x
-    return Jet.const(x, order)
 
 
 def uglov_limit_check(lam, gamma, order=None):
@@ -312,7 +276,7 @@ def uglov_limit_check(lam, gamma, order=None):
     # blocks are small
     pad = 2 * len(partitions(sum(lam))) + 2
     q, t = hbar_parameters(gamma, order + pad)
-    limit = _jet_triangular_limit(lam, q, t, order + pad)
+    limit = _jet_triangular_limit(lam, q, t)
     direct = uglov2_orth(lam, gamma)
     if not (limit - direct).is_zero():
         raise MismatchError(
@@ -335,4 +299,4 @@ def jack(lam, alpha):
     order = 3 * len(partitions(sum(lam))) + 4
     q = Jet.exp_linear(Fraction(1), order)
     t = Jet.exp_linear(gamma_j, order)
-    return _jet_triangular_limit(lam, q, t, order)
+    return _jet_triangular_limit(lam, q, t)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .kernel import Jet, KernelError, RatFun, as_scalar, is_zero
-from .linalg import mat_mul, operator_matrix
+from .linalg import operator_matrix
 from .symfunc import (
     SymFunc,
     convert,
@@ -160,32 +160,6 @@ def apply_vertex_mode(creation, annihilation, n, f, parity="any"):
     return SymFunc("p", out)
 
 
-def apply_creation_series(creation, n, f, parity="any"):
-    """[z^n] exp(sum_a creation(a) p_a z^a) applied to f (pure raising part)."""
-    if n == 0:
-        return to_p(f)
-    fp = to_p(f)
-    out = {}
-    for kappa in _partitions_with_parity(n, parity):
-        w = None
-        bad = False
-        for p, m in multiplicities(kappa).items():
-            ca = creation(p)
-            if ca is None or is_zero(ca):
-                bad = True
-                break
-            for _ in range(m):
-                w = ca if w is None else w * ca
-            w = w * Fraction(1, math.factorial(m))
-        if bad:
-            continue
-        for lam, coeff in fp.terms.items():
-            key = merge_partitions(lam, kappa)
-            term = coeff * w
-            out[key] = out[key] + term if key in out else term
-    return SymFunc("p", out)
-
-
 def p_derivative(f, j):
     """d/dp_j on the power-sum basis."""
     fp = to_p(f)
@@ -293,6 +267,14 @@ def eps1(lam, gamma):
 # graded operators
 # ---------------------------------------------------------------------------
 
+def m_block(apply_fn, cols, rows):
+    """Row-major matrix of apply_fn from the m basis on the partitions
+    ``cols`` to the m basis on the partitions ``rows``."""
+    return operator_matrix(
+        lambda lam: convert(apply_fn(SymFunc("m", {lam: Fraction(1)})), "m").terms,
+        cols, rows)
+
+
 @dataclass(frozen=True)
 class GradedOperator:
     """Per-degree matrices of a degree-shifting operator in the m basis.
@@ -303,50 +285,23 @@ class GradedOperator:
 
     shift: int
     blocks: dict
-    basis: str
     max_degree: int
 
     @classmethod
-    def build(cls, apply_fn, n, dmax, basis="m"):
+    def build(cls, apply_fn, n, dmax):
         shift = -n
-
-        def image_of(lam):
-            return convert(apply_fn(SymFunc(basis, {lam: Fraction(1)})), basis).terms
-
-        blocks = {d: operator_matrix(image_of, partitions(d), partitions(d + shift))
+        blocks = {d: m_block(apply_fn, partitions(d), partitions(d + shift))
                   for d in range(0, dmax + 1) if 0 <= d + shift <= dmax}
-        return cls(shift=shift, blocks=blocks, basis=basis, max_degree=dmax)
+        return cls(shift=shift, blocks=blocks, max_degree=dmax)
 
     def block(self, d):
         return self.blocks[d]
-
-    def apply(self, f):
-        f = convert(f, self.basis)
-        out = {}
-        for d in sorted({sum(lam) for lam in f.terms}):
-            comp = f.degree_component(d)
-            if d not in self.blocks:
-                raise KernelError("degree %d outside operator range" % d)
-            cols = partitions(d)
-            rows = partitions(d + self.shift)
-            vec = [comp.terms.get(lam, Fraction(0)) for lam in cols]
-            mat = self.blocks[d]
-            for i, mu in enumerate(rows):
-                acc = None
-                for j, x in enumerate(vec):
-                    if is_zero(x):
-                        continue
-                    term = mat[i][j] * x
-                    acc = term if acc is None else acc + term
-                if acc is not None and not is_zero(acc):
-                    out[mu] = out.get(mu, Fraction(0)) + acc
-        return SymFunc(self.basis, out)
 
     def to_json(self):
         from .kernel import scalar_to_json
         return {
             "shift": self.shift,
-            "basis": self.basis,
+            "basis": "m",
             "max_degree": self.max_degree,
             "blocks": {
                 str(d): [[scalar_to_json(x) for x in row] for row in mat]
@@ -394,17 +349,15 @@ def eta_hbar_check(gamma, dmax, order=1):
         a, b, c = eta0.block(d), c00.block(d), c10.block(d)
         for i in range(len(a)):
             for j in range(len(a[i])):
-                jet = a[i][j]
-                if not isinstance(jet, Jet):
-                    jet = Jet.const(Fraction(jet), order)
-                if not is_zero(jet.coeff(0) - b[i][j]):
+                h0, h1 = _jet_coeff(a[i][j], 0), _jet_coeff(a[i][j], 1)
+                if not is_zero(h0 - b[i][j]):
                     raise MismatchError(
                         "h^0 mismatch at degree %d entry (%d,%d): %r vs %r"
-                        % (d, i, j, jet.coeff(0), b[i][j]))
-                if not is_zero(jet.coeff(1) - c[i][j]):
+                        % (d, i, j, h0, b[i][j]))
+                if not is_zero(h1 - c[i][j]):
                     raise MismatchError(
                         "h^1 mismatch at degree %d entry (%d,%d): %r vs %r"
-                        % (d, i, j, jet.coeff(1), c[i][j]))
+                        % (d, i, j, h1, c[i][j]))
     return {"gamma": str(gamma), "dmax": dmax, "order": order, "verified": True}
 
 
@@ -415,9 +368,7 @@ def eps_hbar_check(maxdeg, gamma):
     for n in range(maxdeg + 1):
         for lam in partitions(n):
             jet = eps_macdonald(lam, q, t)
-            if not isinstance(jet, Jet):
-                jet = Jet.const(Fraction(jet), 1)
-            if jet.coeff(0) != eps0(lam) or jet.coeff(1) != eps1(lam, gamma):
+            if _jet_coeff(jet, 0) != eps0(lam) or _jet_coeff(jet, 1) != eps1(lam, gamma):
                 raise MismatchError("eigenvalue jet mismatch at %r" % (lam,))
     return True
 
@@ -474,25 +425,15 @@ class DVirCurrent:
     def _h2(self, b):
         return (1 - self.q ** b) * self._ps_inv ** b
 
-    def b1_apply(self, n, f):
-        return apply_vertex_mode(self._phi, self._h1, n, f)
-
-    def b2_apply(self, n, f, with_kappa=True):
-        out = apply_vertex_mode(lambda a: -self._psi(a), self._h2, n, f)
-        return out.scale(self.kappa) if with_kappa else out
-
     def t_apply(self, n, f):
-        return self.b1_apply(n, f) + self.b2_apply(n, f)
+        """T_n = [z^{-n}] (B1(z) + B2(z)) applied to f."""
+        b1 = apply_vertex_mode(self._phi, self._h1, n, f)
+        b2 = apply_vertex_mode(lambda a: -self._psi(a), self._h2, n, f)
+        return b1 + b2.scale(self.kappa)
 
     def psi_apply(self, n, f):
         """psi_{-n} = [z^n] psi(z) applied to f (n >= 0)."""
-        return apply_creation_series(self._psi, n, f)
-
-    def t_mode(self, n, dmax):
-        return GradedOperator.build(lambda f: self.t_apply(n, f), n, dmax)
-
-    def psi_mode(self, n, dmax):
-        return GradedOperator.build(lambda f: self.psi_apply(n, f), -n, dmax)
+        return apply_vertex_mode(self._psi, lambda b: None, -n, f)
 
 
 def dvir_rational(q, t, two_alpha):
@@ -515,13 +456,6 @@ def dvir_jet(gamma, alpha, order):
     p_sqrt = Jet.exp_linear((1 - gamma) * Fraction(1, 2), order)
     kappa = Jet.exp_linear(gamma - 1 - 2 * alpha, order)
     return DVirCurrent(q, t, p_sqrt, kappa)
-
-
-def dvir_modes(q, t, alpha_two, n, dmax):
-    """Spec-facing constructor: (T_n, psi_{-n}) as GradedOperators at exact
-    rational (q, t) with 2*alpha = alpha_two."""
-    cur = dvir_rational(q, t, alpha_two)
-    return cur.t_mode(n, dmax), cur.psi_mode(n, dmax)
 
 
 def _zero_mode_sums(cur, dmax):
@@ -572,21 +506,6 @@ def _jet_coeff(x, k):
     return x * 0 if k > 0 else x
 
 
-def commuting_family_check(gamma, dmax):
-    """[C0_0, C1_0(gamma)] = 0 on each degree block up to dmax."""
-    c00 = c0_mode(0, dmax)
-    c10 = c1_mode(gamma, 0, dmax)
-    for d in range(dmax + 1):
-        a, b = c00.block(d), c10.block(d)
-        ab = mat_mul(a, b)
-        ba = mat_mul(b, a)
-        for i in range(len(ab)):
-            for j in range(len(ab[i])):
-                if not is_zero(ab[i][j] - ba[i][j]):
-                    raise MismatchError("C0_0 and C1_0 fail to commute at degree %d" % d)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # annihilation of singular-vector images by positive current modes
 # ---------------------------------------------------------------------------
@@ -632,40 +551,3 @@ def t1_annihilation_check(r, s, nmax=None):
                                     % (n, r, s, mu))
         checked.append(n)
     return {"rs": [r, s], "modes_checked": checked, "annihilated": True}
-
-
-def solve_t1_alpha(r, s):
-    """Independently solve the annihilation conditions for 2*alpha.
-
-    Runs the current at alpha = 0, isolates the alpha-dependence (linear,
-    through kappa only) and returns the unique consistent value as an exact
-    rational function of t, or raises if no single value works.
-    """
-    from .fock import verma_to_lambda
-    from .svir import singular_vector
-
-    chi = singular_vector(r, s, "sym")
-    v = verma_to_lambda(chi, normalize=True)
-    tvar = RatFun.variable("t")
-    gamma = 1 / (tvar * tvar)
-    zero = gamma * 0
-    cur0 = dvir_jet(gamma, zero, 1)
-    solved = None
-    for n in range(1, r * s + 1):
-        base = cur0.t_apply(n, v)
-        b2 = cur0.b2_apply(n, v, with_kappa=False)
-        for mu in set(base.terms) | set(b2.terms):
-            c1 = _jet_coeff(base.terms.get(mu, zero), 1)
-            y0 = _jet_coeff(b2.terms.get(mu, zero), 0)
-            if is_zero(y0):
-                if not is_zero(c1):
-                    raise NonzeroResult("no alpha can cancel mode %d at %r" % (n, mu))
-                continue
-            cand = c1 / (2 * y0)
-            if solved is None:
-                solved = cand
-            elif not is_zero(solved - cand):
-                raise NonzeroResult("inconsistent alpha between components")
-    if solved is None:
-        raise NonzeroResult("alpha is unconstrained (no coupled component found)")
-    return solved  # this is alpha itself (coefficient of -2*alpha is -2*y0)

@@ -11,19 +11,54 @@ both.
 The helpers after the finite-N oracles are reference forms that only the
 tests call: generic field operations, a matrix-vector product, the
 superpartition generating function, the corrected finite-N operators and
-the Selberg-side closed forms and estimators.
+the Selberg-side closed forms and estimators.  The last section holds the
+constructors, restrictions and independent solvers the tests cross-check
+the package against.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
-from svjack.finiten import c0n_apply, c1n_apply, mp_div_linear
-from svjack.kernel import DivisionByZero, MixedFieldError, is_zero
+from svjack.finiten import (
+    c0n_apply,
+    c1n_apply,
+    mp_const,
+    mp_div_linear,
+    mp_mul,
+    mp_to_orbits,
+)
+from svjack.kernel import (
+    DivisionByZero,
+    KernelError,
+    MixedFieldError,
+    RatFun,
+    as_scalar,
+    is_zero,
+)
+from svjack.linalg import bareiss_echelon, nullspace
 from svjack.selberg import _log_gamma_signed
-from svjack.symfunc import SymFunc, partitions, to_p
+from svjack.svir import SuperPartition, monomial_vector
+from svjack.symfunc import SymFunc, convert, inner_qt, multiplicities, partitions, to_p
+from svjack.uglov import _check_generic_qt, _gram_schmidt
+from svjack.vertexops import (
+    GradedOperator,
+    MismatchError,
+    NonzeroResult,
+    _jet_coeff,
+    _submultisets,
+    apply_vertex_mode,
+    c0_mode,
+    c1_apply,
+    c1_mode,
+    dvir_jet,
+    dvir_rational,
+    eps1,
+    m_block,
+)
 
 
 def graded_basis(dmax):
@@ -409,3 +444,211 @@ def montecarlo_symmetrized_moment(n, alpha, beta, gamma, moment, samples=10 ** 6
     resid = num - ratio * w
     err = float(np.sqrt(np.sum(resid ** 2)) / np.sum(w))
     return ratio, err
+
+
+# ---------------------------------------------------------------------------
+# constructors, restrictions and solvers only the tests call
+# ---------------------------------------------------------------------------
+
+def num_partitions(n):
+    return len(partitions(n))
+
+
+def p_gen(lam, coeff=Fraction(1)):
+    return SymFunc.gen("p", lam, coeff)
+
+
+def m_gen(lam, coeff=Fraction(1)):
+    return SymFunc.gen("m", lam, coeff)
+
+
+def mat_mul(a, b):
+    if not a or not b:
+        return []
+    rows, inner, cols = len(a), len(b), len(b[0])
+    zero = a[0][0] * 0
+    out = [[zero for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        for k in range(inner):
+            aik = a[i][k]
+            if is_zero(aik):
+                continue
+            for j in range(cols):
+                out[i][j] = out[i][j] + aik * b[k][j]
+    return out
+
+
+def rank(mat):
+    return len(bareiss_echelon(mat)[1])
+
+
+def highest_weight_vector(hw=None, h=None, c=None):
+    return monomial_vector(SuperPartition((), ()), hw, h, c)
+
+
+def graded_apply(op, f):
+    """Apply a GradedOperator to f block by block, in the m basis."""
+    f = convert(f, "m")
+    out = {}
+    for d in sorted({sum(lam) for lam in f.terms}):
+        comp = SymFunc("m", {lam: c for lam, c in f.terms.items() if sum(lam) == d})
+        if d not in op.blocks:
+            raise KernelError("degree %d outside operator range" % d)
+        cols = partitions(d)
+        rows = partitions(d + op.shift)
+        vec = [comp.terms.get(lam, Fraction(0)) for lam in cols]
+        mat = op.blocks[d]
+        for i, mu in enumerate(rows):
+            acc = None
+            for j, x in enumerate(vec):
+                if is_zero(x):
+                    continue
+                term = mat[i][j] * x
+                acc = term if acc is None else acc + term
+            if acc is not None and not is_zero(acc):
+                out[mu] = out.get(mu, Fraction(0)) + acc
+    return SymFunc("m", out)
+
+
+def dvir_modes(q, t, alpha_two, n, dmax):
+    """(T_n, psi_{-n}) as GradedOperators at exact rational (q, t) with
+    2*alpha = alpha_two."""
+    cur = dvir_rational(q, t, alpha_two)
+    return (GradedOperator.build(lambda f: cur.t_apply(n, f), n, dmax),
+            GradedOperator.build(lambda f: cur.psi_apply(n, f), -n, dmax))
+
+
+def commuting_family_check(gamma, dmax):
+    """[C0_0, C1_0(gamma)] = 0 on each degree block up to dmax."""
+    c00 = c0_mode(0, dmax)
+    c10 = c1_mode(gamma, 0, dmax)
+    for d in range(dmax + 1):
+        a, b = c00.block(d), c10.block(d)
+        ab = mat_mul(a, b)
+        ba = mat_mul(b, a)
+        for i in range(len(ab)):
+            for j in range(len(ab[i])):
+                if not is_zero(ab[i][j] - ba[i][j]):
+                    raise MismatchError("C0_0 and C1_0 fail to commute at degree %d" % d)
+    return True
+
+
+def solve_t1_alpha(r, s):
+    """Independently solve the annihilation conditions for 2*alpha.
+
+    Runs the current at alpha = 0, isolates the alpha-dependence (linear,
+    through kappa only) and returns the unique consistent value as an exact
+    rational function of t, or raises if no single value works.
+    """
+    from svjack.fock import verma_to_lambda
+    from svjack.svir import singular_vector
+
+    chi = singular_vector(r, s, "sym")
+    v = verma_to_lambda(chi, normalize=True)
+    tvar = RatFun.variable("t")
+    gamma = 1 / (tvar * tvar)
+    zero = gamma * 0
+    cur0 = dvir_jet(gamma, zero, 1)
+    solved = None
+    for n in range(1, r * s + 1):
+        base = cur0.t_apply(n, v)
+        # the B2 term of T_n without its factor kappa
+        b2 = apply_vertex_mode(lambda a: -cur0._psi(a), cur0._h2, n, v)
+        for mu in set(base.terms) | set(b2.terms):
+            c1 = _jet_coeff(base.terms.get(mu, zero), 1)
+            y0 = _jet_coeff(b2.terms.get(mu, zero), 0)
+            if is_zero(y0):
+                if not is_zero(c1):
+                    raise NonzeroResult("no alpha can cancel mode %d at %r" % (n, mu))
+                continue
+            cand = c1 / (2 * y0)
+            if solved is None:
+                solved = cand
+            elif not is_zero(solved - cand):
+                raise NonzeroResult("inconsistent alpha between components")
+    if solved is None:
+        raise NonzeroResult("alpha is unconstrained (no coupled component found)")
+    return solved  # this is alpha itself (coefficient of -2*alpha is -2*y0)
+
+
+def pr_n(f, n):
+    """Restriction to n variables: p_r -> x_1^r + ... + x_n^r, collected into
+    monomial orbits {partition: coefficient}."""
+    fp = to_p(f)
+    out = {}
+    for lam, c in fp.terms.items():
+        term = mp_const(n, Fraction(1))
+        for part in lam:
+            power = {}
+            for i in range(n):
+                e = [0] * n
+                e[i] = part
+                power[tuple(e)] = Fraction(1)
+            term = mp_mul(term, power)
+        for e, x in term.items():
+            out[e] = out.get(e, Fraction(0)) + c * x
+    out = {e: c for e, c in out.items() if c != 0}
+    return mp_to_orbits(out, n)
+
+
+def pr_n_exponential(f, n):
+    """Restriction through the shift-operator identity: expand
+    exp(sum_a P_a d/dp_a), with P_a the a-th power sum of x_1..x_n, over all
+    derivative multisets nu and project the leftover power sums to zero.
+    Only nu equal to the full index multiset survives, and the exponential's
+    1/m! cancels the derivative's falling factorial; computing the whole sum
+    this way exercises that identity independently of pr_n."""
+    fp = to_p(f)
+    out = {}
+    for lam, c in fp.terms.items():
+        mult = multiplicities(lam)
+        for nu in _submultisets(mult):  # same enumeration the modes use
+            # derivative of p_lam by prod_a (d/dp_a)^{nu_a}, then p -> 0
+            if sum(nu.values()) != len(lam):
+                continue  # a power sum survives and dies under the projection
+            weight = Fraction(1)
+            for a, m in nu.items():
+                fall = 1
+                for u in range(m):
+                    fall *= (mult[a] - u)
+                weight *= Fraction(fall, math.factorial(m))
+            term = mp_const(n, weight * c)
+            for a, m in nu.items():
+                power = {}
+                for i in range(n):
+                    e = [0] * n
+                    e[i] = a
+                    power[tuple(e)] = Fraction(1)
+                for _ in range(m):
+                    term = mp_mul(term, power)
+            for e, x in term.items():
+                out[e] = out.get(e, Fraction(0)) + x
+    out = {e: c for e, c in out.items() if c != 0}
+    return mp_to_orbits(out, n)
+
+
+def macdonald_gram_schmidt(lam, q, t):
+    """Independent construction: monic triangular expansion orthogonal to all
+    lower P_mu under the (q, t) inner product."""
+    lam = tuple(lam)
+    q, t = _check_generic_qt(q, t, sum(lam))
+    return _macdonald_ladder(lam, q, t)
+
+
+@lru_cache(maxsize=None)
+def _macdonald_ladder(lam, q, t):
+    return _gram_schmidt(lam, lambda mu: _macdonald_ladder(mu, q, t),
+                         lambda f, g: inner_qt(f, g, q, t))
+
+
+def uglov2_kernel_dimension(lam, gamma="sym"):
+    """Dimension of ker(C^1_0(gamma) - eps1(lam, gamma)) on the full degree
+    block; the characterization demands exactly 1."""
+    lam = tuple(lam)
+    g = as_scalar(gamma, "g")
+    parts = partitions(sum(lam))
+    block = m_block(lambda f: c1_apply(g, 0, f), parts, parts)
+    e = eps1(lam, g)
+    mat = [[x - (e if i == j else 0) for j, x in enumerate(row)]
+           for i, row in enumerate(block)]
+    return len(nullspace(mat))

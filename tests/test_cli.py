@@ -134,6 +134,16 @@ def test_verify_parity_usage_error(capsys):
     "finite-n --n-range 3..1",
     "finite-n --n-range 0..1",
     "finite-n --dmax -1",
+    "uglov --partition 2 --gamma 0",
+    "macdonald --partition 2 --q 1/2 --t 0",
+    "kacdet --level 1/3",
+    "kacdet --level -1",
+    "selberg integral --n 2 --alpha 1 --beta 1 --gamma 1 --method montecarlo --samples 0",
+    "selberg vanish --r 2 --t 1 --m 1,0 --samples 0",
+    "selberg integral --n 3 --alpha 1 --beta 1 --gamma 1 --method montecarlo "
+    "--samples 60000000",
+    "selberg vanish --r 2 --t 1/3 --m 1,0",
+    "selberg integral --n 2 --alpha 0 --beta 1 --gamma 1 --method closed",
 ])
 def test_bad_argument_exits_two_without_traceback(capsys, argv):
     assert main(argv.split()) == 2
@@ -144,6 +154,7 @@ def test_bad_argument_exits_two_without_traceback(capsys, argv):
     "finite-n --n-range 3..1",
     "verify --r 5 --s 0",
     "selberg vanish --r 2 --t 1 --m 1",
+    "selberg vanish --r 2 --t 1 --m 1,0 --samples 0",
 ])
 def test_usage_error_json_document(capsys, argv):
     code = main(["--json"] + argv.split())

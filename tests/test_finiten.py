@@ -10,18 +10,20 @@ from svjack.finiten import (
     limit_diagnostic_report,
     mp_div_linear,
     orbit_to_mp,
-    pr_n,
-    pr_n_exponential,
     mp_to_orbits,
 )
 from svjack.linalg import operator_matrix
-from svjack.symfunc import e_gen, m_gen, p_gen
+from svjack.symfunc import e_gen
 
 from oracles import (
     c0n_apply_oracle,
     c0n_corrected_apply,
     c1n_apply_oracle,
     c1n_corrected_apply,
+    m_gen,
+    p_gen,
+    pr_n,
+    pr_n_exponential,
 )
 
 

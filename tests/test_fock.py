@@ -16,7 +16,9 @@ from svjack.fock import (
 )
 from svjack.kernel import RatFun, Sqrt2Ext, is_zero
 from svjack.svir import act, hw_data, monomial_vector, superpartitions
-from svjack.symfunc import SymFunc, convert, e_gen, p_gen, partitions, to_p
+from svjack.symfunc import SymFunc, convert, e_gen, partitions, to_p
+
+from oracles import p_gen
 
 T = RatFun.variable("t")
 ONE = RatFun.const("t", 1)

@@ -24,10 +24,9 @@ from svjack.linalg import (
     nullspace,
     operator_matrix,
     poly_interpolate,
-    rank,
 )
 
-from oracles import field_ops, mat_vec
+from oracles import field_ops, mat_vec, rank
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -122,6 +121,12 @@ def test_equal_scalars_hash_equal(a, b, tail1, tail2):
         (Sqrt2Ext(a, 0), a),
         (Sqrt2Ext(a, Fraction(0)), Sqrt2Ext(a)),
         (Sqrt2Ext(a, b), Sqrt2Ext(a, b) + 0),
+        # constant rational functions and polynomials equal their rational
+        (RatFun.const("t", a), a),
+        (RatFun("t", Poly("t", [a, a]), Poly("t", [Fraction(1), Fraction(1)])), a),
+        (Poly.const("t", a), a),
+        (Poly.const("h", RatFun.const("t", a)), a),
+        (Jet([RatFun.const("t", a)] + tail1), Jet([a] + tail1)),
     ]
     for x, y in pairs:
         assert x == y
@@ -308,3 +313,16 @@ def test_gram_matrix_entries_follow_the_field_of_h():
     assert len(over_q) == 2
     assert all(type(x) is Fraction for row in over_q + from_int for x in row)
     assert all(type(x) is RatFun for row in over_qt for x in row)
+
+
+def test_orth_entries_follow_the_field_of_gamma():
+    """One process, equal gamma over Q and over Q(g): the cache of the
+    orthogonal ladder must keep the two apart, like the normal-ordering memo."""
+    from svjack.uglov import uglov2_orth
+    lam = (2, 1)
+    over_q = uglov2_orth(lam, Fraction(3))
+    over_qg = uglov2_orth(lam, RatFun.const("g", 3))
+    assert over_q == over_qg
+    lower = [mu for mu in over_q.terms if mu != lam]
+    assert lower and all(type(over_q.terms[mu]) is Fraction for mu in lower)
+    assert all(type(over_qg.terms[mu]) is RatFun for mu in lower)

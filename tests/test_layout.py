@@ -1,0 +1,48 @@
+"""Every module-level function and class in src/svjack is reached from
+elsewhere in src/svjack, unless it is an entry point: a name in
+svjack.__all__, a command-line handler or a reproduce-paper section.
+Helpers only the tests call live in tests/oracles.py."""
+
+import ast
+import pathlib
+
+import svjack
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "svjack"
+
+
+def _referenced_names(node):
+    """Names and attribute names used inside a statement; import statements
+    hold no Name nodes, so they reference nothing."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def _entry_point(module, name):
+    if name in svjack.__all__:
+        return True
+    if module == "cli":
+        return name in ("main", "build_parser") or name.startswith(("cmd_", "_parse_"))
+    return module == "reproduce" and name.startswith("run_")
+
+
+def test_src_defines_nothing_only_tests_reach():
+    statements = []
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        for stmt in ast.parse(path.read_text()).body:
+            statements.append((module, stmt, _referenced_names(stmt)))
+    unreached = [
+        "%s.%s" % (module, stmt.name)
+        for module, stmt, _ in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not _entry_point(module, stmt.name)
+        # a reference from the definition's own body does not count
+        and not any(stmt.name in names for _, other, names in statements if other is not stmt)
+    ]
+    assert unreached == []

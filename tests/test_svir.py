@@ -12,7 +12,6 @@ from svjack.svir import (
     act,
     gram_matrix,
     gram_matrix_symbolic_h,
-    highest_weight_vector,
     hw_data,
     kac_det_check,
     kac_factor_exponents,
@@ -22,7 +21,7 @@ from svjack.svir import (
     superpartitions,
 )
 
-from oracles import pns_generating_function
+from oracles import highest_weight_vector, pns_generating_function
 
 T = RatFun.variable("t")
 ONE = RatFun.const("t", 1)

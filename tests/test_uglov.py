@@ -9,20 +9,18 @@ from svjack.symfunc import (
     convert,
     e_gen,
     inner_qt,
-    m_gen,
-    p_gen,
     partitions,
 )
 from svjack.uglov import (
     DegeneracyError,
     jack,
     macdonald,
-    macdonald_gram_schmidt,
     uglov2,
-    uglov2_kernel_dimension,
     uglov2_orth,
     uglov_limit_check,
 )
+
+from oracles import m_gen, macdonald_gram_schmidt, p_gen, uglov2_kernel_dimension
 
 G = RatFun.variable("g")
 ONE = RatFun.const("g", 1)
