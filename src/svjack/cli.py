@@ -2,7 +2,9 @@
 deterministic JSON output.
 
 Exit codes: 0 when every requested check passes (or the command only
-computes an object), 1 on a verification failure, 2 on usage errors.
+computes an object), 1 on a failed check, a ``VerificationFailure`` or a
+``KernelError`` (arithmetic that cannot go on), 2 on bad input, a
+``ValueError``.
 Identical invocations produce byte-identical JSON: keys are sorted, scalar
 encodings are canonical, and all stochastic subcommands take explicit seeds.
 """
@@ -19,15 +21,11 @@ from .kernel import KernelError, scalar_to_json
 SCHEMA_VERSION = "svjack-report/1"
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_rational(text):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError("not a rational number: %r" % text)
+        raise ValueError("not a rational number: %r" % text)
 
 
 def _parse_symbolic(text, name):
@@ -36,7 +34,7 @@ def _parse_symbolic(text, name):
         return "sym"
     value = _parse_rational(text)
     if value == 0:
-        raise UsageError("%s must be nonzero" % name)
+        raise ValueError("%s must be nonzero" % name)
     return value
 
 
@@ -46,10 +44,10 @@ def _parse_partition(text):
     try:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError("not a partition: %r" % text)
+        raise ValueError("not a partition: %r" % text)
     if any(p < 1 for p in parts) or any(parts[i] < parts[i + 1]
                                         for i in range(len(parts) - 1)):
-        raise UsageError("parts must be weakly decreasing positive integers")
+        raise ValueError("parts must be weakly decreasing positive integers")
     return parts
 
 
@@ -57,14 +55,14 @@ def _parse_moment(text):
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError("not a comma-separated list of integers: %r" % text)
+        raise ValueError("not a comma-separated list of integers: %r" % text)
 
 
 def _parse_range(text):
     try:
         lo, hi = (int(x) for x in text.split(".."))
     except ValueError:
-        raise UsageError("not a range lo..hi: %r" % text)
+        raise ValueError("not a range lo..hi: %r" % text)
     return lo, hi
 
 
@@ -77,15 +75,19 @@ def _emit(args, command, parameters, result, ok=True):
         "result": result,
     }
     if args.json:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        _print_json(doc)
     else:
         _human(doc)
     return 0 if ok else 1
 
 
 def _emit_error(command, kind, exc):
-    print(json.dumps({"schema": SCHEMA_VERSION, "command": command, "ok": False,
-                      "error": "%s: %s" % (kind, exc)}, sort_keys=True))
+    _print_json({"schema": SCHEMA_VERSION, "command": command, "ok": False,
+                 "error": "%s: %s" % (kind, exc)})
+
+
+def _print_json(doc):
+    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
 def _human(doc):
@@ -159,8 +161,6 @@ def cmd_jack(args):
 
 def cmd_singular(args):
     from .svir import singular_vector
-    if (args.r - args.s) % 2 != 0 or args.r < 1 or args.s < 1:
-        raise UsageError("need r, s >= 1 with equal parity")
     t = _parse_symbolic(args.t, "t")
     chi = singular_vector(args.r, args.s, t)
     terms = []
@@ -188,8 +188,6 @@ def cmd_kacdet(args):
 
 def cmd_verify(args):
     from .fock import verify_conjecture
-    if (args.r - args.s) % 2 != 0 or args.r < 1 or args.s < 1:
-        raise UsageError("need r, s >= 1 with equal parity")
     t = _parse_symbolic(args.t, "t")
     rep = verify_conjecture(args.r, args.s, t)
     ok = rep["proportional"] and rep["eigencheck"] and rep["triangular"]
@@ -203,8 +201,6 @@ def cmd_verify(args):
 
 def cmd_screening(args):
     from .fock import screening_r1
-    if args.s < 1 or args.s % 2 == 0:
-        raise UsageError("s must be a positive odd integer")
     t = _parse_symbolic(args.t, "t")
     out = screening_r1(args.s, t)
     return _emit(args, "screening",
@@ -259,9 +255,9 @@ def cmd_finite_n(args):
     from .finiten import limit_diagnostic_report
     lo, hi = _parse_range(args.n_range)
     if not 1 <= lo <= hi:
-        raise UsageError("need 1 <= lo <= hi in --n-range lo..hi, got %r" % args.n_range)
+        raise ValueError("need 1 <= lo <= hi in --n-range lo..hi, got %r" % args.n_range)
     if args.dmax < 0:
-        raise UsageError("--dmax must be nonnegative")
+        raise ValueError("--dmax must be nonnegative")
     gamma = _parse_rational(args.gamma)
     rep = limit_diagnostic_report(args.dmax, list(range(lo, hi + 1)),
                                   which=args.op, gamma=gamma)
@@ -376,7 +372,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         code = args.fn(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         # the library raises ValueError only from its argument checks
         print("usage error: %s" % exc, file=sys.stderr)
         if args.json:

@@ -23,13 +23,9 @@ from itertools import permutations
 from math import factorial, lcm
 from operator import add
 
-from .kernel import KernelError
+from .kernel import VerificationFailure
 from .linalg import identity, operator_matrix
 from .symfunc import SymFunc, convert, multiplicities, partitions
-
-
-class NonpolynomialResult(KernelError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +74,7 @@ def _mp_accumulate(out, a, c=1):
 
 
 def mp_div_linear(a, i, j):
-    """Exact division by (x_i - x_j); raises NonpolynomialResult on remainder.
+    """Exact division by (x_i - x_j); raises VerificationFailure on remainder.
 
     Terms sharing the other exponents and the total s = p + q of x_i^p x_j^q
     form one group.  By the telescoping (x_i^p x_j^q - x_j^s) / (x_i - x_j)
@@ -103,7 +99,7 @@ def mp_div_linear(a, i, j):
                 key[j] = base[j] - 1 - u
                 quot[tuple(key)] = run
         if run + coeffs.get(0, 0) != 0:
-            raise NonpolynomialResult("division by (x_%d - x_%d) leaves a remainder" % (i, j))
+            raise VerificationFailure("division by (x_%d - x_%d) leaves a remainder" % (i, j))
     return quot
 
 
@@ -138,10 +134,10 @@ def mp_to_orbits(a, n, scale=1):
     for e, c in a.items():
         lam = tuple(sorted((p for p in e if p != 0), reverse=True))
         if seen.setdefault(lam, c) != c:
-            raise KernelError("polynomial is not symmetric")
+            raise VerificationFailure("polynomial is not symmetric")
         count[lam] = count.get(lam, 0) + 1
     if any(k != _orbit_size(lam, n) for lam, k in count.items()):
-        raise KernelError("polynomial is not symmetric")
+        raise VerificationFailure("polynomial is not symmetric")
     return {lam: c * scale for lam, c in seen.items()}
 
 

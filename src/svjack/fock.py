@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .kernel import KernelError, Sqrt2Ext, as_scalar, is_zero
+from .kernel import Sqrt2Ext, VerificationFailure, as_scalar, is_zero
 from .symfunc import (
     SymFunc,
     convert,
@@ -35,10 +35,6 @@ from .symfunc import (
     to_p,
 )
 from .vertexops import apply_vertex_mode, c1_apply, eps1, p_derivative
-
-
-class ProportionalityFailure(KernelError):
-    pass
 
 
 HALF = Fraction(1, 2)
@@ -175,15 +171,10 @@ def ff_act(gen, f, alpha, rho, t):
 # Verma -> symmetric functions
 # ---------------------------------------------------------------------------
 
-def verma_to_lambda(v, normalize=False):
+def verma_to_lambda(v):
     """Image of a Verma vector under the free-field substitution followed by
-    the boson-fermion dictionary, as a symmetric function of degree 2*level.
-
-    With normalize=True (singular-vector use) the result is rescaled so the
-    coefficient of m_{(r^s)} equals 1; all coefficients then land in the
-    sqrt2-free base field and the returned SymFunc carries plain base-field
-    scalars.  With normalize=False the raw image is returned, coefficients
-    in the sqrt2 extension of the base field.
+    the boson-fermion dictionary, as a symmetric function of degree 2*level
+    with coefficients in the sqrt2 extension of the base field.
     """
     if v.weight is None:
         raise ValueError("verma_to_lambda needs weight data on the vector")
@@ -198,28 +189,23 @@ def verma_to_lambda(v, normalize=False):
         for gen in reversed(word):
             state = ff_act(gen, state, alpha, rho, t)
         total = total + state.scale(coeff)
-    if not normalize:
-        return total
-    lam = (hw.r,) * hw.s
-    total_m = convert(total, "m")
-    lead = total_m.terms.get(lam)
+    return total
+
+
+def monic_image(image_m, lam):
+    """(c, image_m / c) for the coefficient c of m_lam in the m-basis image
+    of a singular vector, the quotient in the p basis.  It lies in the
+    sqrt2-free base field, so each coefficient is replaced by its base part.
+    A missing m_lam is a failed identity."""
+    lead = image_m.terms.get(lam)
     if lead is None or is_zero(lead):
-        raise ProportionalityFailure(
-            "image of the (%d,%d) singular vector has no m_%s component"
-            % (hw.r, hw.s, list(lam)))
-    return _monic_image(total_m, lead)
-
-
-def _monic_image(image_m, lead):
-    """The m-basis image divided by its leading coefficient, in the p basis.
-    The quotient lies in the sqrt2-free base field, so each coefficient is
-    replaced by its base part."""
+        raise VerificationFailure("image lacks the leading monomial m_%s" % (list(lam),))
     monic = image_m.scale(1 / lead)
 
     def strip(c):
         return c.base_part() if isinstance(c, Sqrt2Ext) else c
 
-    return to_p(monic.map_coeffs(strip))
+    return lead, to_p(monic.map_coeffs(strip))
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +269,19 @@ def verify_conjecture(r, s, t="sym"):
 
     chi = singular_vector(r, s, t)
     hw = chi.weight
-    raw = verma_to_lambda(chi, normalize=False)
     lam = (r,) * s
-    raw_m = convert(raw, "m")
+    raw_m = convert(verma_to_lambda(chi), "m")
     triangular = all(dominance_leq(mu, lam) for mu in raw_m.terms)
     one = hw.t * 0 + 1
     gamma = one / (hw.t * hw.t)
     target = uglov2_orth(lam, gamma)
-    scalar = raw_m.terms.get(lam)
-    if scalar is None or is_zero(scalar):
-        raise ProportionalityFailure("image lacks the leading monomial m_%s" % (list(lam),))
+    scalar, monic = monic_image(raw_m, lam)
     diff = raw_m - target.map_coeffs(lambda c: c * scalar)
     if not diff.is_zero():
         mismatch = sorted(diff.terms, key=lambda mu: (sum(mu), mu))[0]
-        raise ProportionalityFailure(
+        raise VerificationFailure(
             "image is not proportional to the shape-%s family member; first "
             "mismatch at m_%s" % (list(lam), list(mismatch)))
-    monic = _monic_image(raw_m, scalar)
     image = c1_apply(gamma, 0, monic)
     eigencheck = (image - to_p(monic).scale(eps1(lam, gamma))).is_zero()
     from .kernel import scalar_to_json

@@ -7,7 +7,12 @@ adds one formal variable (t, gamma, q or h), ``Sqrt2Ext`` adjoins sqrt(2)
 to any base field, and ``Jet`` truncates power series in a formal
 parameter hbar.  Mixed arithmetic coerces upward (int -> Fraction ->
 RatFun/Sqrt2Ext/Jet); genuinely incompatible operands raise
-``MixedFieldError``.
+``KernelError``.
+
+Every failure the package reports is one of three kinds: a ``ValueError``
+for input the computation cannot take, a ``KernelError`` when the exact
+arithmetic cannot go on, and a ``VerificationFailure`` when an identity
+the package checks does not hold.
 """
 
 from __future__ import annotations
@@ -16,23 +21,12 @@ from fractions import Fraction
 
 
 class KernelError(Exception):
-    pass
+    """Exact arithmetic that cannot go on: a division by zero, a pole,
+    operands from different fields, an exhausted jet order."""
 
 
-class DivisionByZero(KernelError):
-    pass
-
-
-class MixedFieldError(KernelError):
-    pass
-
-
-class PoleError(KernelError):
-    pass
-
-
-class PrecisionError(KernelError):
-    """A jet coefficient beyond the tracked truncation order was requested."""
+class VerificationFailure(KernelError):
+    """An identity the package checks does not hold."""
 
 
 def is_zero(x):
@@ -99,7 +93,7 @@ class Poly:
     def _check(self, other):
         if isinstance(other, Poly):
             if other.var != self.var:
-                raise MixedFieldError(
+                raise KernelError(
                     "polynomials in %r and %r cannot be combined" % (self.var, other.var))
             return other
         if isinstance(other, (int, Fraction)):
@@ -107,6 +101,8 @@ class Poly:
         return None
 
     def __eq__(self, other):
+        if isinstance(other, Poly) and other.var != self.var:
+            return False  # elements of different rings
         o = self._check(other)
         if o is None:
             return NotImplemented
@@ -164,7 +160,7 @@ class Poly:
     def divmod(self, other):
         o = self._check(other)
         if o is None or o.is_zero():
-            raise DivisionByZero("polynomial division by zero")
+            raise KernelError("polynomial division by zero")
         rem = list(self.coeffs)
         dq = len(rem) - len(o.coeffs)
         if dq < 0:
@@ -245,7 +241,7 @@ class RatFun:
         elif isinstance(denom, (int, Fraction)):
             denom = Poly.const(var, Fraction(denom))
         if denom.is_zero():
-            raise DivisionByZero("rational function with zero denominator")
+            raise KernelError("rational function with zero denominator")
         if not _canonical:
             g = poly_gcd(numer, denom)
             if not g.is_zero() and g.degree() > 0:
@@ -273,7 +269,7 @@ class RatFun:
     def _coerce(self, other):
         if isinstance(other, RatFun):
             if other.var != self.var:
-                raise MixedFieldError(
+                raise KernelError(
                     "rational functions in %r and %r cannot be combined"
                     % (self.var, other.var))
             return other
@@ -282,6 +278,8 @@ class RatFun:
         return None
 
     def __eq__(self, other):
+        if isinstance(other, RatFun) and other.var != self.var:
+            return False  # elements of different fields
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -328,7 +326,7 @@ class RatFun:
         if o is None:
             return NotImplemented
         if o.is_zero():
-            raise DivisionByZero("division by zero rational function")
+            raise KernelError("division by zero rational function")
         return RatFun(self.var, self.numer * o.denom, self.denom * o.numer)
 
     def __rtruediv__(self, other):
@@ -350,7 +348,7 @@ class RatFun:
     def __call__(self, x):
         den = self.denom(x)
         if is_zero(den):
-            raise PoleError("evaluation at a pole of the denominator")
+            raise KernelError("evaluation at a pole of the denominator")
         return self.numer(x) / den
 
     def __repr__(self):
@@ -452,7 +450,7 @@ class Sqrt2Ext:
         if o is None:
             return NotImplemented
         if o.is_zero():
-            raise DivisionByZero("division by zero in Sqrt2Ext")
+            raise KernelError("division by zero in Sqrt2Ext")
         n = o.norm()
         num = self * o.conj()
         return Sqrt2Ext(num.a / n, num.b / n)
@@ -524,7 +522,7 @@ class Jet:
 
     def coeff(self, k):
         if k > self.order:
-            raise PrecisionError("jet truncated at order %d, coefficient %d requested"
+            raise KernelError("jet truncated at order %d, coefficient %d requested"
                                  % (self.order, k))
         return self.coeffs[k]
 
@@ -601,7 +599,7 @@ class Jet:
 
     def inverse(self):
         if is_zero(self.coeffs[0]):
-            raise DivisionByZero("jet inverse requires a nonzero constant term")
+            raise KernelError("jet inverse requires a nonzero constant term")
         c0 = self.coeffs[0]
         zero = c0 * 0
         inv0 = (zero + 1) / c0
@@ -618,7 +616,7 @@ class Jet:
         if o is None:
             return NotImplemented
         if o.is_zero():
-            raise DivisionByZero("division by a zero jet")
+            raise KernelError("division by a zero jet")
         v = o.valuation()
         if v == 0:
             return self * o.inverse()
@@ -626,9 +624,9 @@ class Jet:
         k = min(self.order, o.order)
         for i in range(min(v, k + 1)):
             if not is_zero(self.coeffs[i]):
-                raise DivisionByZero("jet division with insufficient numerator valuation")
+                raise KernelError("jet division with insufficient numerator valuation")
         if k - v < 0:
-            raise PrecisionError("jet division exhausts the truncation order")
+            raise KernelError("jet division exhausts the truncation order")
         num = Jet(list(self.coeffs[v: k + 1]), k - v)
         den = Jet(list(o.coeffs[v: k + 1]), k - v)
         return num * den.inverse()

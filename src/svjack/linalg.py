@@ -11,15 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .kernel import KernelError, Poly, RatFun, is_zero
-
-
-class DuplicateAbscissa(KernelError):
-    pass
-
-
-class InconsistentData(KernelError):
-    pass
+from .kernel import KernelError, Poly, RatFun, VerificationFailure, is_zero
 
 
 def _clone(mat):
@@ -175,12 +167,12 @@ def poly_interpolate(points, degree_bound, var="h"):
 
     ``points`` is a list of (x, y) with rational abscissas x and values y in
     any kernel field.  Extra points beyond degree_bound + 1 must agree with
-    the interpolant, otherwise InconsistentData is raised.  Newton's divided
+    the interpolant, otherwise VerificationFailure is raised.  Newton's divided
     differences keep the computation exact.
     """
     xs = [Fraction(p[0]) for p in points]
     if len(set(xs)) != len(xs):
-        raise DuplicateAbscissa("repeated abscissa in interpolation data")
+        raise KernelError("repeated abscissa in interpolation data")
     if len(points) < degree_bound + 1:
         raise KernelError("need at least degree_bound + 1 points")
     base = points[: degree_bound + 1]
@@ -195,5 +187,5 @@ def poly_interpolate(points, degree_bound, var="h"):
         poly = poly * (Poly.x(var) - Poly.const(var, bxs[i])) + Poly.const(var, coefs[i])
     for x, y in points[degree_bound + 1:]:
         if not is_zero(poly(Fraction(x)) - y):
-            raise InconsistentData("extra interpolation point disagrees")
+            raise VerificationFailure("extra interpolation point disagrees")
     return poly

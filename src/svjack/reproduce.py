@@ -17,6 +17,8 @@ from .symfunc import SymFunc, convert, e_gen, partitions, to_p
 
 HALF = Fraction(1, 2)
 
+RS8_SAMPLES = (Fraction(3, 2), Fraction(5, 3), Fraction(7, 4))  # t for rs = 8
+
 
 def _guard(fn):
     try:
@@ -104,8 +106,7 @@ def run_singular_vector_images():
         }
         ok = True
         for (r, s), expected in displays.items():
-            img = to_p(verma_to_lambda(singular_vector(r, s, "sym"),
-                                       normalize=False))
+            img = to_p(verma_to_lambda(singular_vector(r, s, "sym")))
             key = next(iter(expected.terms))
             ratio = img.terms[key] / expected.terms[key]
             ok = ok and not is_zero(ratio)
@@ -165,7 +166,7 @@ def run_uglov_table():
     return _guard(go)
 
 
-def run_conjecture(bound=6, rs8_samples=(Fraction(3, 2), Fraction(5, 3), Fraction(7, 4))):
+def run_conjecture(bound=6):
     """The singular-vector / symmetric-function identification for every
     (r, s) with equal parity and rs <= bound with symbolic t, plus rs = 8 at
     rational t samples when the bound covers it."""
@@ -189,7 +190,7 @@ def run_conjecture(bound=6, rs8_samples=(Fraction(3, 2), Fraction(5, 3), Fractio
         rs8 = {}
         if bound >= 8:
             for r, s in ((2, 4), (4, 2)):
-                for tval in rs8_samples:
+                for tval in RS8_SAMPLES:
                     rep = verify_conjecture(r, s, tval)
                     good = rep["proportional"] and rep["eigencheck"] and rep["triangular"]
                     passed = passed and good

@@ -29,28 +29,23 @@ import numpy as np
 from scipy.special import gammaln, gammasgn, roots_jacobi
 
 
-# Bad parameters rather than failed checks: ValueError, which the command
-# line reports as a usage error (exit 2).
-class SelbergPoleError(ValueError):
-    pass
+MAX_SAMPLES = 5 * 10 ** 7  # bounds the memory of one Monte Carlo run
+QUADRATURE_DEGREE = 64
+RECURSION_RTOL = 1e-10
 
 
-class BudgetExceeded(ValueError):
-    pass
-
-
-class DomainError(ValueError):
-    pass
-
-
+# Bad parameters rather than failed checks raise ValueError, which the
+# command line reports as a usage error (exit 2).
 def _require_samples(samples):
     if samples < 1:
         raise ValueError("samples must be at least 1, got %d" % samples)
+    if samples > MAX_SAMPLES:
+        raise ValueError("sample budget %d exceeds the cap %d" % (samples, MAX_SAMPLES))
 
 
 def _log_gamma_signed(x):
     if x <= 0 and float(x).is_integer():
-        raise SelbergPoleError("gamma pole at %s" % x)
+        raise ValueError("gamma pole at %s" % x)
     return gammaln(x), gammasgn(x)
 
 
@@ -94,7 +89,7 @@ def aomoto_ratio_exact(r, t, k):
     for j in range(1, k + 1):
         den = 1 + (r - j) * t
         if den == 0:
-            raise SelbergPoleError("vanishing denominator at j = %d" % j)
+            raise ValueError("vanishing denominator at j = %d" % j)
         out *= Fraction(1 - j) * t / den
     return out
 
@@ -112,7 +107,7 @@ def _jacobi_nodes_01(deg, alpha, beta):
     return nodes, weights
 
 
-def selberg_quadrature(n, alpha, beta, gamma, degree=64):
+def selberg_quadrature(n, alpha, beta, gamma):
     """Tensor Gauss-Jacobi quadrature for n <= 2, absorbing the endpoint
     weight into the nodes; returns (value, error_estimate)."""
     if n not in (1, 2):
@@ -126,18 +121,15 @@ def selberg_quadrature(n, alpha, beta, gamma, degree=64):
         diff = np.abs(x[:, None] - x[None, :]) ** (2 * gamma)
         return float(w @ diff @ w)
 
-    coarse = compute(degree // 2)
-    fine = compute(degree)
+    coarse = compute(QUADRATURE_DEGREE // 2)
+    fine = compute(QUADRATURE_DEGREE)
     return fine, abs(fine - coarse)
 
 
-def selberg_montecarlo(n, alpha, beta, gamma, samples=10 ** 6, seed=0,
-                       moment=None, max_samples=5 * 10 ** 7):
+def selberg_montecarlo(n, alpha, beta, gamma, samples=10 ** 6, seed=0):
     """Plain Monte Carlo over the unit cube with per-variable Beta importance
     sampling for the endpoint factors; returns (value, standard_error)."""
     _require_samples(samples)
-    if samples > max_samples:
-        raise BudgetExceeded("sample budget %d exceeds the cap" % samples)
     rng = np.random.default_rng(seed)
     alpha_f, beta_f, gamma_f = float(alpha), float(beta), float(gamma)
     x = rng.beta(alpha_f, beta_f, size=(samples, n))
@@ -153,11 +145,7 @@ def selberg_montecarlo(n, alpha, beta, gamma, samples=10 ** 6, seed=0,
             np.abs(tmp, out=tmp)
             tmp **= 2 * gamma_f
             vals *= tmp
-    del tmp  # before the moment factors and np.std take their own temporaries
-    if moment is not None:
-        for i, mi in enumerate(moment):
-            if mi:
-                vals *= x[:, i] ** mi
+    del tmp  # before np.std takes its own temporaries
     mean = float(np.mean(vals))
     err = float(np.std(vals) / math.sqrt(samples))
     return mean, err
@@ -167,7 +155,7 @@ def selberg_montecarlo(n, alpha, beta, gamma, samples=10 ** 6, seed=0,
 # the Aomoto recursion
 # ---------------------------------------------------------------------------
 
-def aomoto_recursion_check(n, alpha, beta, gamma, rtol=1e-10):
+def aomoto_recursion_check(n, alpha, beta, gamma):
     """Evaluate the contiguous recursion between S(k-1) and S(k) in both the
     transcribed form
 
@@ -196,13 +184,14 @@ def aomoto_recursion_check(n, alpha, beta, gamma, rtol=1e-10):
             "k": k,
             "transcribed_residual": transcribed / scale,
             "corrected_residual": corrected / scale,
-            "corrected_ok": abs(corrected / scale) < rtol,
+            "corrected_ok": abs(corrected / scale) < RECURSION_RTOL,
         })
     return {
         "n": n, "alpha": alpha, "beta": beta, "gamma": gamma,
         "rows": rows,
         "corrected_all_ok": all(r["corrected_ok"] for r in rows),
-        "transcribed_all_ok": all(abs(r["transcribed_residual"]) < rtol for r in rows),
+        "transcribed_all_ok": all(abs(r["transcribed_residual"]) < RECURSION_RTOL
+                                  for r in rows),
     }
 
 
@@ -214,7 +203,7 @@ def _require_torus_exponents(r, t):
     t = Fraction(t)
     two_t = 2 * t
     if two_t.denominator != 1 or two_t < 0:
-        raise DomainError("the torus integrand needs 2t a nonnegative integer")
+        raise ValueError("the torus integrand needs 2t a nonnegative integer")
     return t, int(two_t)
 
 

@@ -21,21 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .kernel import KernelError, Poly, as_scalar, is_zero
+from .kernel import KernelError, Poly, VerificationFailure, as_scalar, is_zero
 from .linalg import det, nullspace, poly_interpolate
 from .symfunc import partitions
-
-
-class ParityError(KernelError):
-    pass
-
-
-class KernelDimensionError(KernelError):
-    pass
-
-
-class FactorMismatch(KernelError):
-    pass
 
 
 HALF = Fraction(1, 2)
@@ -145,7 +133,7 @@ def _rho_and_c(tv):
 def hw_data(t, r, s):
     """All derived weights of the (r, s) module as exact functions of t."""
     if r < 1 or s < 1 or (r - s) % 2 != 0:
-        raise ParityError("need r, s >= 1 with r = s (mod 2); got (%s, %s)" % (r, s))
+        raise ValueError("need r, s >= 1 with r = s (mod 2); got (%s, %s)" % (r, s))
     tv = as_scalar(t, "t")
     if is_zero(tv):
         raise ValueError("t must be nonzero")
@@ -389,8 +377,8 @@ def kac_det_check(level, t="sym"):
     """Interpolate det K_level as a polynomial in h, divide out the predicted
     singular factors, and require a nonzero h-independent quotient.
 
-    Returns a report with the quotient constant; raises FactorMismatch when
-    a factor fails to divide or the quotient retains h-dependence.
+    Returns a report with the quotient constant; raises VerificationFailure
+    when a factor fails to divide or the quotient retains h-dependence.
     """
     level = Fraction(level)
     if (2 * level).denominator != 1 or level < 0:
@@ -407,7 +395,7 @@ def kac_det_check(level, t="sym"):
         points.append((Fraction(i), det(mat)))
     poly = poly_interpolate(points, degree, var="h")
     if poly.degree() != degree:
-        raise FactorMismatch("determinant degree %s, expected %s"
+        raise VerificationFailure("determinant degree %s, expected %s"
                              % (poly.degree(), degree))
     quotient = poly
     for (r, s), mult in sorted(factors.items()):
@@ -416,14 +404,14 @@ def kac_det_check(level, t="sym"):
         for _ in range(mult):
             q, rem = quotient.divmod(lin)
             if not rem.is_zero():
-                raise FactorMismatch(
+                raise VerificationFailure(
                     "factor (h - h_{%d,%d}) does not divide the determinant" % (r, s))
             quotient = q
     if quotient.degree() > 0:
-        raise FactorMismatch("quotient still depends on h: %r" % quotient)
+        raise VerificationFailure("quotient still depends on h: %r" % quotient)
     const = quotient.coeffs[0] if quotient.coeffs else one * 0
     if is_zero(const):
-        raise FactorMismatch("determinant vanished identically")
+        raise VerificationFailure("determinant vanished identically")
     return {
         "level": str(level),
         "factors": {"%d,%d" % k: v for k, v in sorted(factors.items())},
@@ -440,7 +428,7 @@ def singular_vector(r, s, t="sym"):
     """The level rs/2 vector annihilated by G_{1/2} and G_{3/2} (hence by the
     whole positive half), normalized so the first canonical coordinate is 1.
 
-    Raises KernelDimensionError unless the kernel is exactly one-dimensional.
+    Raises VerificationFailure unless the kernel is exactly one-dimensional.
     """
     hw = hw_data(t, r, s)
     one = hw.t * 0 + 1
@@ -464,7 +452,7 @@ def singular_vector(r, s, t="sym"):
             rows.append([cols[j][i] for j in range(len(basis))])
     kernel = nullspace(rows)
     if len(kernel) != 1:
-        raise KernelDimensionError(
+        raise VerificationFailure(
             "singular space at (r, s) = (%d, %d) has dimension %d"
             % (r, s, len(kernel)))
     vec = kernel[0]

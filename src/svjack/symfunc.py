@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .kernel import KernelError, PoleError, as_scalar, is_zero
+from .kernel import KernelError, as_scalar, is_zero
 
 
 def check_partition(lam):
@@ -359,7 +359,7 @@ def inner_qt(f, g, q, t):
             tn = t ** part
             den = 1 - tn
             if is_zero(den):
-                raise PoleError("inner product pole: 1 - t^%d = 0" % part)
+                raise KernelError("inner product pole: 1 - t^%d = 0" % part)
             w = w * (1 - qn) / den
         acc = w if acc is None else acc + w
     if acc is None:

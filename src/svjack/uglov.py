@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import DivisionByZero, Jet, KernelError, as_scalar, is_zero
+from .kernel import Jet, KernelError, VerificationFailure, as_scalar, is_zero
 from .symfunc import (
     SymFunc,
     canonical_key,
@@ -29,7 +29,6 @@ from .symfunc import (
     z_lambda,
 )
 from .vertexops import (
-    MismatchError,
     _jet_coeff,
     c0_apply,
     c1_apply,
@@ -42,17 +41,13 @@ from .vertexops import (
 )
 
 
-class DegeneracyError(KernelError):
-    pass
-
-
 def _gram_schmidt(lam, member, inner):
     """Monic dominance-triangular expansion with leading term m_lam that is
     orthogonal under ``inner`` to member(mu) for every mu strictly below lam.
 
     The members must be monic, triangular and mutually orthogonal, so
     subtracting each one's projection once gives the unique such expansion.
-    Raises DegeneracyError on a null member.
+    Raises KernelError on a null member.
     """
     lower = [mu for mu in partitions(sum(lam)) if mu != lam and dominance_leq(mu, lam)]
     lower.sort(key=canonical_key)
@@ -61,7 +56,7 @@ def _gram_schmidt(lam, member, inner):
         p_mu = member(mu)
         den = inner(p_mu, p_mu)
         if is_zero(den):
-            raise DegeneracyError("vanishing norm in the Gram-Schmidt ladder at %r" % (mu,))
+            raise KernelError("vanishing norm in the Gram-Schmidt ladder at %r" % (mu,))
         num = inner(f, p_mu)
         if not is_zero(num):
             f = f - p_mu.scale(num / den)
@@ -73,9 +68,9 @@ def _triangular_eigenvector(apply_fn, lam, eig_of):
 
     Solves (A - eig(lam)) f = 0 by back-substitution over the partitions
     mu <= lam in dominance order, processed in the canonical reverse-lex
-    order (a linear extension of dominance).  Raises DegeneracyError when a
-    coupled eigenvalue difference vanishes, and verifies the eigenrelation
-    on the whole degree block afterwards.
+    order (a linear extension of dominance).  Raises KernelError when a
+    coupled eigenvalue difference vanishes, and VerificationFailure when the
+    eigenrelation fails on the whole degree block afterwards.
     """
     parts = partitions(sum(lam))
     mat = m_block(apply_fn, parts, parts)
@@ -97,16 +92,12 @@ def _triangular_eigenvector(apply_fn, lam, eig_of):
         diff = eig_lam - eig_of(mu)
         if is_zero(diff):
             if is_zero(acc):
-                raise DegeneracyError(
+                raise KernelError(
                     "eigenvalue tie between %r and %r leaves the expansion underdetermined"
                     % (lam, mu))
-            raise DegeneracyError(
+            raise KernelError(
                 "eigenvalue tie between %r and %r is inconsistent" % (lam, mu))
-        try:
-            val = acc / diff
-        except DivisionByZero:
-            raise DegeneracyError(
-                "eigenvalue difference for %r vs %r is not invertible" % (lam, mu))
+        val = acc / diff
         if not is_zero(val):
             coeffs[mu] = val
     vec = SymFunc("m", dict(coeffs))
@@ -114,7 +105,8 @@ def _triangular_eigenvector(apply_fn, lam, eig_of):
     # failure of the operator, which would invalidate the back-substitution)
     image = convert(apply_fn(vec), "m")
     if not (image - vec.scale(eig_lam)).is_zero():
-        raise KernelError("back-substituted vector fails the eigenrelation at %r" % (lam,))
+        raise VerificationFailure(
+            "back-substituted vector fails the eigenrelation at %r" % (lam,))
     return vec
 
 
@@ -184,7 +176,7 @@ def uglov2(lam, gamma="sym"):
     e0 = eps0(lam)
     image0 = convert(c0_apply(0, vec), "m")
     if not (image0 - vec.scale(e0)).is_zero():
-        raise KernelError("C0_0 eigenrelation fails for %r" % (lam,))
+        raise VerificationFailure("C0_0 eigenrelation fails for %r" % (lam,))
     return UglovFunction(lam=lam, gamma=g, expansion=vec,
                          eigenvalue0=e0, eigenvalue1=eps1(lam, g))
 
@@ -258,7 +250,7 @@ def _jet_triangular_limit(lam, q, t):
     return SymFunc("m", out)
 
 
-def uglov_limit_check(lam, gamma, order=None):
+def uglov_limit_check(lam, gamma):
     """Verify that the jet limit of Macdonald at (q, t) = (-e^h, -e^{gamma h})
     agrees at jet order zero with the directly constructed family member.
 
@@ -269,17 +261,15 @@ def uglov_limit_check(lam, gamma, order=None):
     """
     lam = tuple(lam)
     gamma = Fraction(gamma)
-    if order is None or order < 1:
-        order = 1
-    # eigenvalue ties cost jet precision (one order per tied division along
-    # a dominance chain, two at the deeper h^2 ties); pad generously, the
-    # blocks are small
+    # jets of order 1, padded: eigenvalue ties cost jet precision (one order
+    # per tied division along a dominance chain, two at the deeper h^2
+    # ties); pad generously, the blocks are small
     pad = 2 * len(partitions(sum(lam))) + 2
-    q, t = hbar_parameters(gamma, order + pad)
+    q, t = hbar_parameters(gamma, 1 + pad)
     limit = _jet_triangular_limit(lam, q, t)
     direct = uglov2_orth(lam, gamma)
     if not (limit - direct).is_zero():
-        raise MismatchError(
+        raise VerificationFailure(
             "jet limit of Macdonald disagrees with the direct construction at %r" % (lam,))
     return {"partition": list(lam), "gamma": str(gamma), "verified": True}
 

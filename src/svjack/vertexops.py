@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .kernel import Jet, KernelError, RatFun, as_scalar, is_zero
+from .kernel import Jet, KernelError, RatFun, VerificationFailure, as_scalar, is_zero
 from .linalg import operator_matrix
 from .symfunc import (
     SymFunc,
@@ -42,14 +42,6 @@ from .symfunc import (
     partitions,
     to_p,
 )
-
-
-class MismatchError(KernelError):
-    pass
-
-
-class NonzeroResult(KernelError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +329,12 @@ def hbar_parameters(gamma, order):
     return q, t
 
 
-def eta_hbar_check(gamma, dmax, order=1):
+def eta_hbar_check(gamma, dmax):
     """Assert eta_0 at (q,t) = (-e^h, -e^{gamma h}) equals C0_0 + h C1_0(gamma)
-    blockwise up to degree dmax; returns the verified report."""
+    blockwise up to degree dmax, through jet order 1; returns the verified
+    report."""
     gamma = Fraction(gamma)
-    q, t = hbar_parameters(gamma, order)
+    q, t = hbar_parameters(gamma, 1)
     eta0 = eta_mode(q, t, 0, dmax)
     c00 = c0_mode(0, dmax)
     c10 = c1_mode(gamma, 0, dmax)
@@ -351,14 +344,14 @@ def eta_hbar_check(gamma, dmax, order=1):
             for j in range(len(a[i])):
                 h0, h1 = _jet_coeff(a[i][j], 0), _jet_coeff(a[i][j], 1)
                 if not is_zero(h0 - b[i][j]):
-                    raise MismatchError(
+                    raise VerificationFailure(
                         "h^0 mismatch at degree %d entry (%d,%d): %r vs %r"
                         % (d, i, j, h0, b[i][j]))
                 if not is_zero(h1 - c[i][j]):
-                    raise MismatchError(
+                    raise VerificationFailure(
                         "h^1 mismatch at degree %d entry (%d,%d): %r vs %r"
                         % (d, i, j, h1, c[i][j]))
-    return {"gamma": str(gamma), "dmax": dmax, "order": order, "verified": True}
+    return {"gamma": str(gamma), "dmax": dmax, "order": 1, "verified": True}
 
 
 def eps_hbar_check(maxdeg, gamma):
@@ -369,7 +362,7 @@ def eps_hbar_check(maxdeg, gamma):
         for lam in partitions(n):
             jet = eps_macdonald(lam, q, t)
             if _jet_coeff(jet, 0) != eps0(lam) or _jet_coeff(jet, 1) != eps1(lam, gamma):
-                raise MismatchError("eigenvalue jet mismatch at %r" % (lam,))
+                raise VerificationFailure("eigenvalue jet mismatch at %r" % (lam,))
     return True
 
 
@@ -472,17 +465,16 @@ def _zero_mode_sums(cur, dmax):
             yield lam, f, out
 
 
-def pt_eta_check(cur, dmax, eta_params=None):
-    """Verify sum_{n=0..d} psi_{-n} T_n = eta_0 + kappa blockwise up to dmax.
+def pt_eta_check(cur, dmax):
+    """Verify sum_{n=0..d} psi_{-n} T_n = eta_0 + kappa blockwise up to dmax,
+    with eta_0 at the (q, t) of the DVirCurrent ``cur``.
 
-    ``cur`` is a DVirCurrent; eta_params defaults to (cur.q, cur.t).
-    Returns a report dict; raises MismatchError on failure.
+    Returns a report dict; raises VerificationFailure on failure.
     """
-    q, t = eta_params if eta_params is not None else (cur.q, cur.t)
     for lam, f, lhs in _zero_mode_sums(cur, dmax):
-        diff = lhs - (eta_apply(q, t, 0, f) + to_p(f).scale(cur.kappa))
+        diff = lhs - (eta_apply(cur.q, cur.t, 0, f) + to_p(f).scale(cur.kappa))
         if not diff.is_zero():
-            raise MismatchError("zero-mode identity fails at %r: %r" % (lam, diff))
+            raise VerificationFailure("zero-mode identity fails at %r: %r" % (lam, diff))
     return {"dmax": dmax, "verified": True}
 
 
@@ -496,7 +488,7 @@ def pt_c10_check(gamma, alpha, dmax):
         lhs1 = SymFunc("p", {mu: _jet_coeff(c, 1) for mu, c in lhs.terms.items()})
         rhs = c1_apply(gamma, 0, f) + to_p(f).scale(shift)
         if not (lhs1 - rhs).is_zero():
-            raise MismatchError("h^1 zero-mode identity fails at %r" % (lam,))
+            raise VerificationFailure("h^1 zero-mode identity fails at %r" % (lam,))
     return {"gamma": str(gamma), "alpha": str(alpha), "dmax": dmax, "verified": True}
 
 
@@ -523,16 +515,13 @@ def dvir_alpha_for_singular(r, s, gamma):
 def t1_annihilation_check(r, s, nmax=None):
     """Apply T^0_n and T^1_n(1/t^2) for n >= 1 to the singular-vector image
     and assert both vanish; t is carried symbolically."""
-    from .fock import verma_to_lambda
+    from .fock import monic_image, verma_to_lambda
     from .svir import singular_vector
 
-    if (r - s) % 2 != 0:
-        raise ValueError("r and s must have equal parity")
-    level2 = r * s
     if nmax is None:
-        nmax = level2
+        nmax = r * s
     chi = singular_vector(r, s, "sym")
-    v = verma_to_lambda(chi, normalize=True)  # coefficients in Q(t)
+    _, v = monic_image(convert(verma_to_lambda(chi), "m"), (r,) * s)  # over Q(t)
     tvar = RatFun.variable("t")
     gamma = 1 / (tvar * tvar)
     alpha = dvir_alpha_for_singular(r, s, gamma)
@@ -544,10 +533,10 @@ def t1_annihilation_check(r, s, nmax=None):
             c0 = _jet_coeff(c, 0)
             c1 = _jet_coeff(c, 1)
             if not is_zero(c0):
-                raise NonzeroResult("T^0_%d fails to annihilate the (%d,%d) image at %r"
-                                    % (n, r, s, mu))
+                raise VerificationFailure(
+                    "T^0_%d fails to annihilate the (%d,%d) image at %r" % (n, r, s, mu))
             if not is_zero(c1):
-                raise NonzeroResult("T^1_%d fails to annihilate the (%d,%d) image at %r"
-                                    % (n, r, s, mu))
+                raise VerificationFailure(
+                    "T^1_%d fails to annihilate the (%d,%d) image at %r" % (n, r, s, mu))
         checked.append(n)
     return {"rs": [r, s], "modes_checked": checked, "annihilated": True}

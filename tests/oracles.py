@@ -32,10 +32,9 @@ from svjack.finiten import (
     mp_to_orbits,
 )
 from svjack.kernel import (
-    DivisionByZero,
     KernelError,
-    MixedFieldError,
     RatFun,
+    VerificationFailure,
     as_scalar,
     is_zero,
 )
@@ -46,8 +45,6 @@ from svjack.symfunc import SymFunc, convert, inner_qt, multiplicities, partition
 from svjack.uglov import _check_generic_qt, _gram_schmidt
 from svjack.vertexops import (
     GradedOperator,
-    MismatchError,
-    NonzeroResult,
     _jet_coeff,
     _submultisets,
     apply_vertex_mode,
@@ -315,14 +312,14 @@ def field_ops(x, y, op):
             r = x * y
         elif op == "div":
             if is_zero(y):
-                raise DivisionByZero("division by zero")
+                raise KernelError("division by zero")
             r = x / y
         else:
             raise ValueError("unknown op %r" % (op,))
     except TypeError as exc:
-        raise MixedFieldError(str(exc)) from None
+        raise KernelError(str(exc)) from None
     if r is NotImplemented:
-        raise MixedFieldError("incompatible scalars %r and %r" % (x, y))
+        raise KernelError("incompatible scalars %r and %r" % (x, y))
     return r
 
 
@@ -529,7 +526,7 @@ def commuting_family_check(gamma, dmax):
         for i in range(len(ab)):
             for j in range(len(ab[i])):
                 if not is_zero(ab[i][j] - ba[i][j]):
-                    raise MismatchError("C0_0 and C1_0 fail to commute at degree %d" % d)
+                    raise VerificationFailure("C0_0 and C1_0 fail to commute at degree %d" % d)
     return True
 
 
@@ -540,11 +537,11 @@ def solve_t1_alpha(r, s):
     through kappa only) and returns the unique consistent value as an exact
     rational function of t, or raises if no single value works.
     """
-    from svjack.fock import verma_to_lambda
+    from svjack.fock import monic_image, verma_to_lambda
     from svjack.svir import singular_vector
 
     chi = singular_vector(r, s, "sym")
-    v = verma_to_lambda(chi, normalize=True)
+    _, v = monic_image(convert(verma_to_lambda(chi), "m"), (r,) * s)
     tvar = RatFun.variable("t")
     gamma = 1 / (tvar * tvar)
     zero = gamma * 0
@@ -559,15 +556,15 @@ def solve_t1_alpha(r, s):
             y0 = _jet_coeff(b2.terms.get(mu, zero), 0)
             if is_zero(y0):
                 if not is_zero(c1):
-                    raise NonzeroResult("no alpha can cancel mode %d at %r" % (n, mu))
+                    raise VerificationFailure("no alpha can cancel mode %d at %r" % (n, mu))
                 continue
             cand = c1 / (2 * y0)
             if solved is None:
                 solved = cand
             elif not is_zero(solved - cand):
-                raise NonzeroResult("inconsistent alpha between components")
+                raise VerificationFailure("inconsistent alpha between components")
     if solved is None:
-        raise NonzeroResult("alpha is unconstrained (no coupled component found)")
+        raise VerificationFailure("alpha is unconstrained (no coupled component found)")
     return solved  # this is alpha itself (coefficient of -2*alpha is -2*y0)
 
 

@@ -108,7 +108,7 @@ def test_criterion_4_image_cross_check():
     }
     gamma = one / (t * t)
     for (r, s), display in displays.items():
-        img = to_p(verma_to_lambda(singular_vector(r, s, "sym"), normalize=False))
+        img = to_p(verma_to_lambda(singular_vector(r, s, "sym")))
         key = next(iter(display.terms))
         ratio = img.terms[key] / display.terms[key]
         assert img == display.map_coeffs(lambda c, ratio=ratio: c * ratio)

@@ -142,6 +142,7 @@ def test_verify_parity_usage_error(capsys):
     "selberg vanish --r 2 --t 1 --m 1,0 --samples 0",
     "selberg integral --n 3 --alpha 1 --beta 1 --gamma 1 --method montecarlo "
     "--samples 60000000",
+    "selberg vanish --r 2 --t 1 --m 1,0 --samples 60000000",
     "selberg vanish --r 2 --t 1/3 --m 1,0",
     "selberg integral --n 2 --alpha 0 --beta 1 --gamma 1 --method closed",
 ])
@@ -153,6 +154,9 @@ def test_bad_argument_exits_two_without_traceback(capsys, argv):
 @pytest.mark.parametrize("argv", [
     "finite-n --n-range 3..1",
     "verify --r 5 --s 0",
+    "verify --r 2 --s 1",
+    "singular --r 1 --s 2",
+    "screening --s 2",
     "selberg vanish --r 2 --t 1 --m 1",
     "selberg vanish --r 2 --t 1 --m 1,0 --samples 0",
 ])
@@ -165,6 +169,8 @@ def test_usage_error_json_document(capsys, argv):
     assert doc == {"schema": "svjack-report/1", "command": argv.split()[0],
                    "ok": False, "error": doc["error"]}
     assert doc["error"].startswith("UsageError: ")
+    # canonical: the same compact encoding as a report
+    assert captured.out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_unknown_flag_exits_two(capsys):
@@ -258,7 +264,7 @@ def test_macdonald_eigenvalue_tie_reports_degeneracy_error(capsys):
     # at (q, t) = (-2, -1/2) the eta_0 eigenvalues of (2) and (1,1) coincide
     code, doc = run_json(capsys, "macdonald", "--partition", "2", "--q=-2", "--t=-1/2")
     assert code == 1
-    assert doc["error"].startswith("DegeneracyError: eigenvalue tie")
+    assert doc["error"].startswith("KernelError: eigenvalue tie")
 
 
 def test_reproduce_paper_bound_two(capsys):

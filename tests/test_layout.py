@@ -46,3 +46,19 @@ def test_src_defines_nothing_only_tests_reach():
         and not any(stmt.name in names for _, other, names in statements if other is not stmt)
     ]
     assert unreached == []
+
+
+def test_failures_come_in_three_kinds():
+    """Bad input raises the builtin ValueError; the package defines only
+    KernelError, for arithmetic that cannot go on, and its subclass
+    VerificationFailure, for an identity that does not hold."""
+    import importlib
+    import inspect
+    defined = set()
+    for path in SRC.glob("*.py"):
+        name = "svjack" if path.stem == "__init__" else "svjack." + path.stem
+        module = importlib.import_module(name)
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and cls.__module__.startswith("svjack"):
+                defined.add(cls.__qualname__)
+    assert defined == {"KernelError", "VerificationFailure"}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from svjack.kernel import PoleError, RatFun
+from svjack.kernel import KernelError, RatFun
 from svjack.symfunc import (
     SymFunc,
     _m_to_p_matrix,
@@ -128,7 +128,7 @@ def test_inner_qt_examples():
 
 
 def test_inner_qt_pole():
-    with pytest.raises(PoleError):
+    with pytest.raises(KernelError, match="inner product pole"):
         inner_qt(p_gen((1,)), p_gen((1,)), Fraction(1, 2), Fraction(1))
 
 
