@@ -66,10 +66,10 @@ def _parse_range(text):
     return lo, hi
 
 
-def _emit(args, command, parameters, result, ok=True):
+def _emit(args, parameters, result, ok=True):
     doc = {
         "schema": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "parameters": parameters,
         "ok": bool(ok),
         "result": result,
@@ -81,8 +81,8 @@ def _emit(args, command, parameters, result, ok=True):
     return 0 if ok else 1
 
 
-def _emit_error(command, kind, exc):
-    _print_json({"schema": SCHEMA_VERSION, "command": command, "ok": False,
+def _emit_error(args, kind, exc):
+    _print_json({"schema": SCHEMA_VERSION, "command": args.command, "ok": False,
                  "error": "%s: %s" % (kind, exc)})
 
 
@@ -129,7 +129,7 @@ def cmd_uglov(args):
     gamma = _parse_symbolic(args.gamma, "gamma")
     f = uglov2_orth(lam, gamma)
     out = convert(f, args.basis)
-    return _emit(args, "uglov",
+    return _emit(args,
                  {"partition": list(lam), "gamma": args.gamma, "basis": args.basis},
                  {"expansion": _symfunc_json(out)})
 
@@ -142,7 +142,7 @@ def cmd_macdonald(args):
     t = _parse_rational(args.t)
     f = macdonald(lam, q, t)
     out = convert(f, args.basis)
-    return _emit(args, "macdonald",
+    return _emit(args,
                  {"partition": list(lam), "q": str(q), "t": str(t), "basis": args.basis},
                  {"expansion": _symfunc_json(out)})
 
@@ -154,7 +154,7 @@ def cmd_jack(args):
     alpha = _parse_rational(args.alpha)
     f = jack(lam, alpha)
     out = convert(f, args.basis)
-    return _emit(args, "jack",
+    return _emit(args,
                  {"partition": list(lam), "alpha": str(alpha), "basis": args.basis},
                  {"expansion": _symfunc_json(out)})
 
@@ -170,8 +170,7 @@ def cmd_singular(args):
             "fermionic": [str(b) for b in sp.fermionic],
             "coeff": scalar_to_json(chi.terms[sp]),
         })
-    return _emit(args, "singular",
-                 {"r": args.r, "s": args.s, "t": args.t},
+    return _emit(args, {"r": args.r, "s": args.s, "t": args.t},
                  {"level": str(chi.level), "terms": terms})
 
 
@@ -180,8 +179,7 @@ def cmd_kacdet(args):
     level = _parse_rational(args.level)
     t = _parse_symbolic(args.t, "t")
     rep = kac_det_check(level, t)
-    return _emit(args, "kacdet",
-                 {"level": args.level, "t": args.t},
+    return _emit(args, {"level": args.level, "t": args.t},
                  {"factors": rep["factors"], "degree": rep["degree"],
                   "constant": scalar_to_json(rep["constant"])})
 
@@ -191,8 +189,7 @@ def cmd_verify(args):
     t = _parse_symbolic(args.t, "t")
     rep = verify_conjecture(args.r, args.s, t)
     ok = rep["proportional"] and rep["eigencheck"] and rep["triangular"]
-    return _emit(args, "verify",
-                 {"r": args.r, "s": args.s, "t": args.t},
+    return _emit(args, {"r": args.r, "s": args.s, "t": args.t},
                  {"rs": rep["rs"], "proportional": rep["proportional"],
                   "scalar": rep["scalar"], "eigencheck": rep["eigencheck"],
                   "triangular": rep["triangular"]},
@@ -203,9 +200,7 @@ def cmd_screening(args):
     from .fock import screening_r1
     t = _parse_symbolic(args.t, "t")
     out = screening_r1(args.s, t)
-    return _emit(args, "screening",
-                 {"s": args.s, "t": args.t},
-                 {"residue": _symfunc_json(out)})
+    return _emit(args, {"s": args.s, "t": args.t}, {"residue": _symfunc_json(out)})
 
 
 def cmd_selberg_integral(args):
@@ -222,10 +217,9 @@ def cmd_selberg_integral(args):
     if "value" in result:
         tol = 3 * result.get("stderr", max(result.get("error_estimate", 0), 1e-8))
         ok = abs(result["value"] - result["closed"]) <= max(tol, 1e-8)
-    return _emit(args, "selberg",
-                 {"n": args.n, "alpha": args.alpha, "beta": args.beta,
-                  "gamma": args.gamma, "method": args.method,
-                  "samples": args.samples, "seed": args.seed},
+    return _emit(args, {"n": args.n, "alpha": args.alpha, "beta": args.beta,
+                        "gamma": args.gamma, "method": args.method,
+                        "samples": args.samples, "seed": args.seed},
                  result, ok=ok)
 
 
@@ -236,18 +230,16 @@ def cmd_selberg_vanish(args):
     rep = vanishing_check(args.r, t, moment, samples=args.samples, seed=args.seed)
     ok = rep["consistent_with_zero"] is not False and rep["exact_moment"] == "0" \
         if sum(moment) != 0 else True
-    return _emit(args, "selberg-vanish",
-                 {"r": args.r, "t": args.t, "m": args.m,
-                  "samples": args.samples, "seed": args.seed},
+    return _emit(args, {"r": args.r, "t": args.t, "m": args.m,
+                        "samples": args.samples, "seed": args.seed},
                  rep, ok=ok)
 
 
 def cmd_selberg_recursion(args):
     from .selberg import aomoto_recursion_check
     rep = aomoto_recursion_check(args.n, args.alpha, args.beta, args.gamma)
-    return _emit(args, "selberg-recursion",
-                 {"n": args.n, "alpha": args.alpha, "beta": args.beta,
-                  "gamma": args.gamma},
+    return _emit(args, {"n": args.n, "alpha": args.alpha, "beta": args.beta,
+                        "gamma": args.gamma},
                  rep, ok=rep["corrected_all_ok"])
 
 
@@ -261,16 +253,15 @@ def cmd_finite_n(args):
     gamma = _parse_rational(args.gamma)
     rep = limit_diagnostic_report(args.dmax, list(range(lo, hi + 1)),
                                   which=args.op, gamma=gamma)
-    return _emit(args, "finite-n",
-                 {"dmax": args.dmax, "n_range": args.n_range, "op": args.op,
-                  "gamma": args.gamma},
+    return _emit(args, {"dmax": args.dmax, "n_range": args.n_range, "op": args.op,
+                        "gamma": args.gamma},
                  rep)
 
 
 def cmd_reproduce(args):
     from .reproduce import reproduce_all
     report, ok = reproduce_all(bound=args.bound)
-    return _emit(args, "reproduce-paper", {"bound": args.bound}, report, ok=ok)
+    return _emit(args, {"bound": args.bound}, report, ok=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +336,13 @@ def build_parser():
     pv.add_argument("--m", required=True)
     pv.add_argument("--samples", type=int, default=10 ** 5)
     pv.add_argument("--seed", type=int, default=7)
-    pv.set_defaults(fn=cmd_selberg_vanish)
+    pv.set_defaults(fn=cmd_selberg_vanish, command="selberg-vanish")
     pr = ssub.add_parser("recursion", help="contiguous recursion report")
     pr.add_argument("--n", type=int, required=True)
     pr.add_argument("--alpha", type=float, required=True)
     pr.add_argument("--beta", type=float, required=True)
     pr.add_argument("--gamma", type=float, required=True)
-    pr.set_defaults(fn=cmd_selberg_recursion)
+    pr.set_defaults(fn=cmd_selberg_recursion, command="selberg-recursion")
 
     p = sub.add_parser("finite-n", help="restriction diagnostic report")
     p.add_argument("--dmax", type=int, default=3)
@@ -376,10 +367,10 @@ def main(argv=None):
         # the library raises ValueError only from its argument checks
         print("usage error: %s" % exc, file=sys.stderr)
         if args.json:
-            _emit_error(args.command, "UsageError", exc)
+            _emit_error(args, "UsageError", exc)
         return 2
     except KernelError as exc:
-        _emit_error(args.command, type(exc).__name__, exc)
+        _emit_error(args, type(exc).__name__, exc)
         return 1
     return code
 

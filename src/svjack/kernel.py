@@ -47,31 +47,67 @@ def as_scalar(x, var):
     return x
 
 
+class _Scalar:
+    """The operators every scalar class derives from its own ``_coerce``,
+    ``+``, unary ``-``, ``*`` and ``/``.  ``_coerce(other)`` returns other
+    as an element of self's ring, or None for an operand it cannot take."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __pow__(self, n):
+        one = self._coerce(1)
+        if n < 0:
+            return one / self ** (-n)
+        out = one
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+
 # ---------------------------------------------------------------------------
 # dense univariate polynomials
 # ---------------------------------------------------------------------------
 
-def _trim(coeffs):
-    n = len(coeffs)
-    while n > 0 and is_zero(coeffs[n - 1]):
-        n -= 1
-    return list(coeffs[:n])
-
-
-class Poly:
+class Poly(_Scalar):
     """Dense univariate polynomial over an exact coefficient field.
 
     ``coeffs[i]`` is the coefficient of var**i; the zero polynomial has an
     empty coefficient list.  Coefficients may be Fractions or any scalar of
     this module, as long as all coefficients of one polynomial live in the
-    same field.
+    same field.  The zero polynomial keeps the zero of its field: a
+    coefficient list that trims to nothing gives it, and ``zero`` does when
+    the list is empty (Fraction(0) when neither does).
     """
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "coeffs", "_zero")
 
-    def __init__(self, var, coeffs):
+    def __init__(self, var, coeffs, zero=None):
+        coeffs = list(coeffs)
+        n = len(coeffs)
+        while n > 0 and is_zero(coeffs[n - 1]):
+            n -= 1
         self.var = var
-        self.coeffs = tuple(_trim(list(coeffs)))
+        self.coeffs = tuple(coeffs[:n])
+        self._zero = coeffs[0] if coeffs and not n else zero
 
     @classmethod
     def const(cls, var, c):
@@ -90,20 +126,25 @@ class Poly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def _check(self, other):
+    def _field_zero(self):
+        if self.coeffs:
+            return self.coeffs[0] * 0
+        return Fraction(0) if self._zero is None else self._zero
+
+    def _coerce(self, other):
         if isinstance(other, Poly):
             if other.var != self.var:
                 raise KernelError(
                     "polynomials in %r and %r cannot be combined" % (self.var, other.var))
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly.const(self.var, Fraction(other))
+            return Poly(self.var, [self._field_zero() + other])
         return None
 
     def __eq__(self, other):
         if isinstance(other, Poly) and other.var != self.var:
             return False  # elements of different rings
-        o = self._check(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.coeffs == o.coeffs
@@ -115,35 +156,26 @@ class Poly:
         return hash((self.var, self.coeffs))
 
     def __add__(self, other):
-        o = self._check(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         n = max(len(self.coeffs), len(o.coeffs))
         a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
         for i, c in enumerate(o.coeffs):
             a[i] = a[i] + c
-        return Poly(self.var, a)
+        return Poly(self.var, a, self._zero)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.var, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
+        return Poly(self.var, [-c for c in self.coeffs], self._zero)
 
     def __mul__(self, other):
-        o = self._check(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         if not self.coeffs or not o.coeffs:
-            return Poly(self.var, [])
+            return Poly(self.var, [], self._field_zero())
         out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if is_zero(a):
@@ -155,16 +187,16 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        return Poly(self.var, [a * c for a in self.coeffs])
+        return Poly(self.var, [a * c for a in self.coeffs], self._zero)
 
     def divmod(self, other):
-        o = self._check(other)
+        o = self._coerce(other)
         if o is None or o.is_zero():
             raise KernelError("polynomial division by zero")
         rem = list(self.coeffs)
         dq = len(rem) - len(o.coeffs)
         if dq < 0:
-            return Poly(self.var, []), self
+            return Poly(self.var, [], self._field_zero()), self
         quot = [Fraction(0)] * (dq + 1)
         lead = o.coeffs[-1]
         for k in range(dq, -1, -1):
@@ -224,7 +256,7 @@ def poly_gcd(a, b):
 # univariate rational functions
 # ---------------------------------------------------------------------------
 
-class RatFun:
+class RatFun(_Scalar):
     """Rational function numer/denom in one variable over Q.
 
     Canonical form: numerator and denominator share no common factor and the
@@ -304,15 +336,6 @@ class RatFun:
     def __neg__(self):
         return RatFun(self.var, -self.numer, self.denom, _canonical=True)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -328,22 +351,6 @@ class RatFun:
         if o.is_zero():
             raise KernelError("division by zero rational function")
         return RatFun(self.var, self.numer * o.denom, self.denom * o.numer)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return RatFun.const(self.var, 1) / self ** (-n)
-        out = RatFun.const(self.var, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __call__(self, x):
         den = self.denom(x)
@@ -361,7 +368,7 @@ class RatFun:
 # quadratic extension by sqrt(2)
 # ---------------------------------------------------------------------------
 
-class Sqrt2Ext:
+class Sqrt2Ext(_Scalar):
     """a + b*sqrt(2) over a base field (rationals or rational functions)."""
 
     __slots__ = ("a", "b")
@@ -390,7 +397,7 @@ class Sqrt2Ext:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return is_zero(self.a - o.a) and is_zero(self.b - o.b)
+        return self.a == o.a and self.b == o.b
 
     def __hash__(self):
         # equal to its base part when b = 0, so it must hash like it
@@ -409,15 +416,6 @@ class Sqrt2Ext:
     def __neg__(self):
         return Sqrt2Ext(-self.a, -self.b)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -426,18 +424,6 @@ class Sqrt2Ext:
                         self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            return Sqrt2Ext(self.a * 0 + 1, self.a * 0) / self ** (-n)
-        out = Sqrt2Ext(self.a * 0 + 1, self.a * 0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def norm(self):
         return self.a * self.a - 2 * (self.b * self.b)
@@ -455,10 +441,6 @@ class Sqrt2Ext:
         num = self * o.conj()
         return Sqrt2Ext(num.a / n, num.b / n)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o / self
-
     def __repr__(self):
         return "(%r + %r*sqrt2)" % (self.a, self.b)
 
@@ -467,7 +449,7 @@ class Sqrt2Ext:
 # truncated jets in hbar
 # ---------------------------------------------------------------------------
 
-class Jet:
+class Jet(_Scalar):
     """Truncated power series c0 + c1*hbar + ... + cK*hbar^K.
 
     ``order`` is the truncation order K; coefficients beyond it are unknown,
@@ -489,15 +471,6 @@ class Jet:
             coeffs = coeffs + [pad] * (order + 1 - len(coeffs))
         self.coeffs = tuple(coeffs[: order + 1])
         self.order = order
-
-    @classmethod
-    def const(cls, c, order):
-        zero = c * 0
-        return cls([c] + [zero] * order, order)
-
-    @classmethod
-    def hbar(cls, order):
-        return cls([Fraction(0), Fraction(1)], order)
 
     @classmethod
     def exp_linear(cls, c, order):
@@ -539,7 +512,7 @@ class Jet:
         if o is None:
             return NotImplemented
         k = min(self.order, o.order)
-        return all(is_zero(self.coeffs[i] - o.coeffs[i]) for i in range(k + 1))
+        return all(self.coeffs[i] == o.coeffs[i] for i in range(k + 1))
 
     def __hash__(self):
         # __eq__ ignores the orders beyond the lower of the two, and a
@@ -558,15 +531,6 @@ class Jet:
     def __neg__(self):
         return Jet([-c for c in self.coeffs], self.order)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -583,19 +547,6 @@ class Jet:
         return Jet(out, k)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        one = self.coeffs[0] * 0 + 1
-        if n < 0:
-            return Jet.const(one, self.order) / self ** (-n)
-        out = Jet.const(one, self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def inverse(self):
         if is_zero(self.coeffs[0]):
@@ -630,41 +581,6 @@ class Jet:
         num = Jet(list(self.coeffs[v: k + 1]), k - v)
         den = Jet(list(o.coeffs[v: k + 1]), k - v)
         return num * den.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o / self
-
-    def exp(self):
-        """exp of a jet with zero constant term."""
-        if not is_zero(self.coeffs[0]):
-            raise KernelError("jet exp requires zero constant term")
-        one = self.coeffs[0] * 0 + 1
-        out = Jet.const(one, self.order)
-        term = Jet.const(one, self.order)
-        for k in range(1, self.order + 1):
-            term = term * self * Fraction(1, k)
-            out = out + term
-        return out
-
-    def log1p(self):
-        """log(1 + self) for a jet with zero constant term."""
-        if not is_zero(self.coeffs[0]):
-            raise KernelError("jet log1p requires zero constant term")
-        zero = self.coeffs[0] * 0
-        out = Jet.const(zero, self.order)
-        term = Jet.const(zero * 0 + 1, self.order)
-        for k in range(1, self.order + 1):
-            term = term * self
-            out = out + term * Fraction((-1) ** (k + 1), k)
-        return out
-
-    def log(self):
-        """log of a jet with constant term 1."""
-        one = self.coeffs[0]
-        if not is_zero(one - 1):
-            raise KernelError("jet log requires constant term 1")
-        return (self - 1).log1p()
 
     def __repr__(self):
         return "Jet(%s; O(h^%d))" % (list(self.coeffs), self.order + 1)

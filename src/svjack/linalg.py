@@ -9,47 +9,40 @@ of rows; all routines leave their inputs untouched.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .kernel import KernelError, Poly, RatFun, VerificationFailure, is_zero
 
 
-def _clone(mat):
-    return [list(row) for row in mat]
+def _row_scale(row):
+    """The product of the denominators of a row's RatFun entries, or None
+    when every entry is a polynomial already.
 
-
-def _row_clear_denominators(row):
-    """Scale a row with RatFun entries to polynomial (denominator-1) entries.
-
-    Row scaling by a nonzero factor changes neither the kernel nor the rank,
-    and it makes the Bareiss divisions exact on the polynomial level.  Rows
-    may mix plain rationals with rational functions.
+    Scaling a row by a nonzero factor changes neither the kernel nor the
+    rank, and clearing the denominators makes the Bareiss divisions exact on
+    the polynomial level.  Rows may mix plain rationals with rational
+    functions.
     """
-    var = None
+    scale = None
     for x in row:
-        if isinstance(x, RatFun):
-            var = x.var
-            break
-    if var is None:
-        return row
-    scale = RatFun.const(var, 1)
-    for x in row:
-        if isinstance(x, RatFun) and (x.denom.degree() > 0 or x.denom.coeffs[0] != 1):
-            scale = scale * RatFun(var, x.denom, None)
-    if scale == RatFun.const(var, 1):
-        return row
-    return [x * scale for x in row]
+        if isinstance(x, RatFun) and x.denom.degree() > 0:
+            d = RatFun(x.var, x.denom, None, _canonical=True)
+            scale = d if scale is None else scale * d
+    return scale
 
 
 def bareiss_echelon(mat):
-    """Fraction-free forward elimination.
+    """Fraction-free forward elimination of the rows scaled by ``_row_scale``.
 
     Returns (echelon matrix, pivot column list, row permutation sign).
     """
-    m = _clone(mat)
+    m = []
+    for row in mat:
+        scale = _row_scale(row)
+        m.append(list(row) if scale is None else [x * scale for x in row])
     if not m:
         return m, [], 1
-    m = [_row_clear_denominators(row) for row in m]
     rows, cols = len(m), len(m[0])
     piv_cols = []
     prev = 1
@@ -83,33 +76,21 @@ def bareiss_echelon(mat):
 
 
 def det(mat):
-    """Determinant by the Bareiss recurrence (square matrices)."""
+    """Determinant of a square matrix: the last Bareiss pivot, which is the
+    determinant of the row-swapped and row-scaled matrix, divided by the
+    row scales and signed by the swaps."""
     n = len(mat)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in mat):
         raise KernelError("determinant of a non-square matrix")
-    m = _clone(mat)
-    one = Fraction(1)
-    prev = one
-    sign = 1
-    for k in range(n - 1):
-        if is_zero(m[k][k]):
-            swap = None
-            for i in range(k + 1, n):
-                if not is_zero(m[i][k]):
-                    swap = i
-                    break
-            if swap is None:
-                return m[0][0] * 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num / prev if prev is not one else num
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
+    ech, piv_cols, sign = bareiss_echelon(mat)
+    if len(piv_cols) < n:
+        return mat[0][0] * 0
+    d = ech[n - 1][n - 1]
+    scales = [s for s in map(_row_scale, mat) if s is not None]
+    if scales:
+        d = d / math.prod(scales)
     return -d if sign < 0 else d
 
 

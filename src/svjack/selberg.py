@@ -184,7 +184,7 @@ def aomoto_recursion_check(n, alpha, beta, gamma):
             "k": k,
             "transcribed_residual": transcribed / scale,
             "corrected_residual": corrected / scale,
-            "corrected_ok": abs(corrected / scale) < RECURSION_RTOL,
+            "corrected_ok": bool(abs(corrected / scale) < RECURSION_RTOL),
         })
     return {
         "n": n, "alpha": alpha, "beta": beta, "gamma": gamma,

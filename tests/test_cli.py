@@ -69,6 +69,9 @@ DIGESTS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "digests.j
     "verify --r 2 --s 4 --t 3/2",
     "verify --r 4 --s 2 --t 5/3",
     "kacdet --level 5/2",
+    "kacdet --level 3",
+    # every section, and with them the Bareiss determinant on Q(t)
+    "reproduce-paper --bound 4",
     # the finite-variable operators and the Monte Carlo of the benchmark
     "finite-n --dmax 2 --n-range 1..6",
     "selberg integral --n 3 --alpha 1 --beta 1 --gamma 1 --method montecarlo "
@@ -91,7 +94,9 @@ def _readme_cli_lines():
             if line.startswith("svjack ")]
 
 
-def test_readme_examples_parse():
+def test_readme_examples_parse(capsys):
+    """Every README example parses, and every one but the whole suite runs
+    under --json to a document the schema accepts."""
     lines = _readme_cli_lines()
     assert len(lines) >= 10
     parser = build_parser()
@@ -101,6 +106,12 @@ def test_readme_examples_parse():
             parser.parse_args(argv)
         except SystemExit as exc:
             raise AssertionError("README example does not parse: %s" % line) from exc
+        if "reproduce-paper" in argv:
+            continue
+        argv = argv if "--json" in argv else ["--json"] + argv
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, line
+        _validate(json.loads(out))
 
 
 def test_benchmark_tracer_installs():
@@ -166,7 +177,10 @@ def test_usage_error_json_document(capsys, argv):
     assert code == 2
     assert captured.err.startswith("usage error: ")
     doc = json.loads(captured.out)
-    assert doc == {"schema": "svjack-report/1", "command": argv.split()[0],
+    # the command a success document of the same invocation names
+    words = argv.split()
+    command = {"selberg vanish": "selberg-vanish"}.get(" ".join(words[:2]), words[0])
+    assert doc == {"schema": "svjack-report/1", "command": command,
                    "ok": False, "error": doc["error"]}
     assert doc["error"].startswith("UsageError: ")
     # canonical: the same compact encoding as a report
@@ -275,3 +289,23 @@ def test_reproduce_paper_bound_two(capsys):
     for name, section in result.items():
         assert section["status"] in ("pass", "diagnostic"), name
     _validate(doc)
+
+
+def test_reproduce_guards_each_section_it_looks_up(monkeypatch):
+    """reproduce_all calls each runner through its module-level name, at the
+    call, and reports a runner that raises as a failed section."""
+    from svjack import reproduce
+    from svjack.kernel import KernelError
+
+    def fails(*args, **kwargs):
+        raise KernelError("no pivot")
+
+    for name in dir(reproduce):
+        if name.startswith("run_"):
+            monkeypatch.setattr(reproduce, name, lambda *a, **k: {"status": "pass"})
+    monkeypatch.setattr(reproduce, "run_selberg", fails)
+    report, ok = reproduce.reproduce_all(bound=2)
+    assert not ok
+    assert report.pop("selberg")["error"] == "KernelError: no pivot"
+    assert len(report) == 9
+    assert all(section == {"status": "pass"} for section in report.values())

@@ -46,9 +46,11 @@ def test_field_axioms(field, data):
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
     assert x + (-x) == zero and x - y == x + (-y)
+    assert x ** 0 == one and x ** 3 == x * x * x
     if _invertible(x):
         assert x * (1 / x) == one
         assert (y / x) * x == y
+        assert x ** -2 * x * x == one
 
 
 @given(ratfuns, ratfuns)

@@ -62,3 +62,18 @@ def test_failures_come_in_three_kinds():
             if issubclass(cls, BaseException) and cls.__module__.startswith("svjack"):
                 defined.add(cls.__qualname__)
     assert defined == {"KernelError", "VerificationFailure"}
+
+
+def test_each_exact_arithmetic_rule_is_written_once():
+    """The scalar classes take their derived operators from one base class,
+    and det reads the determinant off the one Bareiss loop."""
+    from svjack.kernel import Jet, Poly, RatFun, Sqrt2Ext
+    derived = {"__sub__", "__rsub__", "__rtruediv__", "__pow__"}
+    for cls in (Poly, RatFun, Sqrt2Ext, Jet):
+        assert not derived & set(vars(cls)), cls.__name__
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    det = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "det")
+    called = {node.func.id for node in ast.walk(det)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "bareiss_echelon" in called
