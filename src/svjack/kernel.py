@@ -50,7 +50,9 @@ def as_scalar(x, var):
 class _Scalar:
     """The operators every scalar class derives from its own ``_coerce``,
     ``+``, unary ``-``, ``*`` and ``/``.  ``_coerce(other)`` returns other
-    as an element of self's ring, or None for an operand it cannot take."""
+    as an element of self's ring, or None for an operand it cannot take.
+    ``Poly`` is a ring: its ``/`` raises, so only its nonnegative powers
+    exist."""
 
     __slots__ = ()
 
@@ -93,21 +95,20 @@ class Poly(_Scalar):
     ``coeffs[i]`` is the coefficient of var**i; the zero polynomial has an
     empty coefficient list.  Coefficients may be Fractions or any scalar of
     this module, as long as all coefficients of one polynomial live in the
-    same field.  The zero polynomial keeps the zero of its field: a
-    coefficient list that trims to nothing gives it, and ``zero`` does when
-    the list is empty (Fraction(0) when neither does).
+    same field.  The zero polynomial keeps the zero of its field when its
+    coefficient list trims to nothing (Fraction(0) for an empty list).
     """
 
     __slots__ = ("var", "coeffs", "_zero")
 
-    def __init__(self, var, coeffs, zero=None):
+    def __init__(self, var, coeffs):
         coeffs = list(coeffs)
         n = len(coeffs)
         while n > 0 and is_zero(coeffs[n - 1]):
             n -= 1
         self.var = var
         self.coeffs = tuple(coeffs[:n])
-        self._zero = coeffs[0] if coeffs and not n else zero
+        self._zero = coeffs[0] if coeffs and not n else None
 
     @classmethod
     def const(cls, var, c):
@@ -163,19 +164,19 @@ class Poly(_Scalar):
         a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
         for i, c in enumerate(o.coeffs):
             a[i] = a[i] + c
-        return Poly(self.var, a, self._zero)
+        return Poly(self.var, a) if a else self
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.var, [-c for c in self.coeffs], self._zero)
+        return Poly(self.var, [-c for c in self.coeffs]) if self.coeffs else self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if not self.coeffs or not o.coeffs:
-            return Poly(self.var, [], self._field_zero())
+            return Poly(self.var, [self._field_zero()])
         out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if is_zero(a):
@@ -186,8 +187,13 @@ class Poly(_Scalar):
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        if self._coerce(other) is None:
+            return NotImplemented
+        raise KernelError("polynomials form a ring: divide with divmod or exact_div")
+
     def scale(self, c):
-        return Poly(self.var, [a * c for a in self.coeffs], self._zero)
+        return Poly(self.var, [a * c for a in self.coeffs]) if self.coeffs else self
 
     def divmod(self, other):
         o = self._coerce(other)
@@ -196,7 +202,7 @@ class Poly(_Scalar):
         rem = list(self.coeffs)
         dq = len(rem) - len(o.coeffs)
         if dq < 0:
-            return Poly(self.var, [], self._field_zero()), self
+            return Poly(self.var, [self._field_zero()]), self
         quot = [Fraction(0)] * (dq + 1)
         lead = o.coeffs[-1]
         for k in range(dq, -1, -1):

@@ -15,32 +15,38 @@ from fractions import Fraction
 from .kernel import KernelError, Poly, RatFun, VerificationFailure, is_zero
 
 
-def _row_scale(row):
-    """The product of the denominators of a row's RatFun entries, or None
-    when every entry is a polynomial already.
+def _clear_denominators(mat):
+    """The rows of ``mat``, each multiplied by the product of the
+    denominators of its RatFun entries, and the list of those products
+    (rows whose entries are all polynomials already are copied unscaled).
 
     Scaling a row by a nonzero factor changes neither the kernel nor the
     rank, and clearing the denominators makes the Bareiss divisions exact on
     the polynomial level.  Rows may mix plain rationals with rational
     functions.
     """
-    scale = None
-    for x in row:
-        if isinstance(x, RatFun) and x.denom.degree() > 0:
-            d = RatFun(x.var, x.denom, None, _canonical=True)
-            scale = d if scale is None else scale * d
-    return scale
+    rows, scales = [], []
+    for row in mat:
+        scale = None
+        for x in row:
+            if isinstance(x, RatFun) and x.denom.degree() > 0:
+                d = RatFun(x.var, x.denom, None, _canonical=True)
+                scale = d if scale is None else scale * d
+        if scale is None:
+            rows.append(list(row))
+        else:
+            rows.append([x * scale for x in row])
+            scales.append(scale)
+    return rows, scales
 
 
 def bareiss_echelon(mat):
-    """Fraction-free forward elimination of the rows scaled by ``_row_scale``.
+    """Fraction-free forward elimination of the rows scaled by
+    ``_clear_denominators``.
 
     Returns (echelon matrix, pivot column list, row permutation sign).
     """
-    m = []
-    for row in mat:
-        scale = _row_scale(row)
-        m.append(list(row) if scale is None else [x * scale for x in row])
+    m, _ = _clear_denominators(mat)
     if not m:
         return m, [], 1
     rows, cols = len(m), len(m[0])
@@ -84,11 +90,13 @@ def det(mat):
         return Fraction(1)
     if any(len(row) != n for row in mat):
         raise KernelError("determinant of a non-square matrix")
-    ech, piv_cols, sign = bareiss_echelon(mat)
+    # the cleared rows have no denominators left, so bareiss_echelon
+    # copies them unscaled
+    rows, scales = _clear_denominators(mat)
+    ech, piv_cols, sign = bareiss_echelon(rows)
     if len(piv_cols) < n:
         return mat[0][0] * 0
     d = ech[n - 1][n - 1]
-    scales = [s for s in map(_row_scale, mat) if s is not None]
     if scales:
         d = d / math.prod(scales)
     return -d if sign < 0 else d

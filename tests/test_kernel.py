@@ -76,7 +76,8 @@ def test_equality_across_variables_is_false():
 def test_poly_keeps_its_coefficient_field_at_zero():
     one_t = RatFun.const("t", 1)
     p = Poly("h", [0 * one_t, one_t])
-    for zero in (p * 0, p - p, -(p - p), Poly("h", [0 * one_t])):
+    for zero in (p * 0, p - p, -(p - p), Poly("h", [0 * one_t]),
+                 (p * 0).scale(2), p * 0 + p * 0, (p * 0).divmod(p)[0]):
         assert zero.is_zero() and zero == 0 and hash(zero) == hash(0)
         one = zero + 1
         assert one == 1 and [type(c) for c in one.coeffs] == [RatFun]
@@ -172,6 +173,10 @@ def test_poly_gcd_and_exact_div():
     g = poly_gcd(a, b)
     assert g == b.monic()
     assert a.exact_div(b) == Poly(t, [Fraction(-1), Fraction(1)])
+    # a ring: /, reflected / and negative powers raise at the call
+    for divide in (lambda: a / b, lambda: a / 2, lambda: 1 / b, lambda: b ** -1):
+        with pytest.raises(KernelError, match="ring"):
+            divide()
 
 
 # --- linear algebra -------------------------------------------------------
