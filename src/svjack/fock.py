@@ -10,16 +10,17 @@ scalar alpha.  The fermion current lives in the odd power sums: with
     phi_-(z) = - sum p_{2n-1} z^{2n-1} / (2n-1),
     phi_+(z) =   sum (d/dp_{2n-1}) z^{-(2n-1)},
 
-the raw vertex combination  (1/(2 sqrt 2)) (e^{phi_-} e^{2 phi_+}
-- e^{-phi_-} e^{-2 phi_+})  has modes (coefficient of z^{-2k}) whose
-anticommutator closes on MINUS the canonical pairing.  Composing each mode
-with the parity involution J: p_odd -> -p_odd (a standard cocycle factor)
-flips the sign of every contraction, so
+the raw vertex combination  e^{phi_-} e^{2 phi_+} - e^{-phi_-} e^{-2 phi_+}
+has modes (coefficient of z^{-2k}) whose anticommutator closes on MINUS
+the canonical pairing.  Composing each mode with the parity involution
+J: p_odd -> -p_odd (a standard cocycle factor) flips the sign of every
+contraction, so the rescaled fermion
 
-    b_k := [z^{-2k}] (raw vertex) o J
+    b~_k := (1/2) [z^{-2k}] (raw vertex) o J  =  sqrt2 b_k
 
-satisfies b_k b_l + b_l b_k = delta_{k+l,0} exactly, while leaving all
-single-fermion images (b_{-1/2} 1 = -p_1/sqrt2, ...) untouched.
+satisfies b~_k b~_l + b~_l b~_k = 2 delta_{k+l,0} and has rational images
+(b~_{-1/2} 1 = -p_1).  All computation uses b~ over the base field (Q or
+Q(t)); sqrt(2) enters only the scalar that verify_conjecture reports.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .kernel import Sqrt2Ext, VerificationFailure, as_scalar, is_zero
+from .svir import _word_of, singular_vector
 from .symfunc import (
     SymFunc,
     convert,
@@ -38,8 +40,6 @@ from .vertexops import apply_vertex_mode, c1_apply, eps1, p_derivative
 
 
 HALF = Fraction(1, 2)
-
-_SQRT2_QUARTER = Sqrt2Ext(Fraction(0), Fraction(1, 4))  # 1/(2 sqrt 2)
 
 
 def odd_sign_involution(f):
@@ -65,7 +65,8 @@ def _fermion_vertex(sign, k2, f):
 
 
 def fermion_act(k, f):
-    """The canonical fermion mode b_k (k half-odd) on a symmetric function."""
+    """The rescaled fermion mode b~_k = sqrt2 b_k (k half-odd) on a symmetric
+    function, with b~_k b~_l + b~_l b~_k = 2 delta_{k+l,0}."""
     k = Fraction(k)
     if (2 * k) % 2 != 1:
         raise ValueError("fermion modes carry half-odd indices")
@@ -73,7 +74,7 @@ def fermion_act(k, f):
     k2 = int(2 * k)
     plus = _fermion_vertex(+1, k2, g)
     minus = _fermion_vertex(-1, k2, g)
-    return (plus - minus).scale(_SQRT2_QUARTER)
+    return (plus - minus).scale(HALF)
 
 
 def boson_act(n, f, t):
@@ -102,10 +103,10 @@ def _apply_a(idx, f, alpha, t):
 
 def ff_act(gen, f, alpha, rho, t):
     """The free-field form of a super Virasoro generator on a symmetric
-    function with a_0-weight alpha:
+    function with a_0-weight alpha; ("G", k) gives G~_k = sqrt2 G_k:
 
-      L_n = 1/2 sum_m :a_m a_{n-m}: - rho (n+1) a_n - 1/2 sum_k (k+1/2) :b_k b_{n-k}:
-      G_k = sum_m b_{k-m} a_m - 2 rho (k+1/2) b_k
+      L_n  = 1/2 sum_m :a_m a_{n-m}: - rho (n+1) a_n - 1/4 sum_k (k+1/2) :b~_k b~_{n-k}:
+      G~_k = sum_m b~_{k-m} a_m - 2 rho (k+1/2) b~_k
     """
     kind = gen[0]
     fp = to_p(f)
@@ -145,7 +146,7 @@ def ff_act(gen, f, alpha, rho, t):
             if not g.is_zero():
                 g = fermion_act(a, g)
                 if not g.is_zero():
-                    out = out + g.scale(Fraction(sign) * (k + HALF) * Fraction(-1, 2))
+                    out = out + g.scale(Fraction(sign) * (k + HALF) * Fraction(-1, 4))
             k += 1
         return out
     if kind == "G":
@@ -173,8 +174,10 @@ def ff_act(gen, f, alpha, rho, t):
 
 def verma_to_lambda(v):
     """Image of a Verma vector under the free-field substitution followed by
-    the boson-fermion dictionary, as a symmetric function of degree 2*level
-    with coefficients in the sqrt2 extension of the base field.
+    the boson-fermion dictionary, as a symmetric function of degree 2*level.
+    A word with m fermionic factors maps by the rescaled generators, times
+    2^(-floor(m/2)); as m = 2*level (mod 2), the sum is sqrt2^(2*level mod 2)
+    times the true image and lies in the base field of t.
     """
     if v.weight is None:
         raise ValueError("verma_to_lambda needs weight data on the vector")
@@ -184,28 +187,20 @@ def verma_to_lambda(v):
     total = SymFunc("p", {})
     for sp, coeff in v.terms.items():
         state = SymFunc("p", {(): one})
-        word = [("L", -a) for a in reversed(sp.bosonic)]
-        word += [("G", -b) for b in reversed(sp.fermionic)]
-        for gen in reversed(word):
+        for gen in reversed(_word_of(sp)):
             state = ff_act(gen, state, alpha, rho, t)
-        total = total + state.scale(coeff)
+        total = total + state.scale(coeff * Fraction(1, 2 ** (len(sp.fermionic) // 2)))
     return total
 
 
 def monic_image(image_m, lam):
     """(c, image_m / c) for the coefficient c of m_lam in the m-basis image
-    of a singular vector, the quotient in the p basis.  It lies in the
-    sqrt2-free base field, so each coefficient is replaced by its base part.
-    A missing m_lam is a failed identity."""
+    of a singular vector, the quotient in the p basis.  A missing m_lam is a
+    failed identity."""
     lead = image_m.terms.get(lam)
     if lead is None or is_zero(lead):
         raise VerificationFailure("image lacks the leading monomial m_%s" % (list(lam),))
-    monic = image_m.scale(1 / lead)
-
-    def strip(c):
-        return c.base_part() if isinstance(c, Sqrt2Ext) else c
-
-    return lead, to_p(monic.map_coeffs(strip))
+    return lead, to_p(image_m.scale(1 / lead))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +259,6 @@ def verify_conjecture(r, s, t="sym"):
     exact C^1_0 eigenfunction, and that its monomial expansion is
     dominance-triangular.  Returns the verification report.
     """
-    from .svir import singular_vector
     from .uglov import uglov2_orth
 
     chi = singular_vector(r, s, t)
@@ -275,8 +269,8 @@ def verify_conjecture(r, s, t="sym"):
     one = hw.t * 0 + 1
     gamma = one / (hw.t * hw.t)
     target = uglov2_orth(lam, gamma)
-    scalar, monic = monic_image(raw_m, lam)
-    diff = raw_m - target.map_coeffs(lambda c: c * scalar)
+    lead, monic = monic_image(raw_m, lam)
+    diff = raw_m - target.map_coeffs(lambda c: c * lead)
     if not diff.is_zero():
         mismatch = sorted(diff.terms, key=lambda mu: (sum(mu), mu))[0]
         raise VerificationFailure(
@@ -284,6 +278,8 @@ def verify_conjecture(r, s, t="sym"):
             "mismatch at m_%s" % (list(lam), list(mismatch)))
     image = c1_apply(gamma, 0, monic)
     eigencheck = (image - to_p(monic).scale(eps1(lam, gamma))).is_zero()
+    # at odd rs, raw_m is sqrt2 times the image: its scalar is (lead / 2) sqrt2
+    scalar = Sqrt2Ext(lead, lead * 0) if r * s % 2 == 0 else Sqrt2Ext(lead * 0, lead / 2)
     from .kernel import scalar_to_json
     return {
         "rs": [r, s],

@@ -4,8 +4,9 @@ the quadratic extension by sqrt(2), and truncated hbar-jets.
 All scalar types in this module are immutable and exact.  Plain Python
 ``int`` and ``fractions.Fraction`` serve as the rational layer; ``RatFun``
 adds one formal variable (t, gamma, q or h), ``Sqrt2Ext`` adjoins sqrt(2)
-to any base field, and ``Jet`` truncates power series in a formal
-parameter hbar.  Mixed arithmetic coerces upward (int -> Fraction ->
+to any base field (the package builds one only for the proportionality
+scalar of a free-field image), and ``Jet`` truncates power series in a
+formal parameter hbar.  Mixed arithmetic coerces upward (int -> Fraction ->
 RatFun/Sqrt2Ext/Jet); genuinely incompatible operands raise
 ``KernelError``.
 
@@ -226,7 +227,7 @@ class Poly(_Scalar):
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
         if acc is None:
-            return Fraction(0) if isinstance(x, (int, Fraction)) else x * 0
+            return self._field_zero() * x
         return acc
 
     def monic(self):
@@ -386,12 +387,6 @@ class Sqrt2Ext(_Scalar):
     def is_zero(self):
         return is_zero(self.a) and is_zero(self.b)
 
-    def base_part(self):
-        """The sqrt(2)-free component; raises unless the sqrt(2) part vanishes."""
-        if not is_zero(self.b):
-            raise KernelError("element has a nonzero sqrt(2) component")
-        return self.a
-
     def _coerce(self, other):
         if isinstance(other, Sqrt2Ext):
             return other
@@ -400,10 +395,12 @@ class Sqrt2Ext(_Scalar):
         return None
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        if isinstance(other, Sqrt2Ext):
+            return self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction, RatFun, Poly)):
+            # a base element; compared, not coerced, so another variable is unequal
+            return self.a == other and is_zero(self.b)
+        return NotImplemented
 
     def __hash__(self):
         # equal to its base part when b = 0, so it must hash like it
@@ -514,11 +511,13 @@ class Jet(_Scalar):
         return None
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction, RatFun)):
+            # a constant jet; compared, not coerced, so another variable is unequal
+            return self.coeffs[0] == other and all(is_zero(c) for c in self.coeffs[1:])
+        if not isinstance(other, Jet):
             return NotImplemented
-        k = min(self.order, o.order)
-        return all(self.coeffs[i] == o.coeffs[i] for i in range(k + 1))
+        k = min(self.order, other.order)
+        return all(self.coeffs[i] == other.coeffs[i] for i in range(k + 1))
 
     def __hash__(self):
         # __eq__ ignores the orders beyond the lower of the two, and a

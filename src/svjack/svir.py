@@ -114,7 +114,6 @@ class HighestWeightData:
     t: object
     rho: object
     c: object
-    t_plus: object
     t_minus: object
     r: int
     s: int
@@ -141,7 +140,7 @@ def hw_data(t, r, s):
     t_minus = -1 / tv
     h = (r * tv + s * t_minus) ** 2 * Fraction(1, 8) - rho * rho * HALF
     alpha_plus = tv * Fraction(r + 1, 2) + t_minus * Fraction(s + 1, 2)
-    return HighestWeightData(t=tv, rho=rho, c=c, t_plus=tv, t_minus=t_minus,
+    return HighestWeightData(t=tv, rho=rho, c=c, t_minus=t_minus,
                              r=r, s=s, h=h, alpha_plus=alpha_plus)
 
 

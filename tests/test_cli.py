@@ -65,6 +65,9 @@ DIGESTS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "digests.j
     "verify --r 1 --s 3 --t sym",
     "verify --r 3 --s 1 --t sym",
     "verify --r 2 --s 2 --t sym",
+    # the odd-parity scalars of largest degree: sqrt(2) only in the report
+    "verify --r 1 --s 5 --t sym",
+    "verify --r 5 --s 1 --t sym",
     # degree 8: the 22-partition monomial -> power-sum transition
     "verify --r 2 --s 4 --t 3/2",
     "verify --r 4 --s 2 --t 5/3",

@@ -23,7 +23,6 @@ from oracles import p_gen
 
 T = RatFun.variable("t")
 ONE = RatFun.const("t", 1)
-INV_SQRT2 = Sqrt2Ext(Fraction(0), Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 
 
 def graded_basis(dmax):
@@ -65,8 +64,9 @@ def test_fermion_annihilates_vacuum():
 
 
 def test_fermion_creation_on_vacuum():
+    """The rescaled mode b~ = sqrt2 b: b~_{-1/2} 1 = -p_1."""
     f = fermion_act(-HALF, SymFunc.one("p"))
-    assert f == SymFunc("p", {(1,): -INV_SQRT2})
+    assert f == SymFunc("p", {(1,): Fraction(-1)})
 
 
 def test_fermion_rejects_integer_modes():
@@ -78,8 +78,10 @@ def test_fermion_rejects_integer_modes():
                                   (HALF, Fraction(-3, 2)), (Fraction(5, 2), -HALF),
                                   (-HALF, Fraction(-3, 2))])
 def test_fermion_anticommutator_canonical(pair):
+    """b~_k b~_l + b~_l b~_k = 2 delta_{k+l,0}: the canonical relation of
+    b = b~ / sqrt2."""
     k, l = pair
-    delta = Fraction(1) if k + l == 0 else Fraction(0)
+    delta = Fraction(2) if k + l == 0 else Fraction(0)
     for lam in graded_basis(4):
         f = p_gen(lam)
         lhs = fermion_act(k, fermion_act(l, f)) + fermion_act(l, fermion_act(k, f))
@@ -150,7 +152,9 @@ def test_ff_g_minus_three_halves_display():
 
 @pytest.mark.parametrize("gen", [("L", 1), ("L", 2), ("G", HALF), ("G", Fraction(3, 2))])
 def test_intertwining_on_random_vectors(gen):
-    """The Verma action and the free-field action agree through the map."""
+    """The Verma action and the free-field action agree through the map.
+    The map drops sqrt2 at odd level2 and ff_act returns G~ = sqrt2 G, so
+    L intertwines exactly and G up to 2^(-(level2 mod 2))."""
     hw = hw_data("sym", 2, 2)
     rng = random.Random(str(gen))
     for level2 in (1, 2, 3, 4):
@@ -166,6 +170,8 @@ def test_intertwining_on_random_vectors(gen):
         v = VermaVector(Fraction(level2, 2), terms, hw, hw.h, hw.c)
         left = verma_to_lambda(act(gen, v))
         right = ff_act(gen, verma_to_lambda(v), hw.alpha_plus, hw.rho, hw.t)
+        if gen[0] == "G":
+            right = right.scale(Fraction(1, 2 ** (level2 % 2)))
         assert (left - right).is_zero()
 
 
@@ -219,6 +225,35 @@ def test_normalized_image_is_base_field():
         assert not isinstance(c, Sqrt2Ext)
     m = convert(img, "m")
     assert m.terms[(2, 2)] == ONE
+
+
+@pytest.mark.parametrize("rs,t", [((2, 2), "sym"), ((3, 1), "sym"),
+                                  ((2, 4), Fraction(3, 2))])
+def test_image_is_computed_over_the_base_field(monkeypatch, rs, t):
+    """verify_conjecture multiplies no sqrt(2)-extension element, and the
+    image it checks has only base-field coefficients."""
+    import svjack.fock as fock
+    calls = []
+    real_mul = Sqrt2Ext.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return real_mul(self, other)
+
+    images = []
+
+    def recording_image(v):
+        images.append(verma_to_lambda(v))
+        return images[-1]
+
+    monkeypatch.setattr(Sqrt2Ext, "__mul__", counting_mul)
+    monkeypatch.setattr(fock, "verma_to_lambda", recording_image)
+    rep = verify_conjecture(*rs, t=t)
+    assert rep["proportional"] and rep["eigencheck"]
+    assert calls == []
+    assert len(images) == 1 and images[0].terms
+    for c in images[0].terms.values():
+        assert type(c) in (RatFun, Fraction), type(c)
 
 
 # --- screening ----------------------------------------------------------------

@@ -71,6 +71,11 @@ def test_equality_across_variables_is_false():
     assert RatFun.const("t", 2) == 2 and Poly.const("h", 2) == 2
     assert Sqrt2Ext(RatFun.variable("t")) != Sqrt2Ext(RatFun.variable("g"))
     assert Jet([RatFun.variable("t")], 0) != Jet([RatFun.variable("g")], 0)
+    # an extension element against a base element in another variable
+    assert Sqrt2Ext(RatFun.variable("t")) != RatFun.variable("g")
+    assert Jet([RatFun.variable("t")], 0) != RatFun.variable("g")
+    assert Sqrt2Ext(RatFun.variable("t")) == RatFun.variable("t")
+    assert Jet([RatFun.variable("t")], 0) == RatFun.variable("t")
 
 
 def test_poly_keeps_its_coefficient_field_at_zero():
@@ -83,6 +88,16 @@ def test_poly_keeps_its_coefficient_field_at_zero():
         assert one == 1 and [type(c) for c in one.coeffs] == [RatFun]
     assert [type(c) for c in (p * 0 + 1).coeffs] == [RatFun]
     assert p ** 3 == p * p * p and p ** 0 == 1
+
+
+def test_zero_poly_evaluates_to_its_field_zero():
+    one_t = RatFun.const("t", 1)
+    p = Poly("h", [0 * one_t, one_t])
+    for x in (Fraction(3), 3, RatFun.variable("t")):
+        value = (p * 0)(x)
+        assert isinstance(value, RatFun) and value.is_zero()
+        assert type(p(x)) is RatFun
+    assert (Poly.x("h") * 0)(Fraction(3)) == 0
 
 
 @given(st.lists(rationals, min_size=1, max_size=4),
