@@ -19,8 +19,11 @@ contraction, so the rescaled fermion
     b~_k := (1/2) [z^{-2k}] (raw vertex) o J  =  sqrt2 b_k
 
 satisfies b~_k b~_l + b~_l b~_k = 2 delta_{k+l,0} and has rational images
-(b~_{-1/2} 1 = -p_1).  All computation uses b~ over the base field (Q or
-Q(t)); sqrt(2) enters only the scalar that verify_conjecture reports.
+(b~_{-1/2} 1 = -p_1).  The two halves of the raw vertex give opposite
+modes (see fermion_act), so b~_k is the one extraction
+[z^{-2k}] e^{phi_-} e^{2 phi_+} o J.  All computation uses b~ over the
+base field (Q or Q(t)); sqrt(2) enters only the scalar that
+verify_conjecture reports.
 """
 
 from __future__ import annotations
@@ -52,29 +55,21 @@ def odd_sign_involution(f):
     return SymFunc("p", out)
 
 
-def _fermion_vertex(sign, k2, f):
-    """[z^{-k2}] e^{sign phi_-} e^{sign 2 phi_+} applied to f."""
-
-    def cre(a):
-        return Fraction(-sign, a) if a % 2 == 1 else None
-
-    def ann(b):
-        return Fraction(2 * sign) if b % 2 == 1 else None
-
-    return apply_vertex_mode(cre, ann, k2, f, parity="odd")
-
-
 def fermion_act(k, f):
     """The rescaled fermion mode b~_k = sqrt2 b_k (k half-odd) on a symmetric
-    function, with b~_k b~_l + b~_l b~_k = 2 delta_{k+l,0}."""
+    function, with b~_k b~_l + b~_l b~_k = 2 delta_{k+l,0}.
+
+    b~_k is (1/2) [z^{-2k}] (e^{phi_-} e^{2 phi_+} - e^{-phi_-} e^{-2 phi_+}) o J.
+    Each term of either extraction pairs odd creation parts kappa with odd
+    annihilation parts nu, |nu| - |kappa| = 2k, so l(kappa) + l(nu) is odd:
+    flipping the sign of both exponents multiplies every term by -1.  The
+    second half is minus the first, and b~_k = [z^{-2k}] e^{phi_-} e^{2 phi_+} o J.
+    """
     k = Fraction(k)
     if (2 * k) % 2 != 1:
         raise ValueError("fermion modes carry half-odd indices")
-    g = odd_sign_involution(f)
-    k2 = int(2 * k)
-    plus = _fermion_vertex(+1, k2, g)
-    minus = _fermion_vertex(-1, k2, g)
-    return (plus - minus).scale(HALF)
+    return apply_vertex_mode(lambda a: Fraction(-1, a), lambda b: Fraction(2), int(2 * k),
+                             odd_sign_involution(f), parity="odd")
 
 
 def boson_act(n, f, t):
@@ -265,6 +260,9 @@ def verify_conjecture(r, s, t="sym"):
     hw = chi.weight
     lam = (r,) * s
     raw_m = convert(verma_to_lambda(chi), "m")
+    if raw_m.is_zero():
+        raise VerificationFailure(
+            "the image of the (%d, %d) singular vector vanishes" % (r, s))
     triangular = all(dominance_leq(mu, lam) for mu in raw_m.terms)
     one = hw.t * 0 + 1
     gamma = one / (hw.t * hw.t)

@@ -130,15 +130,16 @@ def nullspace(mat):
     return basis
 
 
-def operator_matrix(image_of, cols, rows):
+def operator_matrix(image_of, cols, rows, zero=Fraction(0)):
     """Row-major matrix of a linear operator between two finite bases.
 
     Column j holds the coordinates of ``image_of(cols[j])``, a mapping from
-    row keys to coefficients; absent keys are Fraction(0).  Raises
-    KernelError when an image has a key outside ``rows``.
+    row keys to coefficients; absent keys are ``zero``, which names the
+    field of an all-zero matrix.  Raises KernelError when an image has a
+    key outside ``rows``.
     """
     index = {key: i for i, key in enumerate(rows)}
-    mat = [[Fraction(0)] * len(cols) for _ in rows]
+    mat = [[zero] * len(cols) for _ in rows]
     for j, key in enumerate(cols):
         for mu, c in image_of(key).items():
             if mu not in index:

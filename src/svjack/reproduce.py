@@ -295,7 +295,10 @@ def reproduce_all(bound=6):
     """Run every verification section, scaled by the rs bound: the conjecture
     cases respect it directly, and the heavier sweeps (eigen suite degree,
     restriction table size, Monte Carlo budget) shrink with small bounds so a
-    bound-2 smoke run stays fast.  Returns (report, ok)."""
+    bound-2 smoke run stays fast.  Returns (report, ok); a bound below 1
+    would check no conjecture case, so it is bad input."""
+    if bound < 1:
+        raise ValueError("bound must be at least 1, got %s" % bound)
     # the runners are looked up by name here, at each call, so a wrapper
     # rebound to a runner's module-level name (perfbench's tracer) sees it run
     report = {

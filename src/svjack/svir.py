@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .kernel import KernelError, Poly, VerificationFailure, as_scalar, is_zero
-from .linalg import det, nullspace, poly_interpolate
+from .linalg import det, nullspace, operator_matrix, poly_interpolate
 from .symfunc import partitions
 
 
@@ -430,25 +430,14 @@ def singular_vector(r, s, t="sym"):
     Raises VerificationFailure unless the kernel is exactly one-dimensional.
     """
     hw = hw_data(t, r, s)
-    one = hw.t * 0 + 1
     level = Fraction(r * s, 2)
     basis = superpartitions(int(2 * level))
     rows = []
     for k in (HALF, Fraction(3, 2)):
-        target_level = level - k
-        if target_level < 0:
-            continue
-        target_basis = superpartitions(int(2 * target_level))
-        index = {sp: i for i, sp in enumerate(target_basis)}
-        cols = []
-        for sp in basis:
-            v = act(("G", k), monomial_vector(sp, hw=hw))
-            col = [one * 0] * len(target_basis)
-            for out_sp, coeff in v.terms.items():
-                col[index[out_sp]] = coeff
-            cols.append(col)
-        for i in range(len(target_basis)):
-            rows.append([cols[j][i] for j in range(len(basis))])
+        if level - k >= 0:
+            rows += operator_matrix(
+                lambda sp: act(("G", k), monomial_vector(sp, hw=hw)).terms,
+                basis, superpartitions(int(2 * (level - k))), zero=hw.t * 0)
     kernel = nullspace(rows)
     if len(kernel) != 1:
         raise VerificationFailure(

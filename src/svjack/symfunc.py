@@ -205,6 +205,23 @@ def _p_to_m_row(lam):
     return out
 
 
+def _back_substitute(row, lam, inverse):
+    """Row lam of the inverse of a triangular transition.
+
+    ``row`` is {nu: T_{lam nu}} with b_lam = sum_nu T_{lam nu} c_nu,
+    T_{lam lam} != 0 and every other nu strictly on one side of lam in
+    dominance; ``inverse(nu)`` is c_nu in the b basis for each such nu.
+    Returns c_lam = (b_lam - sum_{nu != lam} T_{lam nu} c_nu) / T_{lam lam}
+    in the b basis.
+    """
+    acc = {lam: Fraction(1)}
+    for nu, c in row.items():
+        if nu != lam:
+            for mu, x in inverse(nu).items():
+                acc[mu] = acc.get(mu, 0) - c * x
+    return {mu: x / row[lam] for mu, x in acc.items() if x}
+
+
 _M_TO_P_CACHE = {}
 
 
@@ -213,21 +230,13 @@ def _m_to_p_matrix(n):
 
     p_mu = sum over nu >= mu (dominance) of L_{mu nu} m_nu with L_{mu mu} != 0
     (Macdonald I.6), and the canonical order of partitions(n) refines
-    dominance, so one pass of back-substitution inverts the transition:
-    m_mu = (p_mu - sum_{nu != mu} L_{mu nu} m_nu) / L_{mu mu}.
+    dominance, so one pass of back-substitution inverts the transition.
     """
     if n in _M_TO_P_CACHE:
         return _M_TO_P_CACHE[n]
-    parts = partitions(n)
     rows = {}
-    for mu in parts:
-        p_mu = _p_to_m_row(mu)
-        acc = {mu: Fraction(1)}
-        for nu, c in p_mu.items():
-            if nu != mu:
-                for lam, x in rows[nu].items():
-                    acc[lam] = acc.get(lam, 0) - c * x
-        rows[mu] = {lam: acc[lam] / p_mu[mu] for lam in parts if acc.get(lam)}
+    for mu in partitions(n):
+        rows[mu] = _back_substitute(_p_to_m_row(mu), mu, rows.__getitem__)
     _M_TO_P_CACHE[n] = rows
     return rows
 
@@ -244,24 +253,6 @@ def _e_to_p_single(n):
         for mu, c in rest.items():
             nu = merge_partitions(mu, (k,))
             acc[nu] = acc.get(nu, Fraction(0)) + sign * c
-    return {mu: c for mu, c in acc.items() if c != 0}
-
-
-@lru_cache(maxsize=None)
-def _p_to_e_single(n):
-    """p_n in the e basis, by inverting Newton's identities recursively."""
-    if n == 0:
-        return {(): Fraction(1)}
-    # p_n = (-1)^{n-1} n e_n - sum_{k=1}^{n-1} (-1)^{k} e_k p_{n-k} ... derive:
-    # n e_n = sum_{k=1}^{n} (-1)^{k-1} e_{n-k} p_k  =>
-    # p_n = (-1)^{n-1} ( n e_n - sum_{k=1}^{n-1} (-1)^{k-1} e_{n-k} p_k )
-    acc = {(n,): Fraction((-1) ** (n - 1) * n)}
-    for k in range(1, n):
-        pk = _p_to_e_single(k)
-        sign = Fraction((-1) ** (n - 1) * (-1) ** (k - 1))
-        for mu, c in pk.items():
-            nu = merge_partitions(mu, (n - k,))
-            acc[nu] = acc.get(nu, Fraction(0)) - sign * c
     return {mu: c for mu, c in acc.items() if c != 0}
 
 
@@ -285,8 +276,10 @@ def _e_lam_to_p(lam):
 
 
 @lru_cache(maxsize=None)
-def _p_lam_to_e(lam):
-    return _expand_product([_p_to_e_single(r) for r in lam])
+def _p_to_e_row(lam):
+    """p_lam in the e basis: e_lam is prod (-1)^{lam_i - 1} / lam_i times p_lam
+    plus strictly finer p_mu, so back-substitution inverts it."""
+    return _back_substitute(_e_lam_to_p(lam), lam, _p_to_e_row)
 
 
 def _change_basis(f, basis, row_of):
@@ -312,7 +305,7 @@ def from_p(f, target):
     if target == "m":
         return _change_basis(f, "m", _p_to_m_row)
     if target == "e":
-        return _change_basis(f, "e", _p_lam_to_e)
+        return _change_basis(f, "e", _p_to_e_row)
     raise ValueError("unknown basis %r" % (target,))
 
 
@@ -343,10 +336,10 @@ def e_gen(lam, coeff=Fraction(1)):
     return SymFunc.gen("e", lam, coeff)
 
 
-def inner_qt(f, g, q, t):
-    """Macdonald (q,t) inner product, bilinear with
-    <p_lam, p_mu> = delta z_lam prod (1-q^{lam_i})/(1-t^{lam_i})."""
-    q, t = as_scalar(q, "q"), as_scalar(t, "t")
+def diagonal_form(f, g, weight, zero):
+    """The bilinear form diagonal on power sums with
+    <p_lam, p_lam> = z_lam prod_i weight(lam_i), where weight returns None
+    for a part of weight one; ``zero`` is the value of an empty sum."""
     fp, gp = to_p(f), to_p(g)
     acc = None
     for lam, a in fp.terms.items():
@@ -355,16 +348,25 @@ def inner_qt(f, g, q, t):
             continue
         w = a * b * z_lambda(lam)
         for part in lam:
-            qn = q ** part
-            tn = t ** part
-            den = 1 - tn
-            if is_zero(den):
-                raise KernelError("inner product pole: 1 - t^%d = 0" % part)
-            w = w * (1 - qn) / den
+            x = weight(part)
+            if x is not None:
+                w = w * x
         acc = w if acc is None else acc + w
-    if acc is None:
-        return q * 0
-    return acc
+    return zero if acc is None else acc
+
+
+def inner_qt(f, g, q, t):
+    """Macdonald (q,t) inner product, bilinear with
+    <p_lam, p_mu> = delta z_lam prod (1-q^{lam_i})/(1-t^{lam_i})."""
+    q, t = as_scalar(q, "q"), as_scalar(t, "t")
+
+    def weight(part):
+        den = 1 - t ** part
+        if is_zero(den):
+            raise KernelError("inner product pole: 1 - t^%d = 0" % part)
+        return (1 - q ** part) / den
+
+    return diagonal_form(f, g, weight, q * 0)
 
 
 def symfunc_to_json(f):

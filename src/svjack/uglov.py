@@ -19,15 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernel import Jet, KernelError, VerificationFailure, as_scalar, is_zero
-from .symfunc import (
-    SymFunc,
-    canonical_key,
-    convert,
-    dominance_leq,
-    partitions,
-    to_p,
-    z_lambda,
-)
+from .symfunc import SymFunc, convert, diagonal_form, dominance_leq, partitions
 from .vertexops import (
     _jet_coeff,
     c0_apply,
@@ -50,7 +42,6 @@ def _gram_schmidt(lam, member, inner):
     Raises KernelError on a null member.
     """
     lower = [mu for mu in partitions(sum(lam)) if mu != lam and dominance_leq(mu, lam)]
-    lower.sort(key=canonical_key)
     f = SymFunc("m", {lam: Fraction(1)})
     for mu in reversed(lower):
         p_mu = member(mu)
@@ -76,7 +67,6 @@ def _triangular_eigenvector(apply_fn, lam, eig_of):
     mat = m_block(apply_fn, parts, parts)
     index = {p: i for i, p in enumerate(parts)}
     lower = [p for p in parts if dominance_leq(p, lam)]
-    lower.sort(key=canonical_key)  # reverse-lex descending refines dominance
     eig_lam = eig_of(lam)
     zero = eig_lam * 0
     coeffs = {lam: zero + 1}
@@ -148,17 +138,6 @@ class UglovFunction:
     eigenvalue0: Fraction
     eigenvalue1: object
 
-    def to_json(self):
-        from .kernel import scalar_to_json
-        from .symfunc import symfunc_to_json
-        return {
-            "partition": list(self.lam),
-            "gamma": scalar_to_json(self.gamma),
-            "expansion_m": symfunc_to_json(self.expansion),
-            "eigenvalue0": scalar_to_json(self.eigenvalue0),
-            "eigenvalue1": scalar_to_json(self.eigenvalue1),
-        }
-
 
 def uglov2(lam, gamma="sym"):
     """The monic dominance-triangular eigenfunction of C^1_0(gamma) with
@@ -190,20 +169,8 @@ def uglov_inner(f, g, gamma):
     (1-e^{l h})/(1-e^{gamma l h}) -> 1/gamma.
     """
     g_ = as_scalar(gamma, "g")
-    fp, gp = to_p(f), to_p(g)
-    acc = None
-    for lam, a in fp.terms.items():
-        b = gp.terms.get(lam)
-        if b is None:
-            continue
-        w = a * b * z_lambda(lam)
-        evens = sum(1 for part in lam if part % 2 == 0)
-        if evens:
-            w = w / g_ ** evens
-        acc = w if acc is None else acc + w
-    if acc is None:
-        return g_ * 0
-    return acc
+    inv = 1 / g_
+    return diagonal_form(f, g, lambda part: None if part % 2 else inv, g_ * 0)
 
 
 _ORTH_CACHE = {}

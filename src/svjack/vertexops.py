@@ -187,13 +187,8 @@ def eta_apply(q, t, n, f):
 
 
 def c0_apply(n, f):
-    def cre(a):
-        return Fraction(2, a) if a % 2 == 1 else None
-
-    def ann(b):
-        return Fraction(-2) if b % 2 == 1 else None
-
-    return apply_vertex_mode(cre, ann, n, f, parity="odd")
+    return apply_vertex_mode(lambda a: Fraction(2, a), lambda b: Fraction(-2), n, f,
+                             parity="odd")
 
 
 def c1_apply(gamma, n, f):

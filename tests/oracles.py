@@ -31,6 +31,7 @@ from svjack.finiten import (
     mp_mul,
     mp_to_orbits,
 )
+from svjack.fock import odd_sign_involution
 from svjack.kernel import (
     KernelError,
     RatFun,
@@ -332,6 +333,20 @@ def mat_vec(a, v):
                 acc = acc + x * y
         out.append(acc)
     return out
+
+
+def fermion_act_reference(k, f):
+    """The rescaled fermion mode by its literal definition, both halves of
+    the raw vertex extracted:
+    b~_k = (1/2) [z^{-2k}] (e^{phi_-} e^{2 phi_+} - e^{-phi_-} e^{-2 phi_+}) o J."""
+    g = odd_sign_involution(f)
+    k2 = int(2 * Fraction(k))
+
+    def half(sign):
+        return apply_vertex_mode(lambda a: Fraction(-sign, a), lambda b: Fraction(2 * sign),
+                                 k2, g, parity="odd")
+
+    return (half(+1) - half(-1)).scale(Fraction(1, 2))
 
 
 def pns_generating_function(max_level2):

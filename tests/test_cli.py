@@ -173,6 +173,9 @@ def test_bad_argument_exits_two_without_traceback(capsys, argv):
     "screening --s 2",
     "selberg vanish --r 2 --t 1 --m 1",
     "selberg vanish --r 2 --t 1 --m 1,0 --samples 0",
+    # a bound below 1 would check no conjecture case
+    "reproduce-paper --bound 0",
+    "reproduce-paper --bound -3",
 ])
 def test_usage_error_json_document(capsys, argv):
     code = main(["--json"] + argv.split())
@@ -202,6 +205,29 @@ def test_singular_subcommand(capsys):
     assert doc["result"]["level"] == "3/2"
     assert len(doc["result"]["terms"]) == 2
     _validate(doc)
+
+
+def test_singular_11_document_keeps_the_field_of_t(capsys):
+    """h_{1,1} = 0, so the only block is the 1x1 zero matrix; its kernel
+    vector still lies in Q(t) at symbolic t and prints as a RatFun."""
+    code, out = run_cli(capsys, "--json", "singular", "--r", "1", "--s", "1", "--t", "sym")
+    assert code == 0
+    assert out == (
+        '{"command":"singular","ok":true,"parameters":{"r":1,"s":1,"t":"sym"},'
+        '"result":{"level":"1/2","terms":[{"bosonic":[],"coeff":'
+        '{"denom":[{"den":"1","num":"1"}],"numer":[{"den":"1","num":"1"}],"var":"t"},'
+        '"fermionic":["1/2"]}]},"schema":"svjack-report/1"}\n')
+
+
+@pytest.mark.parametrize("argv", ["verify --r 2 --s 2 --t 1", "verify --r 3 --s 1 --t -1"])
+def test_verify_reports_a_vanishing_image(capsys, argv):
+    """At t = +-1 the free-field image is 0: a failed check (exit 1) that
+    names the vanishing image, not a missing leading monomial."""
+    code, doc = run_json(capsys, *argv.split())
+    words = argv.split()
+    assert code == 1
+    assert doc["error"] == ("VerificationFailure: the image of the (%s, %s) singular "
+                            "vector vanishes" % (words[2], words[4]))
 
 
 def test_kacdet_subcommand(capsys):

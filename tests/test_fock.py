@@ -19,7 +19,7 @@ from svjack.kernel import RatFun, Sqrt2Ext, is_zero
 from svjack.svir import act, hw_data, monomial_vector, superpartitions
 from svjack.symfunc import SymFunc, convert, e_gen, partitions, to_p
 
-from oracles import p_gen
+from oracles import fermion_act_reference, p_gen
 
 T = RatFun.variable("t")
 ONE = RatFun.const("t", 1)
@@ -86,6 +86,20 @@ def test_fermion_anticommutator_canonical(pair):
         f = p_gen(lam)
         lhs = fermion_act(k, fermion_act(l, f)) + fermion_act(l, fermion_act(k, f))
         assert lhs == f.scale(delta), (k, l, lam)
+
+
+def test_fermion_act_matches_the_two_half_definition():
+    """The one extraction fermion_act makes equals half the difference of the
+    two raw vertex halves, coefficient types included, on every p_lam with
+    |lam| <= 8 and every half-odd k with |k| <= 9/2."""
+    modes = [Fraction(2 * j + 1, 2) for j in range(-5, 5)]
+    for lam in graded_basis(8):
+        f = p_gen(lam)
+        for k in modes:
+            got, want = fermion_act(k, f).terms, fermion_act_reference(k, f).terms
+            assert got == want, (k, lam)
+            assert {mu: type(c) for mu, c in got.items()} == \
+                {mu: type(c) for mu, c in want.items()}, (k, lam)
 
 
 @pytest.mark.parametrize("k", [-HALF, Fraction(-3, 2)])

@@ -77,3 +77,30 @@ def test_each_exact_arithmetic_rule_is_written_once():
     called = {node.func.id for node in ast.walk(det)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert "bareiss_echelon" in called
+
+
+def _function(module, name):
+    tree = ast.parse((SRC / (module + ".py")).read_text())
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _called(node):
+    return [sub.func.id for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)]
+
+
+def test_each_symmetric_function_construction_is_written_once():
+    """Both power-sum-diagonal forms call the one loop, singular_vector builds
+    its blocks with the one operator-matrix builder, fermion_act makes one
+    vertex extraction, and the second copies are gone."""
+    for module, name in (("symfunc", "inner_qt"), ("uglov", "uglov_inner")):
+        form = _function(module, name)
+        assert "diagonal_form" in _called(form), name
+        assert not any(isinstance(node, ast.For) for node in ast.walk(form)), name
+    assert "operator_matrix" in _called(_function("svir", "singular_vector"))
+    assert _called(_function("fock", "fermion_act")).count("apply_vertex_mode") == 1
+    defined = {node.name for path in SRC.glob("*.py")
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_fermion_vertex", "_p_to_e_single", "_p_lam_to_e"}
