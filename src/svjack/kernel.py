@@ -10,6 +10,14 @@ formal parameter hbar.  Mixed arithmetic coerces upward (int -> Fraction ->
 RatFun/Sqrt2Ext/Jet); genuinely incompatible operands raise
 ``KernelError``.
 
+``RatFun`` computes on integers: it holds c * N / D with a rational c and
+primitive integer polynomials N, D that share no factor.  Its gcds come
+from the heuristic GCDHEU, whose trial divisions prove each result, and
+fall back to Euclid over Q (``poly_gcd``) when no evaluation point works.
+``Poly`` is the generic dense polynomial over any of these fields; it is
+also the monic-denominator form a ``RatFun`` shows through ``numer`` and
+``denom``.
+
 Every failure the package reports is one of three kinds: a ``ValueError``
 for input the computation cannot take, a ``KernelError`` when the exact
 arithmetic cannot go on, and a ``VerificationFailure`` when an identity
@@ -18,6 +26,7 @@ the package checks does not hold.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -162,7 +171,7 @@ class Poly(_Scalar):
         if o is None:
             return NotImplemented
         n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
+        a = list(self.coeffs) + [self._field_zero()] * (n - len(self.coeffs))
         for i, c in enumerate(o.coeffs):
             a[i] = a[i] + c
         return Poly(self.var, a) if a else self
@@ -178,7 +187,7 @@ class Poly(_Scalar):
             return NotImplemented
         if not self.coeffs or not o.coeffs:
             return Poly(self.var, [self._field_zero()])
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        out = [self._field_zero()] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if is_zero(a):
                 continue
@@ -191,10 +200,7 @@ class Poly(_Scalar):
     def __truediv__(self, other):
         if self._coerce(other) is None:
             return NotImplemented
-        raise KernelError("polynomials form a ring: divide with divmod or exact_div")
-
-    def scale(self, c):
-        return Poly(self.var, [a * c for a in self.coeffs]) if self.coeffs else self
+        raise KernelError("polynomials form a ring: divide with divmod")
 
     def divmod(self, other):
         o = self._coerce(other)
@@ -204,7 +210,7 @@ class Poly(_Scalar):
         dq = len(rem) - len(o.coeffs)
         if dq < 0:
             return Poly(self.var, [self._field_zero()]), self
-        quot = [Fraction(0)] * (dq + 1)
+        quot = [self._field_zero()] * (dq + 1)
         lead = o.coeffs[-1]
         for k in range(dq, -1, -1):
             top = rem[k + len(o.coeffs) - 1]
@@ -215,12 +221,6 @@ class Poly(_Scalar):
             for i, c in enumerate(o.coeffs):
                 rem[k + i] = rem[k + i] - q * c
         return Poly(self.var, quot), Poly(self.var, rem)
-
-    def exact_div(self, other):
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise KernelError("inexact polynomial division")
-        return q
 
     def __call__(self, x):
         acc = None
@@ -260,50 +260,174 @@ def poly_gcd(a, b):
 
 
 # ---------------------------------------------------------------------------
+# primitive integer polynomials
+# ---------------------------------------------------------------------------
+# An integer polynomial is a tuple of ints, the coefficient of var**i at
+# index i, with a nonzero last entry; () is zero.
+
+_GCDHEU_TRIES = 6
+
+
+def _zz_mul(a, b):
+    if a == (1,) or b == (1,):
+        return b if a == (1,) else a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
+
+
+def _zz_combine(a, p, b, q):
+    """a*p + b*q for ints a, b."""
+    if len(p) < len(q):
+        a, p, b, q = b, q, a, p
+    out = [a * x for x in p]
+    for i, y in enumerate(q):
+        out[i] += b * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _zz_primitive(p):
+    """(k, p / k) for a nonzero p, where k is its content signed like its
+    leading coefficient."""
+    k = math.gcd(*p) if p[-1] > 0 else -math.gcd(*p)
+    return k, (p if k == 1 else tuple(x // k for x in p))
+
+
+def _zz_split(x):
+    """(c, p) with x = c * p, p primitive with a positive leading coefficient
+    (() for zero); x is an int, a Fraction or a Poly over Q."""
+    coeffs = [Fraction(a) for a in (x.coeffs if isinstance(x, Poly) else [x])]
+    if not coeffs or not coeffs[-1]:
+        return Fraction(0), ()
+    den = math.lcm(*(a.denominator for a in coeffs))
+    k, p = _zz_primitive(tuple(a.numerator * (den // a.denominator) for a in coeffs))
+    return Fraction(k, den), p
+
+
+def _zz_exact_quotient(f, g):
+    """f / g when g divides f in Z[x], else None."""
+    n = len(g) - 1
+    dq = len(f) - n - 1
+    if dq < 0:
+        return None
+    rem = list(f)
+    quot = [0] * (dq + 1)
+    lead = g[-1]
+    for k in range(dq, -1, -1):
+        q, r = divmod(rem[k + n], lead)
+        if r:
+            return None
+        if q:
+            quot[k] = q
+            for i, c in enumerate(g, k):
+                rem[i] -= q * c
+    return None if any(rem[:n]) else tuple(quot)
+
+
+def _zz_gcd(f, g):
+    """(h, f / h, g / h) for the gcd h of two nonzero primitive integer
+    polynomials with positive leading coefficients; h is normalised alike.
+
+    GCDHEU (Char, Geddes & Gonnet 1989): at xi >= 2 min(|f|, |g|) + 2 the
+    primitive part of the xi-adic expansion of gcd(f(xi), g(xi)), taken with
+    symmetric digits, is gcd(f, g) as soon as it divides both f and g, so the
+    trial divisions that give the cofactors also prove the result.  After
+    ``_GCDHEU_TRIES`` failed points the gcd comes from Euclid over Q.
+    """
+    if len(f) == 1 or len(g) == 1:
+        return (1,), f, g
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    for _ in range(_GCDHEU_TRIES):
+        vf = vg = 0
+        for a in reversed(f):
+            vf = vf * xi + a
+        for a in reversed(g):
+            vg = vg * xi + a
+        if vf and vg:
+            v, h, half = math.gcd(vf, vg), [], xi // 2
+            while v:
+                r = v % xi
+                if r > half:
+                    r -= xi
+                h.append(r)
+                v = (v - r) // xi
+            h = _zz_primitive(h)[1]
+            if len(h) == 1:  # 1 divides both, so the theorem gives gcd 1
+                return (1,), f, g
+            cf = _zz_exact_quotient(f, h)
+            cg = cf and _zz_exact_quotient(g, h)
+            if cg:
+                return tuple(h), cf, cg
+        xi = xi * 73794 // 27011
+    h = _zz_split(poly_gcd(Poly("x", map(Fraction, f)), Poly("x", map(Fraction, g))))[1]
+    return h, _zz_exact_quotient(f, h), _zz_exact_quotient(g, h)
+
+
+# ---------------------------------------------------------------------------
 # univariate rational functions
 # ---------------------------------------------------------------------------
 
-class RatFun(_Scalar):
-    """Rational function numer/denom in one variable over Q.
+def _ratfun(var, c, N, D):
+    """c * N / D, already canonical: skips RatFun.__init__."""
+    x = object.__new__(RatFun)
+    x.var, x.c, x.N, x.D = var, c, N, D
+    return x
 
-    Canonical form: numerator and denominator share no common factor and the
-    denominator is monic.  Zero is 0/1.
+
+class RatFun(_Scalar):
+    """Rational function c * N / D in one variable over Q.
+
+    ``c`` is a Fraction, and ``N``, ``D`` are integer polynomials (tuples of
+    ints, low degree first) that are primitive, have positive leading
+    coefficients and no common factor, so equal functions are held alike.
+    Zero is c = 0, N = (), D = (1,).  Sums and products follow
+    Henrici: a product cross-cancels gcd(N1, D2) and gcd(N2, D1), and a sum
+    over g = gcd(D1, D2) cancels its numerator only against g.  The gcds are
+    GCDHEU's, with Euclid (``poly_gcd``) behind them.
+
+    ``numer`` and ``denom`` give the form with a monic denominator as
+    ``Poly`` values over Q; that is the form ``scalar_to_json`` writes.
     """
 
-    __slots__ = ("var", "numer", "denom")
+    __slots__ = ("var", "c", "N", "D")
 
-    def __init__(self, var, numer, denom=None, _canonical=False):
-        if isinstance(numer, (int, Fraction)):
-            numer = Poly.const(var, Fraction(numer))
-        if denom is None:
-            denom = Poly.const(var, Fraction(1))
-        elif isinstance(denom, (int, Fraction)):
-            denom = Poly.const(var, Fraction(denom))
-        if denom.is_zero():
+    def __init__(self, var, numer, denom=None):
+        c, N = _zz_split(numer)
+        cd, D = _zz_split(1 if denom is None else denom)
+        if not D:
             raise KernelError("rational function with zero denominator")
-        if not _canonical:
-            g = poly_gcd(numer, denom)
-            if not g.is_zero() and g.degree() > 0:
-                numer = numer.exact_div(g)
-                denom = denom.exact_div(g)
-            lead = denom.coeffs[-1]
-            if lead != 1:
-                numer = numer.scale(Fraction(1) / lead)
-                denom = denom.scale(Fraction(1) / lead)
-        self.var = var
-        self.numer = numer
-        self.denom = denom
+        _, N, D = _zz_gcd(N, D) if N else ((), (), (1,))
+        self.var, self.c, self.N, self.D = var, c / cd, N, D
 
     @classmethod
     def variable(cls, var):
-        return cls(var, Poly.x(var), None, _canonical=True)
+        return _ratfun(var, Fraction(1), (0, 1), (1,))
 
     @classmethod
     def const(cls, var, c):
-        return cls(var, Poly.const(var, Fraction(c)), None, _canonical=True)
+        c = Fraction(c)
+        return _ratfun(var, c, (1,) if c else (), (1,))
+
+    @property
+    def numer(self):
+        s = self.c / self.D[-1]
+        return Poly(self.var, [s * a for a in self.N])
+
+    @property
+    def denom(self):
+        return Poly(self.var, [Fraction(a, self.D[-1]) for a in self.D])
+
+    def denominator(self):
+        """D as an element of the field: 1 for a polynomial."""
+        return _ratfun(self.var, Fraction(1), self.D, (1,))
 
     def is_zero(self):
-        return self.numer.is_zero()
+        return not self.c
 
     def _coerce(self, other):
         if isinstance(other, RatFun):
@@ -317,37 +441,59 @@ class RatFun(_Scalar):
         return None
 
     def __eq__(self, other):
-        if isinstance(other, RatFun) and other.var != self.var:
-            return False  # elements of different fields
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.numer == o.numer and self.denom == o.denom
+        if isinstance(other, RatFun):
+            return (other.var == self.var and self.c == other.c
+                    and self.N == other.N and self.D == other.D)
+        if isinstance(other, (int, Fraction)):
+            return len(self.N) <= 1 and len(self.D) == 1 and self.c == other
+        return NotImplemented
 
     def __hash__(self):
-        # the denominator is monic, so a polynomial hashes like its numerator
-        # and a constant, which equals its rational, like that rational
-        if self.denom.degree() == 0:
-            return hash(self.numer)
+        # as for the monic-denominator form: a polynomial hashes like its
+        # numerator Poly and a constant, which equals its rational, like it
+        if len(self.D) == 1:
+            return hash(self.c) if len(self.N) <= 1 else hash((self.var, self.numer.coeffs))
         return hash((self.var, self.numer.coeffs, self.denom.coeffs))
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFun(self.var, self.numer * o.denom + o.numer * self.denom,
-                      self.denom * o.denom)
+        if not o.c:
+            return self
+        if not self.c:
+            return o
+        # over l, the lcm of the contents' denominators, the sum is
+        # (a N1 D2' + b N2 D1') / (l g D1' D2'), and only g can share a
+        # factor with the numerator
+        q1, q2 = self.c.denominator, o.c.denominator
+        l = q1 * q2 // math.gcd(q1, q2)
+        if self.D == o.D:
+            g, d1, d2 = self.D, (1,), (1,)
+        else:
+            g, d1, d2 = _zz_gcd(self.D, o.D)
+        m = _zz_combine(self.c.numerator * (l // q1), _zz_mul(self.N, d2),
+                        o.c.numerator * (l // q2), _zz_mul(o.N, d1))
+        if not m:
+            return _ratfun(self.var, Fraction(0), (), (1,))
+        k, m = _zz_primitive(m)
+        _, m, g = _zz_gcd(m, g)
+        return _ratfun(self.var, Fraction(k, l), m, _zz_mul(_zz_mul(g, d1), d2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(self.var, -self.numer, self.denom, _canonical=True)
+        return _ratfun(self.var, -self.c, self.N, self.D)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFun(self.var, self.numer * o.numer, self.denom * o.denom)
+        if not self.c or not o.c:
+            return _ratfun(self.var, Fraction(0), (), (1,))
+        _, n1, d2 = _zz_gcd(self.N, o.D)
+        _, n2, d1 = _zz_gcd(o.N, self.D)
+        return _ratfun(self.var, self.c * o.c, _zz_mul(n1, n2), _zz_mul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -355,20 +501,25 @@ class RatFun(_Scalar):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
+        if not o.c:
             raise KernelError("division by zero rational function")
-        return RatFun(self.var, self.numer * o.denom, self.denom * o.numer)
+        return self * _ratfun(self.var, 1 / o.c, o.D, o.N)
 
     def __call__(self, x):
-        den = self.denom(x)
+        num = den = x * 0
+        for a in reversed(self.N):
+            num = num * x + a
+        for a in reversed(self.D):
+            den = den * x + a
         if is_zero(den):
             raise KernelError("evaluation at a pole of the denominator")
-        return self.numer(x) / den
+        return self.c * num / den
 
     def __repr__(self):
-        if self.denom.degree() == 0 and self.denom.coeffs[0] == 1:
-            return "(%r)" % self.numer
-        return "(%r)/(%r)" % (self.numer, self.denom)
+        numer, denom = self.numer, self.denom
+        if denom.degree() == 0:
+            return "(%r)" % numer
+        return "(%r)/(%r)" % (numer, denom)
 
 
 # ---------------------------------------------------------------------------

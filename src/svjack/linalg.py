@@ -29,8 +29,8 @@ def _clear_denominators(mat):
     for row in mat:
         scale = None
         for x in row:
-            if isinstance(x, RatFun) and x.denom.degree() > 0:
-                d = RatFun(x.var, x.denom, None, _canonical=True)
+            d = x.denominator() if isinstance(x, RatFun) else 1
+            if d != 1:
                 scale = d if scale is None else scale * d
         if scale is None:
             rows.append(list(row))

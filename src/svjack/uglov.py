@@ -168,9 +168,17 @@ def uglov_inner(f, g, gamma):
     Odd parts contribute (1+e^{l h})/(1+e^{gamma l h}) -> 1, even parts
     (1-e^{l h})/(1-e^{gamma l h}) -> 1/gamma.
     """
-    g_ = as_scalar(gamma, "g")
+    g_ = _nonzero_gamma(gamma)
     inv = 1 / g_
     return diagonal_form(f, g, lambda part: None if part % 2 else inv, g_ * 0)
+
+
+def _nonzero_gamma(gamma):
+    """gamma as a field element; the form weighs even parts by 1/gamma."""
+    g = as_scalar(gamma, "g")
+    if is_zero(g):
+        raise ValueError("gamma must be nonzero")
+    return g
 
 
 _ORTH_CACHE = {}
@@ -188,7 +196,7 @@ def uglov2_orth(lam, gamma="sym"):
     determines the coefficients left free by the eigenproblem.
     """
     lam = tuple(lam)
-    g = as_scalar(gamma, "g")
+    g = _nonzero_gamma(gamma)
     # typed: a constant RatFun equals and hashes like its Fraction, but the
     # coefficients carry the field of gamma
     key = (lam, type(g), g)

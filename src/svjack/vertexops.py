@@ -284,18 +284,6 @@ class GradedOperator:
     def block(self, d):
         return self.blocks[d]
 
-    def to_json(self):
-        from .kernel import scalar_to_json
-        return {
-            "shift": self.shift,
-            "basis": "m",
-            "max_degree": self.max_degree,
-            "blocks": {
-                str(d): [[scalar_to_json(x) for x in row] for row in mat]
-                for d, mat in sorted(self.blocks.items())
-            },
-        }
-
 
 def eta_mode(q, t, n, dmax):
     return GradedOperator.build(lambda f: eta_apply(q, t, n, f), n, dmax)

@@ -34,10 +34,13 @@ from svjack.finiten import (
 from svjack.fock import odd_sign_involution
 from svjack.kernel import (
     KernelError,
+    Poly,
     RatFun,
     VerificationFailure,
     as_scalar,
     is_zero,
+    poly_gcd,
+    scalar_to_json,
 )
 from svjack.linalg import bareiss_echelon, nullspace
 from svjack.selberg import _log_gamma_signed
@@ -322,6 +325,43 @@ def field_ops(x, y, op):
     if r is NotImplemented:
         raise KernelError("incompatible scalars %r and %r" % (x, y))
     return r
+
+
+def exact_div(a, b):
+    """a / b for polynomials when b divides a; KernelError otherwise."""
+    q, r = a.divmod(b)
+    if not r.is_zero():
+        raise KernelError("inexact polynomial division")
+    return q
+
+
+def ratfun_reference(numer, denom):
+    """numer/denom in the canonical form by Euclid over Q: the two Polys
+    cancelled by their monic gcd and scaled to a monic denominator, and the
+    hash that form gives a RatFun (a constant hashes like its rational)."""
+    g = poly_gcd(numer, denom)
+    if not g.is_zero() and g.degree() > 0:
+        numer, denom = exact_div(numer, g), exact_div(denom, g)
+    inv = Fraction(1) / denom.coeffs[-1]
+    numer = Poly(numer.var, [c * inv for c in numer.coeffs])
+    denom = Poly(denom.var, [c * inv for c in denom.coeffs])
+    if denom.degree() == 0:
+        return numer, denom, hash(numer)
+    return numer, denom, hash((numer.var, numer.coeffs, denom.coeffs))
+
+
+def graded_to_json(op):
+    """A GradedOperator's blocks as JSON, rows and columns in canonical
+    partition order."""
+    return {
+        "shift": op.shift,
+        "basis": "m",
+        "max_degree": op.max_degree,
+        "blocks": {
+            str(d): [[scalar_to_json(x) for x in row] for row in mat]
+            for d, mat in sorted(op.blocks.items())
+        },
+    }
 
 
 def mat_vec(a, v):

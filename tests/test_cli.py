@@ -87,6 +87,19 @@ def test_json_output_matches_recorded_digest(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == digests[argv]
 
 
+FRONTIER_DIGESTS = pathlib.Path(__file__).resolve().parent / "golden" / "frontier_digests.json"
+
+
+@pytest.mark.parametrize("argv", sorted(json.loads(FRONTIER_DIGESTS.read_text())))
+def test_frontier_output_matches_recorded_digest(capsys, argv):
+    """The symbolic frontier, rs = 8 and rs = 7, prints exactly what it
+    printed when these digests were recorded."""
+    code, out = run_cli(capsys, "--json", *argv.split())
+    assert code == 0
+    digests = json.loads(FRONTIER_DIGESTS.read_text())
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[argv]
+
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 

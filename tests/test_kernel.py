@@ -23,7 +23,7 @@ from svjack.linalg import (
     poly_interpolate,
 )
 
-from oracles import field_ops, mat_vec, rank
+from oracles import exact_div, field_ops, mat_vec, rank, ratfun_reference
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -54,6 +54,78 @@ def test_ratfun_normalizes_common_factors():
     f = (t * t - 1) / (t - 1)
     assert f == t + 1
     assert f.denom.degree() == 0 and f.denom.coeffs[0] == 1
+    # a sum cancels against the gcd of its denominators, equal or not
+    assert t / (t - 1) - 1 / (t - 1) == 1
+    assert 1 / (t * (t - 1)) + 1 / (t * (t + 1)) == 2 / (t * t - 1)
+
+
+# integer polynomials with small roots, so that products share factors; the
+# large ones carry coefficients above 2**64
+small_ints = st.integers(-3, 3)
+int_polys = st.lists(st.one_of(small_ints, st.integers(-2 ** 70, 2 ** 70)),
+                     min_size=1, max_size=5)
+factor_polys = st.lists(st.lists(small_ints, min_size=2, max_size=3)
+                        .filter(lambda cs: cs[-1] != 0), max_size=3)
+
+
+def _poly(*factors, scale=Fraction(1)):
+    p = Poly("t", [scale])
+    for cs in factors:
+        p = p * Poly("t", [Fraction(c) for c in cs])
+    return p
+
+
+def _same_as_reference(x, numer, denom):
+    ref_numer, ref_denom, ref_hash = ratfun_reference(numer, denom)
+    assert x.numer.coeffs == ref_numer.coeffs
+    assert x.denom.coeffs == ref_denom.coeffs
+    assert hash(x) == ref_hash
+
+
+@given(int_polys, int_polys.filter(any), factor_polys, factor_polys,
+       rationals, nonzero_rationals)
+@settings(max_examples=150, deadline=None)
+def test_ratfun_matches_euclid_reference(n, d, fn, fd, cn, cd):
+    """Common factors, coefficients above 2**64, degrees up to 12: the
+    integer form gives the Euclid form's coefficients and hash."""
+    common = fn[:1]
+    numer = _poly(n, *fn, *common, scale=cn)
+    denom = _poly(d, *fd, *common, scale=cd)
+    assert numer.degree() <= 12 and denom.degree() <= 12
+    x = RatFun("t", numer, denom)
+    _same_as_reference(x, numer, denom)
+    y = RatFun("t", denom, _poly(*fn))
+    # x + w = n * r / denom: the sum cancels r, a factor of both denominators
+    r = _poly(*fd[:1], *common)
+    w_numer = _poly(n) * r - numer
+    w = RatFun("t", w_numer, denom)
+    for value, (a, b) in ((x * y, (numer * denom, denom * _poly(*fn))),
+                          (x + y, (numer * _poly(*fn) + denom * denom,
+                                   denom * _poly(*fn))),
+                          (x + w, (numer + w_numer, denom))):
+        _same_as_reference(value, a, b)
+
+
+def test_gcd_falls_back_to_euclid(monkeypatch):
+    """With no GCDHEU evaluation point every gcd comes from Euclid over Q,
+    and the results are the same."""
+    from svjack import kernel
+    t = RatFun.variable("t")
+    cases = [lambda: (t * t - 1) / (t - 1),
+             lambda: (t ** 3 + 2 ** 70 * t) / (t * t + 2 ** 70) + 1 / (t + 3),
+             lambda: (3 * t + 6) ** 4 / ((t + 2) ** 2 * (t - 5)),
+             lambda: 1 / (t * t - 4) - 1 / (t - 2)]
+    expected = [case() for case in cases]
+    calls = []
+    monkeypatch.setattr(kernel, "_GCDHEU_TRIES", 0)
+    monkeypatch.setattr(kernel, "poly_gcd",
+                        lambda a, b: calls.append(1) or poly_gcd(a, b))
+    for case, value in zip(cases, expected):
+        got = case()
+        assert got == value and hash(got) == hash(value)
+        assert got.numer.coeffs == value.numer.coeffs
+        assert got.denom.coeffs == value.denom.coeffs
+    assert calls
 
 
 def test_ratfun_mixed_vars_rejected():
@@ -82,11 +154,15 @@ def test_poly_keeps_its_coefficient_field_at_zero():
     one_t = RatFun.const("t", 1)
     p = Poly("h", [0 * one_t, one_t])
     for zero in (p * 0, p - p, -(p - p), Poly("h", [0 * one_t]),
-                 (p * 0).scale(2), p * 0 + p * 0, (p * 0).divmod(p)[0]):
+                 (p * 0) * 2, p * 0 + p * 0, (p * 0).divmod(p)[0]):
         assert zero.is_zero() and zero == 0 and hash(zero) == hash(0)
         one = zero + 1
         assert one == 1 and [type(c) for c in one.coeffs] == [RatFun]
     assert [type(c) for c in (p * 0 + 1).coeffs] == [RatFun]
+    # coefficients no term reaches are the field's zero too
+    for poly in (p * 2, p + Poly("h", [one_t * 0, one_t * 0, one_t]),
+                 (p * p).divmod(Poly("h", [one_t * 0, one_t * 0, one_t]))[0]):
+        assert all(type(c) is RatFun for c in poly.coeffs), poly
     assert p ** 3 == p * p * p and p ** 0 == 1
 
 
@@ -187,7 +263,7 @@ def test_poly_gcd_and_exact_div():
     b = Poly(t, [Fraction(1), Fraction(1)])                 # t + 1
     g = poly_gcd(a, b)
     assert g == b.monic()
-    assert a.exact_div(b) == Poly(t, [Fraction(-1), Fraction(1)])
+    assert exact_div(a, b) == Poly(t, [Fraction(-1), Fraction(1)])
     # a ring: /, reflected / and negative powers raise at the call
     for divide in (lambda: a / b, lambda: a / 2, lambda: 1 / b, lambda: b ** -1):
         with pytest.raises(KernelError, match="ring"):

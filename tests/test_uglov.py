@@ -197,6 +197,16 @@ def test_uglov_inner_diagonal():
     assert uglov_inner(p_gen((2, 1)), p_gen((2, 1)), G) == 2 / G
 
 
+@pytest.mark.parametrize("zero", [Fraction(0), 0, RatFun.const("g", 0)],
+                         ids=["Fraction", "int", "RatFun"])
+def test_zero_gamma_is_bad_input(zero):
+    from svjack.uglov import uglov2_orth, uglov_inner
+    with pytest.raises(ValueError, match="gamma must be nonzero"):
+        uglov2_orth((2,), zero)
+    with pytest.raises(ValueError, match="gamma must be nonzero"):
+        uglov_inner(p_gen((2,)), p_gen((2,)), zero)
+
+
 def test_uglov_eigenvalue_fields():
     u = uglov2((2, 1), "sym")
     from svjack.vertexops import eps0, eps1

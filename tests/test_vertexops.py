@@ -30,6 +30,7 @@ from oracles import (
     commuting_family_check,
     dvir_modes,
     graded_apply,
+    graded_to_json,
     m_gen,
     p_gen,
     solve_t1_alpha,
@@ -143,7 +144,7 @@ def test_truncation_stability():
 
 def test_graded_operator_json_roundtrip_shape():
     op = c0_mode(1, 3)
-    j = op.to_json()
+    j = graded_to_json(op)
     assert j["shift"] == -1
     assert set(j["blocks"]) == {"1", "2", "3"}
 
@@ -235,7 +236,7 @@ def test_c0_mode_blocks_golden():
     import pathlib
     golden = json.loads((pathlib.Path(__file__).parent /
                          "golden" / "c0_mode0_blocks.json").read_text())
-    assert c0_mode(0, 3).to_json() == golden
+    assert graded_to_json(c0_mode(0, 3)) == golden
 
 
 def test_graded_operator_rejects_wrong_degree_shift():
