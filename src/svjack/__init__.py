@@ -6,16 +6,14 @@ __version__ = "0.1.0"
 
 from .fock import screening_r1, verify_conjecture, verma_to_lambda
 from .svir import gram_matrix, hw_data, kac_det_check, pns, singular_vector
-from .symfunc import SymFunc, convert, inner_qt, multiply, partitions
-from .uglov import jack, macdonald, uglov2, uglov2_orth, uglov_limit_check
-from .vertexops import (c0_mode, c1_mode, eps0, eps1, eta_hbar_check,
-                        eta_mode, t1_annihilation_check)
+from .symfunc import SymFunc, convert, multiply, partitions
+from .uglov import jack, macdonald, uglov2_orth, uglov_limit_check
+from .vertexops import eps0, eps1, eta_hbar_check, t1_annihilation_check
 
 __all__ = [
-    "SymFunc", "convert", "inner_qt", "multiply", "partitions",
-    "macdonald", "jack", "uglov2", "uglov2_orth", "uglov_limit_check",
-    "eta_mode", "c0_mode", "c1_mode", "eps0", "eps1", "eta_hbar_check",
-    "t1_annihilation_check",
+    "SymFunc", "convert", "multiply", "partitions",
+    "macdonald", "jack", "uglov2_orth", "uglov_limit_check",
+    "eps0", "eps1", "eta_hbar_check", "t1_annihilation_check",
     "hw_data", "gram_matrix", "kac_det_check", "pns", "singular_vector",
     "verma_to_lambda", "screening_r1", "verify_conjecture",
 ]

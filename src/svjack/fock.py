@@ -268,7 +268,7 @@ def verify_conjecture(r, s, t="sym"):
     gamma = one / (hw.t * hw.t)
     target = uglov2_orth(lam, gamma)
     lead, monic = monic_image(raw_m, lam)
-    diff = raw_m - target.map_coeffs(lambda c: c * lead)
+    diff = raw_m - target.scale(lead)
     if not diff.is_zero():
         mismatch = sorted(diff.terms, key=lambda mu: (sum(mu), mu))[0]
         raise VerificationFailure(

@@ -449,11 +449,11 @@ class RatFun(_Scalar):
         return NotImplemented
 
     def __hash__(self):
-        # as for the monic-denominator form: a polynomial hashes like its
-        # numerator Poly and a constant, which equals its rational, like it
-        if len(self.D) == 1:
-            return hash(self.c) if len(self.N) <= 1 else hash((self.var, self.numer.coeffs))
-        return hash((self.var, self.numer.coeffs, self.denom.coeffs))
+        # a constant equals its rational, so it hashes like it; no RatFun
+        # equals a Poly, so the canonical fields suffice for the rest
+        if len(self.N) <= 1 and len(self.D) == 1:
+            return hash(self.c)
+        return hash((self.var, self.c, self.N, self.D))
 
     def __add__(self, other):
         o = self._coerce(other)

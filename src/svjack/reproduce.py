@@ -104,7 +104,7 @@ def run_singular_vector_images():
         key = next(iter(expected.terms))
         ratio = img.terms[key] / expected.terms[key]
         ok = ok and not is_zero(ratio)
-        ok = ok and img == expected.map_coeffs(lambda c, ratio=ratio: c * ratio)
+        ok = ok and img == expected.scale(ratio)
     e3 = convert(displays[(1, 3)], "e")
     ok = ok and e3 == e_gen((3,), one)
     return {"status": "pass" if ok else "fail", "images_match": ok}
@@ -141,14 +141,14 @@ def run_uglov_table():
     ]
     ok = True
     for lam, scale, expect in table:
-        ok = ok and up(lam).map_coeffs(lambda c, s=scale: c * s) == SymFunc("p", expect)
+        ok = ok and up(lam).scale(scale) == SymFunc("p", expect)
     columns = all(convert(uglov2_orth((1,) * s, "sym"), "e") == e_gen((s,), one)
                   for s in range(1, 7))
     t = RatFun.variable("t")
     one_t = RatFun.const("t", 1)
     screening = all(
         screening_r1(s, "sym") ==
-        convert(e_gen((s,), one_t), "p").map_coeffs(lambda c: c * (-t))
+        convert(e_gen((s,), one_t), "p").scale(-t)
         for s in (1, 3, 5, 7))
     status = "pass" if ok and columns and screening else "fail"
     return {"status": status, "table_match": ok,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .kernel import KernelError, as_scalar, is_zero
+from .kernel import is_zero
 
 
 def check_partition(lam):
@@ -111,18 +111,6 @@ class SymFunc:
 
     def is_zero(self):
         return not self.terms
-
-    def coeff(self, lam):
-        return self.terms.get(tuple(lam), Fraction(0))
-
-    def homogeneous_degree(self):
-        degs = {sum(lam) for lam in self.terms}
-        if len(degs) > 1:
-            raise KernelError("not homogeneous: degrees %s" % sorted(degs))
-        return degs.pop() if degs else None
-
-    def map_coeffs(self, fn):
-        return SymFunc(self.basis, {lam: fn(c) for lam, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, SymFunc):
@@ -353,20 +341,6 @@ def diagonal_form(f, g, weight, zero):
                 w = w * x
         acc = w if acc is None else acc + w
     return zero if acc is None else acc
-
-
-def inner_qt(f, g, q, t):
-    """Macdonald (q,t) inner product, bilinear with
-    <p_lam, p_mu> = delta z_lam prod (1-q^{lam_i})/(1-t^{lam_i})."""
-    q, t = as_scalar(q, "q"), as_scalar(t, "t")
-
-    def weight(part):
-        den = 1 - t ** part
-        if is_zero(den):
-            raise KernelError("inner product pole: 1 - t^%d = 0" % part)
-        return (1 - q ** part) / den
-
-    return diagonal_form(f, g, weight, q * 0)
 
 
 def symfunc_to_json(f):

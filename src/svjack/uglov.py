@@ -1,12 +1,13 @@
 """Macdonald symmetric functions at exact parameter samples, Jack functions,
 and the two-parameter-degeneration family P^{(gamma,2)} over Q(gamma).
 
-All three families are computed the same way: as the unique monic,
-dominance-triangular eigenvector of a graded eigenoperator (eta_0 for
-Macdonald, C^1_0(gamma) for the gamma-family), by back-substitution along
-a linear extension of the dominance order.  After the solve, the full
-degree block is re-checked, so a hypothetical triangularity failure of the
-operator would be detected rather than silently accepted.
+Macdonald functions are the unique monic, dominance-triangular eigenvectors
+of eta_0, found by back-substitution along a linear extension of the
+dominance order and re-checked against the full eigenrelation afterwards,
+so a hypothetical triangularity failure of the operator would be detected
+rather than silently accepted.  The gamma-family is built by Gram-Schmidt
+under the degenerate limit of the (q, t) inner product, a construction that
+has no eigenvalue-tie failure modes.
 
 The q -> 1 limits that *define* the degenerate families are verified
 independently through truncated hbar-jets (uglov_limit_check, jack), never
@@ -15,22 +16,11 @@ used as the production algorithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernel import Jet, KernelError, VerificationFailure, as_scalar, is_zero
 from .symfunc import SymFunc, convert, diagonal_form, dominance_leq, partitions
-from .vertexops import (
-    _jet_coeff,
-    c0_apply,
-    c1_apply,
-    eps0,
-    eps1,
-    eps_macdonald,
-    eta_apply,
-    hbar_parameters,
-    m_block,
-)
+from .vertexops import _jet_part, eps_macdonald, eta_apply, hbar_parameters
 
 
 def _gram_schmidt(lam, member, inner):
@@ -59,25 +49,27 @@ def _triangular_eigenvector(apply_fn, lam, eig_of):
 
     Solves (A - eig(lam)) f = 0 by back-substitution over the partitions
     mu <= lam in dominance order, processed in the canonical reverse-lex
-    order (a linear extension of dominance).  Raises KernelError when a
-    coupled eigenvalue difference vanishes, and VerificationFailure when the
-    eigenrelation fails on the whole degree block afterwards.
+    order (a linear extension of dominance).  A[mu][kappa] is read off the
+    m-expansion of A m_kappa, computed once for each kappa that gets a
+    coefficient.  Raises KernelError when a coupled eigenvalue difference
+    vanishes, and VerificationFailure when the eigenrelation fails on the
+    result afterwards.
     """
-    parts = partitions(sum(lam))
-    mat = m_block(apply_fn, parts, parts)
-    index = {p: i for i, p in enumerate(parts)}
-    lower = [p for p in parts if dominance_leq(p, lam)]
+    lower = [p for p in partitions(sum(lam)) if dominance_leq(p, lam)]
     eig_lam = eig_of(lam)
     zero = eig_lam * 0
     coeffs = {lam: zero + 1}
+    images = {}
     for mu in lower:
         if mu == lam:
             continue
-        i = index[mu]
         acc = zero
         for kappa, c in coeffs.items():
-            a = mat[i][index[kappa]]
-            if not is_zero(a):
+            if kappa not in images:
+                m_kappa = SymFunc("m", {kappa: Fraction(1)})
+                images[kappa] = convert(apply_fn(m_kappa), "m").terms
+            a = images[kappa].get(mu)
+            if a is not None:
                 acc = acc + a * c
         diff = eig_lam - eig_of(mu)
         if is_zero(diff):
@@ -91,7 +83,7 @@ def _triangular_eigenvector(apply_fn, lam, eig_of):
         if not is_zero(val):
             coeffs[mu] = val
     vec = SymFunc("m", dict(coeffs))
-    # verify the eigenrelation on the full block (catches any triangularity
+    # verify the eigenrelation on the result (catches any triangularity
     # failure of the operator, which would invalidate the back-substitution)
     image = convert(apply_fn(vec), "m")
     if not (image - vec.scale(eig_lam)).is_zero():
@@ -130,36 +122,6 @@ def macdonald(lam, q, t):
 # the p = 2 degeneration over Q(gamma)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UglovFunction:
-    lam: tuple
-    gamma: object
-    expansion: SymFunc       # monic, m basis
-    eigenvalue0: Fraction
-    eigenvalue1: object
-
-
-def uglov2(lam, gamma="sym"):
-    """The monic dominance-triangular eigenfunction of C^1_0(gamma) with
-    eigenvalue eps1(lam, gamma); the C^0_0 eigenrelation with eps0(lam) is
-    verified as a post-check.
-
-    gamma may be "sym" (the symbolic variable), a rational, or any exact
-    field element (e.g. a rational function of t).
-    """
-    lam = tuple(lam)
-    g = as_scalar(gamma, "g")
-    vec = _triangular_eigenvector(
-        lambda f: c1_apply(g, 0, f), lam,
-        lambda mu: eps1(mu, g))
-    e0 = eps0(lam)
-    image0 = convert(c0_apply(0, vec), "m")
-    if not (image0 - vec.scale(e0)).is_zero():
-        raise VerificationFailure("C0_0 eigenrelation fails for %r" % (lam,))
-    return UglovFunction(lam=lam, gamma=g, expansion=vec,
-                         eigenvalue0=e0, eigenvalue1=eps1(lam, g))
-
-
 def uglov_inner(f, g, gamma):
     """The degenerate limit of the Macdonald inner product along
     (q, t) = (-e^h, -e^{gamma h}): diagonal on power sums with
@@ -190,10 +152,10 @@ def uglov2_orth(lam, gamma="sym"):
 
     This route has no eigenvalue-tie failure modes: the form is diagonal and
     nondegenerate on power sums, so the Gram-Schmidt ladder always produces
-    the unique monic triangular orthogonal vector.  Where the eigenvalue
-    characterization of uglov2 is unambiguous the two constructions agree
-    (cross-checked in the test suite); at tied eigenvalues only this one
-    determines the coefficients left free by the eigenproblem.
+    the unique monic triangular orthogonal vector.  Where the C^1_0(gamma)
+    eigenproblem is unambiguous the two characterizations agree (the test
+    suite cross-checks them); at tied eigenvalues only this one determines
+    the coefficients the eigenproblem leaves free.
     """
     lam = tuple(lam)
     g = _nonzero_gamma(gamma)
@@ -217,12 +179,7 @@ def _jet_triangular_limit(lam, q, t):
     vec = _triangular_eigenvector(
         lambda f: eta_apply(q, t, 0, f), lam,
         lambda mu: eps_macdonald(mu, q, t))
-    out = {}
-    for mu, c in vec.terms.items():
-        c0 = _jet_coeff(c, 0)
-        if not is_zero(c0):
-            out[mu] = c0
-    return SymFunc("m", out)
+    return _jet_part(vec, 0)
 
 
 def uglov_limit_check(lam, gamma):

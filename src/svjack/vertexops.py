@@ -1,5 +1,5 @@
-"""Degree-graded exact matrices for modes of normal-ordered vertex operators
-on symmetric functions.
+"""Vertex-operator modes on symmetric functions, applied as functions from a
+SymFunc to a SymFunc.
 
 An operator of the shape  exp(sum_a c(a) p_a z^a) * exp(sum_b d(b) dp_b z^{-b})
 acts on the power-sum basis by pairing a creation partition (from the first
@@ -10,14 +10,17 @@ the degree of the input.
 
 The operators provided here:
 
-* eta_mode      -- the Macdonald eigenoperator family eta_n(q, t)
-* c0_mode       -- the odd-sector operator obtained from eta at (q, t) = (-1, -1)
-* c1_mode       -- its first-order deformation in gamma
-* dvir modes    -- the two-term deformed Virasoro current and its dressing
+* eta_apply     -- the Macdonald eigenoperator family eta_n(q, t)
+* c0_apply      -- the odd-sector operator obtained from eta at (q, t) = (-1, -1)
+* c1_apply      -- its first-order deformation in gamma
+* DVirCurrent   -- the two-term deformed Virasoro current and its dressing
                    factor psi, normalized so that psi(z) T(z) reproduces
                    eta_0 plus a scalar in the zero mode
 
-together with the eigenvalue formulas eps (Macdonald), eps0 and eps1.
+together with the eigenvalue formulas eps (Macdonald), eps0 and eps1.  The
+identities between them (the hbar expansion of eta_0, the zero-mode identity
+of the current, the annihilation of singular-vector images) are checked on
+images of symmetric functions, never through operator matrices.
 
 Convention note: the creation series of eta carries (1 - t^{-a}); this is the
 form whose zero mode has eigenvalue 1 + (t-1)(q-1)/t on p_1 and whose
@@ -27,12 +30,10 @@ expansion at (q, t) = (-e^h, -e^{gamma h}) produces exactly c0 + h*c1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .kernel import Jet, KernelError, RatFun, VerificationFailure, as_scalar, is_zero
-from .linalg import operator_matrix
 from .symfunc import (
     SymFunc,
     convert,
@@ -251,53 +252,6 @@ def eps1(lam, gamma):
 
 
 # ---------------------------------------------------------------------------
-# graded operators
-# ---------------------------------------------------------------------------
-
-def m_block(apply_fn, cols, rows):
-    """Row-major matrix of apply_fn from the m basis on the partitions
-    ``cols`` to the m basis on the partitions ``rows``."""
-    return operator_matrix(
-        lambda lam: convert(apply_fn(SymFunc("m", {lam: Fraction(1)})), "m").terms,
-        cols, rows)
-
-
-@dataclass(frozen=True)
-class GradedOperator:
-    """Per-degree matrices of a degree-shifting operator in the m basis.
-
-    ``blocks[d]`` maps the degree-d component (columns: partitions of d in
-    canonical order) to degree d + shift (rows: partitions of d + shift).
-    """
-
-    shift: int
-    blocks: dict
-    max_degree: int
-
-    @classmethod
-    def build(cls, apply_fn, n, dmax):
-        shift = -n
-        blocks = {d: m_block(apply_fn, partitions(d), partitions(d + shift))
-                  for d in range(0, dmax + 1) if 0 <= d + shift <= dmax}
-        return cls(shift=shift, blocks=blocks, max_degree=dmax)
-
-    def block(self, d):
-        return self.blocks[d]
-
-
-def eta_mode(q, t, n, dmax):
-    return GradedOperator.build(lambda f: eta_apply(q, t, n, f), n, dmax)
-
-
-def c0_mode(n, dmax):
-    return GradedOperator.build(lambda f: c0_apply(n, f), n, dmax)
-
-
-def c1_mode(gamma, n, dmax):
-    return GradedOperator.build(lambda f: c1_apply(gamma, n, f), n, dmax)
-
-
-# ---------------------------------------------------------------------------
 # hbar expansion checks
 # ---------------------------------------------------------------------------
 
@@ -312,28 +266,25 @@ def hbar_parameters(gamma, order):
     return q, t
 
 
+def _monomials(dmax):
+    """Yield (lam, m_lam) for every partition of degree at most dmax."""
+    for d in range(dmax + 1):
+        for lam in partitions(d):
+            yield lam, SymFunc("m", {lam: Fraction(1)})
+
+
 def eta_hbar_check(gamma, dmax):
     """Assert eta_0 at (q,t) = (-e^h, -e^{gamma h}) equals C0_0 + h C1_0(gamma)
-    blockwise up to degree dmax, through jet order 1; returns the verified
-    report."""
+    on every m_lam with |lam| <= dmax, through jet order 1; returns the
+    verified report."""
     gamma = Fraction(gamma)
     q, t = hbar_parameters(gamma, 1)
-    eta0 = eta_mode(q, t, 0, dmax)
-    c00 = c0_mode(0, dmax)
-    c10 = c1_mode(gamma, 0, dmax)
-    for d in range(dmax + 1):
-        a, b, c = eta0.block(d), c00.block(d), c10.block(d)
-        for i in range(len(a)):
-            for j in range(len(a[i])):
-                h0, h1 = _jet_coeff(a[i][j], 0), _jet_coeff(a[i][j], 1)
-                if not is_zero(h0 - b[i][j]):
-                    raise VerificationFailure(
-                        "h^0 mismatch at degree %d entry (%d,%d): %r vs %r"
-                        % (d, i, j, h0, b[i][j]))
-                if not is_zero(h1 - c[i][j]):
-                    raise VerificationFailure(
-                        "h^1 mismatch at degree %d entry (%d,%d): %r vs %r"
-                        % (d, i, j, h1, c[i][j]))
+    for lam, f in _monomials(dmax):
+        image = eta_apply(q, t, 0, f)
+        if not (_jet_part(image, 0) - c0_apply(0, f)).is_zero():
+            raise VerificationFailure("h^0 mismatch at %r" % (lam,))
+        if not (_jet_part(image, 1) - c1_apply(gamma, 0, f)).is_zero():
+            raise VerificationFailure("h^1 mismatch at %r" % (lam,))
     return {"gamma": str(gamma), "dmax": dmax, "order": 1, "verified": True}
 
 
@@ -437,15 +388,13 @@ def dvir_jet(gamma, alpha, order):
 def _zero_mode_sums(cur, dmax):
     """Yield (lam, m_lam, sum_{n>=0} psi_{-n} T_n m_lam) for every partition
     of degree at most dmax; T_n m_lam = 0 for n > |lam|."""
-    for d in range(dmax + 1):
-        for lam in partitions(d):
-            f = SymFunc("m", {lam: Fraction(1)})
-            out = SymFunc("p", {})
-            for n in range(d + 1):
-                tn = cur.t_apply(n, f)
-                if not tn.is_zero():
-                    out = out + cur.psi_apply(n, tn)
-            yield lam, f, out
+    for lam, f in _monomials(dmax):
+        out = SymFunc("p", {})
+        for n in range(sum(lam) + 1):
+            tn = cur.t_apply(n, f)
+            if not tn.is_zero():
+                out = out + cur.psi_apply(n, tn)
+        yield lam, f, out
 
 
 def pt_eta_check(cur, dmax):
@@ -468,9 +417,8 @@ def pt_c10_check(gamma, alpha, dmax):
     cur = dvir_jet(gamma, alpha, 1)
     shift = gamma - 1 - 2 * alpha
     for lam, f, lhs in _zero_mode_sums(cur, dmax):
-        lhs1 = SymFunc("p", {mu: _jet_coeff(c, 1) for mu, c in lhs.terms.items()})
         rhs = c1_apply(gamma, 0, f) + to_p(f).scale(shift)
-        if not (lhs1 - rhs).is_zero():
+        if not (_jet_part(lhs, 1) - rhs).is_zero():
             raise VerificationFailure("h^1 zero-mode identity fails at %r" % (lam,))
     return {"gamma": str(gamma), "alpha": str(alpha), "dmax": dmax, "verified": True}
 
@@ -479,6 +427,11 @@ def _jet_coeff(x, k):
     if isinstance(x, Jet):
         return x.coeff(k)
     return x * 0 if k > 0 else x
+
+
+def _jet_part(f, k):
+    """The SymFunc of the h^k coefficients of f's coefficients."""
+    return SymFunc(f.basis, {mu: _jet_coeff(c, k) for mu, c in f.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +465,11 @@ def t1_annihilation_check(r, s, nmax=None):
     checked = []
     for n in range(1, nmax + 1):
         image = cur.t_apply(n, v)
-        for mu, c in image.terms.items():
-            c0 = _jet_coeff(c, 0)
-            c1 = _jet_coeff(c, 1)
-            if not is_zero(c0):
+        for k in (0, 1):
+            part = _jet_part(image, k)
+            if not part.is_zero():
                 raise VerificationFailure(
-                    "T^0_%d fails to annihilate the (%d,%d) image at %r" % (n, r, s, mu))
-            if not is_zero(c1):
-                raise VerificationFailure(
-                    "T^1_%d fails to annihilate the (%d,%d) image at %r" % (n, r, s, mu))
+                    "T^%d_%d fails to annihilate the (%d,%d) image at %r"
+                    % (k, n, r, s, next(iter(part.terms))))
         checked.append(n)
     return {"rs": [r, s], "modes_checked": checked, "annihilated": True}

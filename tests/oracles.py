@@ -6,17 +6,21 @@ completely different way: multiplication by p_a and d/dp_a are materialized
 as dense matrices on the full graded space of degree <= D, the exponentials
 are summed as (nilpotent) matrix series, and the mode is read off from the
 degree-shift block structure.  Agreement between the two routes validates
-both.
+both.  The next section holds the per-degree m-basis matrices of the
+C^0 and C^1 modes, a second representation of operators the package
+applies as functions.
 
 The helpers after the finite-N oracles are reference forms that only the
 tests call: generic field operations, a matrix-vector product, the
 superpartition generating function, the corrected finite-N operators and
 the Selberg-side closed forms and estimators.  The last section holds the
 constructors, restrictions and independent solvers the tests cross-check
-the package against.
+the package against, among them the Macdonald (q,t) inner product and the
+eigen route to the gamma-family.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -42,23 +46,28 @@ from svjack.kernel import (
     poly_gcd,
     scalar_to_json,
 )
-from svjack.linalg import bareiss_echelon, nullspace
+from svjack.linalg import bareiss_echelon, nullspace, operator_matrix
 from svjack.selberg import _log_gamma_signed
 from svjack.svir import SuperPartition, monomial_vector
-from svjack.symfunc import SymFunc, convert, inner_qt, multiplicities, partitions, to_p
-from svjack.uglov import _check_generic_qt, _gram_schmidt
+from svjack.symfunc import (
+    SymFunc,
+    convert,
+    diagonal_form,
+    multiplicities,
+    partitions,
+    to_p,
+)
+from svjack.uglov import _check_generic_qt, _gram_schmidt, _triangular_eigenvector
 from svjack.vertexops import (
-    GradedOperator,
     _jet_coeff,
     _submultisets,
     apply_vertex_mode,
-    c0_mode,
+    c0_apply,
     c1_apply,
-    c1_mode,
     dvir_jet,
     dvir_rational,
+    eps0,
     eps1,
-    m_block,
 )
 
 
@@ -163,6 +172,52 @@ def vertex_mode_apply_oracle(creation, annihilation, n, f, dmax):
         if lam in fp.terms:
             out[mu] = out.get(mu, Fraction(0)) + c * fp.terms[lam]
     return SymFunc("p", out)
+
+
+# ---------------------------------------------------------------------------
+# operators as per-degree matrices in the m basis
+# ---------------------------------------------------------------------------
+#
+# The package applies every operator as a function on symmetric functions;
+# these matrices are a second representation the tests compare it with.
+
+def m_block(apply_fn, cols, rows):
+    """Row-major matrix of apply_fn from the m basis on the partitions
+    ``cols`` to the m basis on the partitions ``rows``."""
+    return operator_matrix(
+        lambda lam: convert(apply_fn(SymFunc("m", {lam: Fraction(1)})), "m").terms,
+        cols, rows)
+
+
+@dataclass(frozen=True)
+class GradedOperator:
+    """Per-degree matrices of a degree-shifting operator in the m basis.
+
+    ``blocks[d]`` maps the degree-d component (columns: partitions of d in
+    canonical order) to degree d + shift (rows: partitions of d + shift).
+    """
+
+    shift: int
+    blocks: dict
+    max_degree: int
+
+    @classmethod
+    def build(cls, apply_fn, n, dmax):
+        shift = -n
+        blocks = {d: m_block(apply_fn, partitions(d), partitions(d + shift))
+                  for d in range(0, dmax + 1) if 0 <= d + shift <= dmax}
+        return cls(shift=shift, blocks=blocks, max_degree=dmax)
+
+    def block(self, d):
+        return self.blocks[d]
+
+
+def c0_mode(n, dmax):
+    return GradedOperator.build(lambda f: c0_apply(n, f), n, dmax)
+
+
+def c1_mode(gamma, n, dmax):
+    return GradedOperator.build(lambda f: c1_apply(gamma, n, f), n, dmax)
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +392,13 @@ def exact_div(a, b):
 
 def ratfun_reference(numer, denom):
     """numer/denom in the canonical form by Euclid over Q: the two Polys
-    cancelled by their monic gcd and scaled to a monic denominator, and the
-    hash that form gives a RatFun (a constant hashes like its rational)."""
+    cancelled by their monic gcd and scaled to a monic denominator."""
     g = poly_gcd(numer, denom)
     if not g.is_zero() and g.degree() > 0:
         numer, denom = exact_div(numer, g), exact_div(denom, g)
     inv = Fraction(1) / denom.coeffs[-1]
-    numer = Poly(numer.var, [c * inv for c in numer.coeffs])
-    denom = Poly(denom.var, [c * inv for c in denom.coeffs])
-    if denom.degree() == 0:
-        return numer, denom, hash(numer)
-    return numer, denom, hash((numer.var, numer.coeffs, denom.coeffs))
+    return (Poly(numer.var, [c * inv for c in numer.coeffs]),
+            Poly(denom.var, [c * inv for c in denom.coeffs]))
 
 
 def graded_to_json(op):
@@ -362,6 +413,18 @@ def graded_to_json(op):
             for d, mat in sorted(op.blocks.items())
         },
     }
+
+
+def homogeneous_degree(f):
+    """The one degree of f's terms (None for zero); KernelError if several."""
+    degs = {sum(lam) for lam in f.terms}
+    if len(degs) > 1:
+        raise KernelError("not homogeneous: degrees %s" % sorted(degs))
+    return degs.pop() if degs else None
+
+
+def map_coeffs(f, fn):
+    return SymFunc(f.basis, {lam: fn(c) for lam, c in f.terms.items()})
 
 
 def mat_vec(a, v):
@@ -679,6 +742,20 @@ def pr_n_exponential(f, n):
     return mp_to_orbits(out, n)
 
 
+def inner_qt(f, g, q, t):
+    """Macdonald (q,t) inner product, bilinear with
+    <p_lam, p_mu> = delta z_lam prod (1-q^{lam_i})/(1-t^{lam_i})."""
+    q, t = as_scalar(q, "q"), as_scalar(t, "t")
+
+    def weight(part):
+        den = 1 - t ** part
+        if is_zero(den):
+            raise KernelError("inner product pole: 1 - t^%d = 0" % part)
+        return (1 - q ** part) / den
+
+    return diagonal_form(f, g, weight, q * 0)
+
+
 def macdonald_gram_schmidt(lam, q, t):
     """Independent construction: monic triangular expansion orthogonal to all
     lower P_mu under the (q, t) inner product."""
@@ -704,3 +781,33 @@ def uglov2_kernel_dimension(lam, gamma="sym"):
     mat = [[x - (e if i == j else 0) for j, x in enumerate(row)]
            for i, row in enumerate(block)]
     return len(nullspace(mat))
+
+
+@dataclass(frozen=True)
+class UglovFunction:
+    lam: tuple
+    gamma: object
+    expansion: SymFunc       # monic, m basis
+    eigenvalue0: Fraction
+    eigenvalue1: object
+
+
+def uglov2(lam, gamma="sym"):
+    """The eigen route to the gamma-family: the monic dominance-triangular
+    eigenfunction of C^1_0(gamma) with eigenvalue eps1(lam, gamma); the C^0_0
+    eigenrelation with eps0(lam) is verified as a post-check.
+
+    gamma may be "sym" (the symbolic variable), a rational, or any exact
+    field element (e.g. a rational function of t).
+    """
+    lam = tuple(lam)
+    g = as_scalar(gamma, "g")
+    vec = _triangular_eigenvector(
+        lambda f: c1_apply(g, 0, f), lam,
+        lambda mu: eps1(mu, g))
+    e0 = eps0(lam)
+    image0 = convert(c0_apply(0, vec), "m")
+    if not (image0 - vec.scale(e0)).is_zero():
+        raise VerificationFailure("C0_0 eigenrelation fails for %r" % (lam,))
+    return UglovFunction(lam=lam, gamma=g, expansion=vec,
+                         eigenvalue0=e0, eigenvalue1=eps1(lam, g))

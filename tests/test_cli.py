@@ -189,6 +189,11 @@ def test_bad_argument_exits_two_without_traceback(capsys, argv):
     # a bound below 1 would check no conjecture case
     "reproduce-paper --bound 0",
     "reproduce-paper --bound -3",
+    # an integral over no variables checks nothing
+    "selberg recursion --n 0 --alpha 1 --beta 1 --gamma 1",
+    "selberg recursion --n -2 --alpha 1 --beta 1 --gamma 1",
+    "selberg integral --n -1 --alpha 1 --beta 1 --gamma 1 --method closed",
+    "selberg integral --n -1 --alpha 1 --beta 1 --gamma 1 --method montecarlo",
 ])
 def test_usage_error_json_document(capsys, argv):
     code = main(["--json"] + argv.split())
@@ -198,7 +203,8 @@ def test_usage_error_json_document(capsys, argv):
     doc = json.loads(captured.out)
     # the command a success document of the same invocation names
     words = argv.split()
-    command = {"selberg vanish": "selberg-vanish"}.get(" ".join(words[:2]), words[0])
+    command = {"selberg vanish": "selberg-vanish",
+               "selberg recursion": "selberg-recursion"}.get(" ".join(words[:2]), words[0])
     assert doc == {"schema": "svjack-report/1", "command": command,
                    "ok": False, "error": doc["error"]}
     assert doc["error"].startswith("UsageError: ")

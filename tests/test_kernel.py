@@ -23,7 +23,7 @@ from svjack.linalg import (
     poly_interpolate,
 )
 
-from oracles import exact_div, field_ops, mat_vec, rank, ratfun_reference
+from oracles import exact_div, field_ops, inner_qt, mat_vec, rank, ratfun_reference
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -76,10 +76,12 @@ def _poly(*factors, scale=Fraction(1)):
 
 
 def _same_as_reference(x, numer, denom):
-    ref_numer, ref_denom, ref_hash = ratfun_reference(numer, denom)
+    ref_numer, ref_denom = ratfun_reference(numer, denom)
     assert x.numer.coeffs == ref_numer.coeffs
     assert x.denom.coeffs == ref_denom.coeffs
-    assert hash(x) == ref_hash
+    # equal values hash alike, however they were built
+    ref = RatFun("t", ref_numer, ref_denom)
+    assert x == ref and hash(x) == hash(ref)
 
 
 @given(int_polys, int_polys.filter(any), factor_polys, factor_polys,
@@ -87,7 +89,8 @@ def _same_as_reference(x, numer, denom):
 @settings(max_examples=150, deadline=None)
 def test_ratfun_matches_euclid_reference(n, d, fn, fd, cn, cd):
     """Common factors, coefficients above 2**64, degrees up to 12: the
-    integer form gives the Euclid form's coefficients and hash."""
+    integer form gives the Euclid form's coefficients and hashes like the
+    value built from that form."""
     common = fn[:1]
     numer = _poly(n, *fn, *common, scale=cn)
     denom = _poly(d, *fd, *common, scale=cd)
@@ -375,7 +378,7 @@ def _scalars(x):
 def _embedding_cases():
     from svjack.fock import screening_r1
     from svjack.svir import hw_data
-    from svjack.symfunc import SymFunc, inner_qt
+    from svjack.symfunc import SymFunc
     from svjack.uglov import uglov2_orth
     from svjack.vertexops import eps1, eps_macdonald, eta_apply
     f = SymFunc("p", {(2, 1): Fraction(1), (3,): Fraction(1, 2)})

@@ -11,14 +11,13 @@ from svjack.symfunc import (
     convert,
     dominance_leq,
     e_gen,
-    inner_qt,
     multiply,
     partitions,
     symfunc_to_json,
     z_lambda,
 )
 
-from oracles import m_gen, num_partitions, p_gen
+from oracles import inner_qt, m_gen, num_partitions, p_gen
 
 # reference values: number of partitions of n for n = 0..12
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]

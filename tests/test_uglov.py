@@ -8,18 +8,24 @@ from svjack.symfunc import (
     SymFunc,
     convert,
     e_gen,
-    inner_qt,
     partitions,
 )
 from svjack.uglov import (
     jack,
     macdonald,
-    uglov2,
     uglov2_orth,
     uglov_limit_check,
 )
 
-from oracles import m_gen, macdonald_gram_schmidt, p_gen, uglov2_kernel_dimension
+from oracles import (
+    inner_qt,
+    m_gen,
+    macdonald_gram_schmidt,
+    map_coeffs,
+    p_gen,
+    uglov2,
+    uglov2_kernel_dimension,
+)
 
 G = RatFun.variable("g")
 ONE = RatFun.const("g", 1)
@@ -29,7 +35,7 @@ def subs_gamma(f, value):
     """Evaluate RatFun('g') coefficients of a SymFunc at a rational gamma."""
     def ev(c):
         return c(value) if isinstance(c, RatFun) else c
-    return f.map_coeffs(ev)
+    return map_coeffs(f, ev)
 
 
 # --- Macdonald at rational samples -----------------------------------------

@@ -3,15 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from svjack.kernel import Jet, KernelError, RatFun
+from svjack.kernel import Jet, KernelError, RatFun, VerificationFailure
 from svjack.symfunc import SymFunc, convert, e_gen, multiply, partitions
 from svjack.vertexops import (
-    GradedOperator,
     apply_vertex_mode,
     c0_apply,
-    c0_mode,
     c1_apply,
-    c1_mode,
     dvir_rational,
     eps0,
     eps1,
@@ -19,7 +16,6 @@ from svjack.vertexops import (
     eps_macdonald,
     eta_apply,
     eta_hbar_check,
-    eta_mode,
     exact_sqrt,
     hbar_parameters,
     pt_c10_check,
@@ -27,6 +23,9 @@ from svjack.vertexops import (
 )
 
 from oracles import (
+    GradedOperator,
+    c0_mode,
+    c1_mode,
     commuting_family_check,
     dvir_modes,
     graded_apply,
@@ -162,6 +161,24 @@ def test_eta_hbar_check(gamma):
 
 def test_eta_hbar_check_degree0_trivial():
     assert eta_hbar_check(Fraction(3), 0)["verified"]
+
+
+@pytest.mark.parametrize("name,order", [("c0_apply", 0), ("c1_apply", 1)])
+def test_eta_hbar_check_catches_a_wrong_operator(monkeypatch, name, order):
+    import svjack.vertexops as vertexops
+    right = getattr(vertexops, name)
+    monkeypatch.setattr(vertexops, name, lambda *args: right(*args).scale(Fraction(2)))
+    with pytest.raises(VerificationFailure, match=r"h\^%d mismatch at \(" % order):
+        eta_hbar_check(Fraction(1), 2)
+
+
+def test_pt_c10_check_catches_a_wrong_operator(monkeypatch):
+    import svjack.vertexops as vertexops
+    right = vertexops.c1_apply
+    monkeypatch.setattr(vertexops, "c1_apply",
+                        lambda *args: right(*args).scale(Fraction(2)))
+    with pytest.raises(VerificationFailure, match=r"h\^1 zero-mode identity fails at \("):
+        pt_c10_check(Fraction(1, 2), Fraction(3, 2), 2)
 
 
 def test_commuting_family():
