@@ -24,6 +24,10 @@ modes (see fermion_act), so b~_k is the one extraction
 [z^{-2k}] e^{phi_-} e^{2 phi_+} o J.  All computation uses b~ over the
 base field (Q or Q(t)); sqrt(2) enters only the scalar that
 verify_conjecture reports.
+
+A generator is data: _ff_terms lists its normal-ordered terms as
+(coefficient, mode, mode) triples, and ff_act applies them through one
+mode dispatch (a_0 -> alpha, a_m -> boson_act, b~_k -> fermion_act).
 """
 
 from __future__ import annotations
@@ -83,17 +87,28 @@ def boson_act(n, f, t):
     return multiply(SymFunc("p", {(2 * m,): one}), to_p(f)).scale(-1 / (2 * t))
 
 
-def _max_degree(f):
-    fp = to_p(f)
-    if not fp.terms:
-        return 0
-    return max(sum(lam) for lam in fp.terms)
-
-
-def _apply_a(idx, f, alpha, t):
-    if idx == 0:
-        return to_p(f).scale(alpha)
-    return boson_act(idx, f, t)
+def _ff_terms(gen, d, rho):
+    """The terms of ff_act's formulas that can act on states of degree <= d,
+    as (coefficient, left mode, right mode): the right mode acts first, None
+    is the identity, and a mode is ("a", m) or ("b", k) for b~_k."""
+    hi = d // 2 + 2
+    if gen[0] == "L":
+        n = int(gen[1])
+        lo = n - d // 2 - 2
+        for m in range(lo, hi + 1):
+            yield HALF, ("a", min(m, n - m)), ("a", max(m, n - m))
+        yield -rho * Fraction(n + 1), ("a", n), None
+        for m in range(lo, hi + 1):
+            k = m + HALF  # -1/4 (k+1/2), signed when b~_k is swapped to the right
+            yield (Fraction(-1 if k <= n - k else 1, 4) * (k + HALF),
+                   ("b", min(k, n - k)), ("b", max(k, n - k)))
+    elif gen[0] == "G":
+        k = Fraction(gen[1])
+        for m in range(int(k - Fraction(d, 2)) - 2, hi + 1):
+            yield 1, ("b", k - m), ("a", m)
+        yield -2 * rho * (k + HALF), ("b", k), None
+    else:
+        raise ValueError("unsupported generator %r" % (gen,))
 
 
 def ff_act(gen, f, alpha, rho, t):
@@ -103,64 +118,22 @@ def ff_act(gen, f, alpha, rho, t):
       L_n  = 1/2 sum_m :a_m a_{n-m}: - rho (n+1) a_n - 1/4 sum_k (k+1/2) :b~_k b~_{n-k}:
       G~_k = sum_m b~_{k-m} a_m - 2 rho (k+1/2) b~_k
     """
-    kind = gen[0]
     fp = to_p(f)
     if fp.is_zero():
         return fp
-    d = _max_degree(fp)
-    zero = SymFunc("p", {})
-    if kind == "L":
-        n = int(gen[1])
-        out = zero
-        # bosonic bilinear
-        lo = n - d // 2 - 2
-        hi = d // 2 + 2
-        for m in range(lo, hi + 1):
-            i, j = (m, n - m) if m <= n - m else (n - m, m)
-            g = _apply_a(j, fp, alpha, t)
+    out = SymFunc("p", {})
+    for c, left, right in _ff_terms(gen, max(sum(lam) for lam in fp.terms), rho):
+        g = fp
+        for kind, idx in filter(None, (right, left)):
+            if kind == "b":
+                g = fermion_act(idx, g)
+            else:
+                g = boson_act(idx, g, t) if idx else g.scale(alpha)
             if g.is_zero():
-                continue
-            g = _apply_a(i, g, alpha, t)
-            if g.is_zero():
-                continue
-            out = out + g.scale(HALF)
-        # linear term
-        if n != 0:
-            g = boson_act(n, fp, t)
-            if not g.is_zero():
-                out = out + g.scale(-rho * Fraction(n + 1))
+                break
         else:
-            out = out + fp.scale(-rho * alpha)
-        # fermionic bilinear
-        k = Fraction(2 * lo + 1, 2)
-        while k <= hi + 1:
-            l = n - k
-            a, b = (k, l) if k <= l else (l, k)
-            sign = 1 if k <= l else -1
-            g = fermion_act(b, fp)
-            if not g.is_zero():
-                g = fermion_act(a, g)
-                if not g.is_zero():
-                    out = out + g.scale(Fraction(sign) * (k + HALF) * Fraction(-1, 4))
-            k += 1
-        return out
-    if kind == "G":
-        k = Fraction(gen[1])
-        out = zero
-        lo = int(k - Fraction(d, 2)) - 2
-        hi = d // 2 + 2
-        for m in range(lo, hi + 1):
-            g = _apply_a(m, fp, alpha, t)
-            if g.is_zero():
-                continue
-            g = fermion_act(k - m, g)
-            if not g.is_zero():
-                out = out + g
-        g = fermion_act(k, fp)
-        if not g.is_zero():
-            out = out + g.scale(-2 * rho * (k + HALF))
-        return out
-    raise ValueError("unsupported generator %r" % (gen,))
+            out = out + (g if c == 1 else g.scale(c))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ Carlo over angles.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -43,20 +44,23 @@ def _require_samples(samples):
         raise ValueError("sample budget %d exceeds the cap %d" % (samples, MAX_SAMPLES))
 
 
-def _require_dimension(n):
+def _require_parameters(n, alpha, beta, gamma):
     if n < 1:
         raise ValueError("n must be at least 1, got %d" % n)
+    if not all(map(math.isfinite, (alpha, beta, gamma))):
+        raise ValueError("alpha, beta, gamma must be finite, got %r, %r, %r"
+                         % (alpha, beta, gamma))
 
 
 def _log_gamma_signed(x):
     if x <= 0 and float(x).is_integer():
         raise ValueError("gamma pole at %s" % x)
-    return gammaln(x), gammasgn(x)
+    return float(gammaln(x)), gammasgn(x)
 
 
 def selberg_closed(n, alpha, beta, gamma):
     """prod_{j=1}^n G(a+(j-1)g) G(b+(j-1)g) G(1+jg) / (G(a+b+(n+j-2)g) G(1+g))."""
-    _require_dimension(n)
+    _require_parameters(n, alpha, beta, gamma)
     alpha, beta, gamma = float(alpha), float(beta), float(gamma)
     log = 0.0
     sign = 1.0
@@ -69,6 +73,8 @@ def selberg_closed(n, alpha, beta, gamma):
             lg, sg = _log_gamma_signed(x)
             log -= lg
             sign *= sg
+    if math.isnan(log) or log > math.log(sys.float_info.max):
+        raise ValueError("the closed form leaves the float range (log %g)" % log)
     return sign * math.exp(log)
 
 
@@ -116,7 +122,7 @@ def _jacobi_nodes_01(deg, alpha, beta):
 def selberg_quadrature(n, alpha, beta, gamma):
     """Tensor Gauss-Jacobi quadrature for n <= 2, absorbing the endpoint
     weight into the nodes; returns (value, error_estimate)."""
-    _require_dimension(n)
+    _require_parameters(n, alpha, beta, gamma)
     if n > 2:
         raise ValueError("quadrature supports n <= 2")
     alpha, beta, gamma = float(alpha), float(beta), float(gamma)
@@ -136,7 +142,7 @@ def selberg_quadrature(n, alpha, beta, gamma):
 def selberg_montecarlo(n, alpha, beta, gamma, samples=10 ** 6, seed=0):
     """Plain Monte Carlo over the unit cube with per-variable Beta importance
     sampling for the endpoint factors; returns (value, standard_error)."""
-    _require_dimension(n)
+    _require_parameters(n, alpha, beta, gamma)
     _require_samples(samples)
     rng = np.random.default_rng(seed)
     alpha_f, beta_f, gamma_f = float(alpha), float(beta), float(gamma)
@@ -178,7 +184,7 @@ def aomoto_recursion_check(n, alpha, beta, gamma):
     consistent with the closed product; the transcribed one is reported, not
     asserted.
     """
-    _require_dimension(n)
+    _require_parameters(n, alpha, beta, gamma)
     alpha, beta, gamma = float(alpha), float(beta), float(gamma)
     rows = []
     for k in range(1, n + 1):

@@ -2,11 +2,12 @@
 SymFunc to a SymFunc.
 
 An operator of the shape  exp(sum_a c(a) p_a z^a) * exp(sum_b d(b) dp_b z^{-b})
-acts on the power-sum basis by pairing a creation partition (from the first
-exponential) with a derivative partition (from the second).  Mode extraction
-[z^{-n}] couples the two total z-degrees, so every application to a fixed
-element is a finite exact sum; no truncation parameter is involved beyond
-the degree of the input.
+acts on the power-sum basis by pairing a creation partition kappa (from the
+first exponential) with a derivative partition nu (from the second).  Mode
+extraction [z^{-n}] couples the two total z-degrees, so every application
+to a fixed element is a finite exact sum; no truncation parameter is
+involved beyond the degree of the input.  One weight rule, a product of
+coefficient powers times a count, prices both sides (see apply_vertex_mode).
 
 The operators provided here:
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .kernel import Jet, KernelError, RatFun, VerificationFailure, as_scalar, is_zero
 from .symfunc import (
@@ -49,38 +51,39 @@ from .symfunc import (
 # generic mode application
 # ---------------------------------------------------------------------------
 
+_KEEP = {"any": (0, 1), "odd": (1,), "even": (0,)}  # p % 2 of the parts kept
+
+
 @lru_cache(maxsize=None)
 def _partitions_with_parity(n, parity):
     """Partitions of n restricted to odd/even/any part sizes."""
-    if parity == "any":
-        return partitions(n)
-    keep = (lambda p: p % 2 == 1) if parity == "odd" else (lambda p: p % 2 == 0)
-    return tuple(lam for lam in partitions(n) if all(keep(p) for p in lam))
+    return tuple(lam for lam in partitions(n) if all(p % 2 in _KEEP[parity] for p in lam))
 
 
 def _submultisets(mult):
     """All sub-multiplicity dicts of a multiplicity dict."""
     items = sorted(mult.items())
-
-    def rec(i, acc):
-        if i == len(items):
-            yield dict(acc)
-            return
-        part, m = items[i]
-        for take in range(m + 1):
-            if take:
-                acc[part] = take
-            yield from rec(i + 1, acc)
-            acc.pop(part, None)
-
-    yield from rec(0, {})
+    for takes in product(*(range(m + 1) for _, m in items)):
+        yield {p: k for (p, _), k in zip(items, takes) if k}
 
 
-def _falling(m, k):
-    out = 1
-    for i in range(k):
-        out *= (m - i)
-    return out
+def _weight(coeff, mult, count):
+    """prod_p coeff(p)^m count(p, m) over the parts p of multiplicity m in
+    mult (1 when mult is empty), or None when some coeff(p) is None or 0.
+    The power is a run of products starting at coeff(p) itself and the
+    rational counts multiply once at the end: for a Jet, 1 * c and c * c
+    beyond the needed power each cost a full jet product."""
+    w, k = None, 1
+    for p, m in mult.items():
+        c = coeff(p)
+        if c is None or is_zero(c):
+            return None
+        for _ in range(m):
+            w = c if w is None else w * c
+        k *= count(p, m)
+    if w is None:
+        return k
+    return w if k == 1 else w * k
 
 
 def apply_vertex_mode(creation, annihilation, n, f, parity="any"):
@@ -90,66 +93,41 @@ def apply_vertex_mode(creation, annihilation, n, f, parity="any"):
     ``creation(a)`` / ``annihilation(b)`` return exact scalars (or 0 / None
     for absent indices).  ``parity`` restricts both series to odd or even
     indices, which prunes the enumeration for the purely odd operators.
+
+    On p_lam, removing the parts nu weighs prod_p annihilation(p)^m C(m_p(lam), m)
+    and creating kappa weighs prod_p creation(p)^m / m!; the creation series
+    [z^a] is built once per degree a and call.
     """
-    fp = to_p(f)
+    creation = lru_cache(maxsize=None)(creation)
+    annihilation = lru_cache(maxsize=None)(annihilation)
+
+    @lru_cache(maxsize=None)
+    def series(a):
+        out = {}
+        for kappa in _partitions_with_parity(a, parity):
+            w = _weight(creation, multiplicities(kappa),
+                        lambda p, m: Fraction(1, math.factorial(m)))
+            if w is not None:
+                out[kappa] = w
+        return out
+
     out = {}
-    cre_cache = {}
-    ann_cache = {}
-
-    def cre(a):
-        if a not in cre_cache:
-            cre_cache[a] = creation(a)
-        return cre_cache[a]
-
-    def ann(b):
-        if b not in ann_cache:
-            ann_cache[b] = annihilation(b)
-        return ann_cache[b]
-
-    for lam, coeff in fp.terms.items():
+    for lam, coeff in to_p(f).terms.items():
         mult = multiplicities(lam)
-        if parity != "any":
-            keep = (lambda p: p % 2 == 1) if parity == "odd" else (lambda p: p % 2 == 0)
-            dmult = {p: m for p, m in mult.items() if keep(p)}
-        else:
-            dmult = mult
-        for nu in _submultisets(dmult):
-            b_tot = sum(p * m for p, m in nu.items())
-            a_tot = b_tot - n
+        for nu in _submultisets({p: m for p, m in mult.items() if p % 2 in _KEEP[parity]}):
+            a_tot = sum(p * m for p, m in nu.items()) - n
             if a_tot < 0:
                 continue
-            w = coeff
-            dead = False
-            for p, m in nu.items():
-                ab = ann(p)
-                if ab is None or is_zero(ab):
-                    dead = True
-                    break
-                for _ in range(m):
-                    w = w * ab
-                w = w * Fraction(_falling(mult[p], m), math.factorial(m))
-            if dead:
+            w = _weight(annihilation, nu, lambda p, m: math.comb(mult[p], m))
+            if w is None:
                 continue
-            stripped = list(lam)
-            for p, m in nu.items():
-                for _ in range(m):
-                    stripped.remove(p)
-            stripped = tuple(stripped)
-            for kappa in _partitions_with_parity(a_tot, parity):
-                w2 = w
-                bad = False
-                for p, m in multiplicities(kappa).items():
-                    ca = cre(p)
-                    if ca is None or is_zero(ca):
-                        bad = True
-                        break
-                    for _ in range(m):
-                        w2 = w2 * ca
-                    w2 = w2 * Fraction(1, math.factorial(m))
-                if bad:
-                    continue
+            w = coeff * w
+            stripped = tuple(p for p in sorted(mult, reverse=True)
+                             for _ in range(mult[p] - nu.get(p, 0)))
+            for kappa, wk in series(a_tot).items():
                 key = merge_partitions(stripped, kappa)
-                out[key] = out[key] + w2 if key in out else w2
+                term = w * wk
+                out[key] = out[key] + term if key in out else term
     return SymFunc("p", out)
 
 

@@ -194,6 +194,13 @@ def test_bad_argument_exits_two_without_traceback(capsys, argv):
     "selberg recursion --n -2 --alpha 1 --beta 1 --gamma 1",
     "selberg integral --n -1 --alpha 1 --beta 1 --gamma 1 --method closed",
     "selberg integral --n -1 --alpha 1 --beta 1 --gamma 1 --method montecarlo",
+    # a float that is no number, or a closed form beyond the float range,
+    # has no JSON value to report
+    "selberg integral --n 2 --alpha nan --beta 1 --gamma 1 --method closed",
+    "selberg integral --n 2 --alpha inf --beta 1 --gamma 1 --method closed",
+    "selberg recursion --n 2 --alpha nan --beta 1 --gamma 1",
+    "selberg integral --n 3 --alpha 1e-300 --beta 1e-300 --gamma 1 --method closed",
+    "selberg recursion --n 3 --alpha 1e-300 --beta 1e-300 --gamma 1",
 ])
 def test_usage_error_json_document(capsys, argv):
     code = main(["--json"] + argv.split())

@@ -164,6 +164,27 @@ def test_ff_g_minus_three_halves_display():
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("r, s", [(1, 3), (2, 2)])
+def test_l_row_is_the_g_anticommutator(r, s):
+    """L_n = (1/4) (G~_{n-1/2} G~_{1/2} + G~_{1/2} G~_{n-1/2}) in the free-field
+    forms: {G_r, G_s} = 2 L_{r+s} has no central term at s = 1/2, and
+    G~ = sqrt2 G.  So the L terms of ff_act are checked against its G terms."""
+    hw, alpha, rho, t = _weights(r, s)
+    rng = random.Random(10 * r + s)
+    lams = [lam for d in range(5) for lam in partitions(d)]
+
+    def ff(gen, f):
+        return ff_act(gen, f, alpha, rho, t)
+
+    for n in range(-3, 4):
+        g, g_half = ("G", n - HALF), ("G", HALF)
+        for _ in range(3):
+            f = SymFunc("p", {lam: T * rng.randint(-3, 3) + rng.randint(1, 4)
+                              for lam in rng.sample(lams, 4)})
+            anti = ff(g, ff(g_half, f)) + ff(g_half, ff(g, f))
+            assert ff(("L", n), f) == anti.scale(Fraction(1, 4)), (n, f)
+
+
 @pytest.mark.parametrize("gen", [("L", 1), ("L", 2), ("G", HALF), ("G", Fraction(3, 2))])
 def test_intertwining_on_random_vectors(gen):
     """The Verma action and the free-field action agree through the map.

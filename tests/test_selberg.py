@@ -40,6 +40,24 @@ def test_selberg_pole_detection():
         selberg_closed(2, 0.25, 1, -0.25)  # alpha + gamma = 0 hits gamma(0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_bad_input(bad):
+    # each entry point, before a gamma value or a sample is computed
+    for fn in (selberg_closed, selberg_quadrature, selberg_montecarlo,
+               aomoto_recursion_check):
+        for args in ((bad, 1, 1), (1, bad, 1), (1, 1, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                fn(2, *args)
+
+
+def test_closed_form_beyond_the_float_range_is_bad_input():
+    # log S_3(1e-300, 1e-300, 1) is about 1381.6, past the largest float
+    with pytest.raises(ValueError, match="leaves the float range"):
+        selberg_closed(3, 1e-300, 1e-300, 1)
+    with pytest.raises(ValueError, match="leaves the float range"):
+        aomoto_recursion_check(3, 1e-300, 1e-300, 1)
+
+
 def test_domain_predicate():
     assert check_selberg_domain(2, 1, 1, 1)
     assert not check_selberg_domain(2, -1, 1, 1)

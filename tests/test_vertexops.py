@@ -39,23 +39,43 @@ from oracles import (
 
 # --- generic mode extraction against the dense oracle ----------------------
 
+_T = RatFun.variable("t")
+# a nonzero rational x as an element of each scalar field the engine meets
+_LIFT = {
+    "Fraction": lambda x: x,
+    "Q(t)": lambda x: (_T + x) / (_T - 2),
+    "Jet": lambda x: Jet([x, 1 - x], 1),
+}
+_KEEP = {"any": (0, 1), "odd": (1,), "even": (0,)}
+
+
 @pytest.mark.parametrize("n", [-2, -1, 0, 1, 2])
 def test_vertex_mode_against_dense_oracle(n):
-    # a generic two-sided vertex with dense rational coefficients
-    def cre(a):
-        return Fraction(1, a + 1)
-
-    def ann(b):
-        return Fraction(-2, b)
-
+    """Each parity, over Q, Q(t) and hbar-jets, with the creation series
+    absent at a = 4 (None) and the annihilation series at b = 3 (zero), on
+    sums of p_lam whose images share monomials.  The oracle has no parity
+    argument: it gets the series restricted to the kept indices."""
     rng = random.Random(n + 10)
-    for _ in range(4):
-        d = rng.randint(0, 4)
-        lam = rng.choice(partitions(d))
-        f = p_gen(lam)
-        mine = apply_vertex_mode(cre, ann, n, f)
-        ref = vertex_mode_apply_oracle(cre, ann, n, f, dmax=7)
-        assert mine == ref
+    for field, lift in _LIFT.items():
+        collided = False
+        for parity, keep in _KEEP.items():
+            def cre(a):
+                return None if a == 4 or a % 2 not in keep else lift(Fraction(1, a + 1))
+
+            def ann(b):
+                return 0 if b == 3 or b % 2 not in keep else lift(Fraction(-2, b))
+
+            terms = {lam: lift(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+                     for d in range(5) for lam in partitions(d)}
+            images = [apply_vertex_mode(cre, ann, n, SymFunc("p", {lam: c}), parity)
+                      for lam, c in terms.items()]
+            keys = [mu for image in images for mu in image.terms]
+            collided = collided or len(set(keys)) < len(keys)
+            mine = apply_vertex_mode(cre, ann, n, SymFunc("p", terms), parity)
+            assert mine == sum(images[1:], images[0]), (field, parity)
+            ref = vertex_mode_apply_oracle(cre, ann, n, SymFunc("p", terms), dmax=4 - min(n, 0))
+            assert mine == ref, (field, parity)
+        assert collided, field  # two images share a monomial
 
 
 def test_eta_mode_against_dense_oracle():
