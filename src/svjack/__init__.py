@@ -4,11 +4,11 @@ functions."""
 
 __version__ = "0.1.0"
 
-from .fock import screening_r1, verify_conjecture, verma_to_lambda
+from .fock import screening_r1, t1_annihilation_check, verify_conjecture, verma_to_lambda
 from .svir import gram_matrix, hw_data, kac_det_check, pns, singular_vector
 from .symfunc import SymFunc, convert, multiply, partitions
 from .uglov import jack, macdonald, uglov2_orth, uglov_limit_check
-from .vertexops import eps0, eps1, eta_hbar_check, t1_annihilation_check
+from .vertexops import eps0, eps1, eta_hbar_check
 
 __all__ = [
     "SymFunc", "convert", "multiply", "partitions",

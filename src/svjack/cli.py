@@ -16,7 +16,11 @@ import json
 import sys
 from fractions import Fraction
 
+from .fock import screening_r1, verify_conjecture
 from .kernel import KernelError, scalar_to_json
+from .svir import kac_det_check, singular_vector
+from .symfunc import convert, symfunc_to_json
+from .uglov import jack, macdonald, uglov2_orth
 
 SCHEMA_VERSION = "svjack-report/1"
 
@@ -113,30 +117,23 @@ def _human_result(value, indent=""):
         print("%s%s" % (indent, value))
 
 
-def _symfunc_json(f):
-    from .symfunc import symfunc_to_json
-    return symfunc_to_json(f)
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers; those of finiten, selberg and reproduce import them,
+# because `import svjack` does not load them (selberg and reproduce bring in
+# numpy and scipy)
 # ---------------------------------------------------------------------------
 
 def cmd_uglov(args):
-    from .symfunc import convert
-    from .uglov import uglov2_orth
     lam = _parse_partition(args.partition)
     gamma = _parse_symbolic(args.gamma, "gamma")
     f = uglov2_orth(lam, gamma)
     out = convert(f, args.basis)
     return _emit(args,
                  {"partition": list(lam), "gamma": args.gamma, "basis": args.basis},
-                 {"expansion": _symfunc_json(out)})
+                 {"expansion": symfunc_to_json(out)})
 
 
 def cmd_macdonald(args):
-    from .symfunc import convert
-    from .uglov import macdonald
     lam = _parse_partition(args.partition)
     q = _parse_rational(args.q)
     t = _parse_rational(args.t)
@@ -144,23 +141,20 @@ def cmd_macdonald(args):
     out = convert(f, args.basis)
     return _emit(args,
                  {"partition": list(lam), "q": str(q), "t": str(t), "basis": args.basis},
-                 {"expansion": _symfunc_json(out)})
+                 {"expansion": symfunc_to_json(out)})
 
 
 def cmd_jack(args):
-    from .symfunc import convert
-    from .uglov import jack
     lam = _parse_partition(args.partition)
     alpha = _parse_rational(args.alpha)
     f = jack(lam, alpha)
     out = convert(f, args.basis)
     return _emit(args,
                  {"partition": list(lam), "alpha": str(alpha), "basis": args.basis},
-                 {"expansion": _symfunc_json(out)})
+                 {"expansion": symfunc_to_json(out)})
 
 
 def cmd_singular(args):
-    from .svir import singular_vector
     t = _parse_symbolic(args.t, "t")
     chi = singular_vector(args.r, args.s, t)
     terms = []
@@ -175,7 +169,6 @@ def cmd_singular(args):
 
 
 def cmd_kacdet(args):
-    from .svir import kac_det_check
     level = _parse_rational(args.level)
     t = _parse_symbolic(args.t, "t")
     rep = kac_det_check(level, t)
@@ -185,7 +178,6 @@ def cmd_kacdet(args):
 
 
 def cmd_verify(args):
-    from .fock import verify_conjecture
     t = _parse_symbolic(args.t, "t")
     rep = verify_conjecture(args.r, args.s, t)
     ok = rep["proportional"] and rep["eigencheck"] and rep["triangular"]
@@ -197,10 +189,9 @@ def cmd_verify(args):
 
 
 def cmd_screening(args):
-    from .fock import screening_r1
     t = _parse_symbolic(args.t, "t")
     out = screening_r1(args.s, t)
-    return _emit(args, {"s": args.s, "t": args.t}, {"residue": _symfunc_json(out)})
+    return _emit(args, {"s": args.s, "t": args.t}, {"residue": symfunc_to_json(out)})
 
 
 def cmd_selberg_integral(args):
@@ -268,8 +259,20 @@ def cmd_reproduce(args):
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments are bad input: error() raises ValueError, which main
+    reports like any other, in place of printing the usage and exiting.  The
+    error carries the command that this parser's documents name, if it sets
+    one (argparse reads a subcommand's arguments into a namespace of its own)."""
+
+    def error(self, message):
+        exc = ValueError(message)
+        exc.command = self.get_default("command")
+        raise exc
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="svjack",
         description="Exact verification suite for super Virasoro singular "
                     "vectors and their symmetric-function images.")
@@ -359,12 +362,15 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the namespace names a command, and says whether to print JSON, even
+    # when parsing stops at a bad argument
+    args = argparse.Namespace(json=False, command="svjack")
     try:
+        build_parser().parse_args(argv, args)
         code = args.fn(args)
     except ValueError as exc:
         # the library raises ValueError only from its argument checks
+        args.command = getattr(exc, "command", None) or args.command
         print("usage error: %s" % exc, file=sys.stderr)
         if args.json:
             _emit_error(args, "UsageError", exc)

@@ -26,6 +26,7 @@ from operator import add
 from .kernel import VerificationFailure
 from .linalg import identity, operator_matrix
 from .symfunc import SymFunc, convert, multiplicities, partitions
+from .vertexops import c0_apply, c1_apply
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +240,6 @@ def c1n_apply(orbits, n, gamma):
 def _projected_infinite_image(which, gamma, n):
     """Image function of the infinite-variable mode followed by pr_n, which
     drops every m_mu with more than n parts."""
-    from .vertexops import c0_apply, c1_apply
-
     def image_of(lam):
         f = SymFunc("m", {lam: Fraction(1)})
         image = c0_apply(0, f) if which == "c0" else c1_apply(Fraction(gamma), 0, f)

@@ -12,8 +12,16 @@ from __future__ import annotations
 import traceback
 from fractions import Fraction
 
+from .finiten import limit_diagnostic
+from .fock import screening_r1, t1_annihilation_check, verify_conjecture, verma_to_lambda
 from .kernel import Poly, RatFun, is_zero
+from .selberg import (aomoto_ratio_exact, selberg_closed, selberg_montecarlo,
+                      selberg_quadrature, vanishing_check)
+from .svir import SuperPartition, act, gram_matrix_symbolic_h, kac_det_check, singular_vector
 from .symfunc import SymFunc, convert, e_gen, partitions, to_p
+from .uglov import uglov2_orth
+from .vertexops import (c0_apply, c1_apply, dvir_rational, eps0, eps1, eps_hbar_check,
+                        eta_hbar_check, pt_c10_check, pt_eta_check)
 
 
 HALF = Fraction(1, 2)
@@ -32,8 +40,6 @@ def _guard(fn, *args, **kwargs):
 def run_kac_determinants():
     """Gram matrices at levels <= 3/2 against their reference forms, and the
     determinant factorizations at levels <= 2."""
-    from .svir import gram_matrix_symbolic_h, kac_det_check
-
     one_t = RatFun.const("t", 1)
     t = RatFun.variable("t")
     h = Poly("h", [0 * one_t, one_t])
@@ -44,17 +50,13 @@ def run_kac_determinants():
     expected = [[4 * h * h + 2 * h, 4 * h],
                 [4 * h, 2 * h + Poly.const("h", c * Fraction(2, 3))]]
     ok = ok and m == expected
-    reports = {}
-    for level in (HALF, Fraction(1), Fraction(3, 2), Fraction(2)):
-        rep = kac_det_check(level)
-        reports[str(level)] = {
-            "factors": rep["factors"],
-            "degree": rep["degree"],
-            "constant_nonzero": not is_zero(rep["constant"]),
-        }
-    consts = (kac_det_check(HALF)["constant"] == 2 * one_t
-              and kac_det_check(1)["constant"] == 2 * one_t
-              and kac_det_check(Fraction(3, 2))["constant"] == 8 * one_t)
+    reps = {level: kac_det_check(level)
+            for level in (HALF, Fraction(1), Fraction(3, 2), Fraction(2))}
+    reports = {str(level): {"factors": rep["factors"], "degree": rep["degree"],
+                            "constant_nonzero": not is_zero(rep["constant"])}
+               for level, rep in reps.items()}
+    consts = ([reps[level]["constant"] for level in (HALF, 1, Fraction(3, 2))]
+              == [2 * one_t, 2 * one_t, 8 * one_t])
     return {"status": "pass" if ok and consts else "fail",
             "matrices_match": ok, "constants_match": consts,
             "levels": reports}
@@ -62,8 +64,6 @@ def run_kac_determinants():
 
 def run_singular_vectors():
     """The explicit level <= 3/2 singular vectors and their annihilation."""
-    from .svir import SuperPartition, act, singular_vector
-
     t = RatFun.variable("t")
     one = RatFun.const("t", 1)
     chi = singular_vector(1, 1, "sym")
@@ -86,9 +86,6 @@ def run_singular_vector_images():
     """Images of the level <= 3/2 singular vectors against the reference
     power-sum expansions (up to overall scalar), and the equality of the
     (1,3) image with e_3."""
-    from .fock import verma_to_lambda
-    from .svir import singular_vector
-
     t = RatFun.variable("t")
     one = RatFun.const("t", 1)
     displays = {
@@ -113,9 +110,6 @@ def run_singular_vector_images():
 def run_uglov_table():
     """The scaled low-degree family table and the elementary column, plus the
     one-screening residues."""
-    from .fock import screening_r1
-    from .uglov import uglov2_orth
-
     g = RatFun.variable("g")
     one = RatFun.const("g", 1)
     a = one / g
@@ -159,8 +153,6 @@ def run_conjecture(bound=6):
     """The singular-vector / symmetric-function identification for every
     (r, s) with equal parity and rs <= bound with symbolic t, plus rs = 8 at
     rational t samples when the bound covers it."""
-    from .fock import verify_conjecture
-
     cases = sorted({(r, s) for r in range(1, bound + 1)
                     for s in range(1, bound + 1)
                     if r * s <= bound and (r - s) % 2 == 0})
@@ -190,9 +182,6 @@ def run_conjecture(bound=6):
 def run_eigen_suite(maxdeg=6):
     """Both eigenrelations for every member of the gamma-family of degree at
     most maxdeg, with symbolic gamma."""
-    from .uglov import uglov2_orth
-    from .vertexops import c0_apply, c1_apply, eps0, eps1
-
     g = RatFun.variable("g")
     checked = 0
     for n in range(0, maxdeg + 1):
@@ -209,9 +198,6 @@ def run_eigen_suite(maxdeg=6):
 def run_hbar_expansion():
     """The jet expansion of the eta family and the zero-mode identities of
     the two-term current, at two (gamma, alpha) samples."""
-    from .vertexops import (dvir_rational, eps_hbar_check, eta_hbar_check,
-                            pt_c10_check, pt_eta_check)
-
     eta5 = eta_hbar_check(Fraction(1), 5)["verified"]
     eta5b = eta_hbar_check(Fraction(2, 3), 5)["verified"]
     eps = eps_hbar_check(5, Fraction(2, 3))
@@ -228,8 +214,6 @@ def run_hbar_expansion():
 
 def run_annihilation():
     """Positive current modes annihilate singular-vector images."""
-    from .vertexops import t1_annihilation_check
-
     results = {}
     passed = True
     for r, s in ((1, 1), (3, 1), (1, 3), (2, 2)):
@@ -241,10 +225,6 @@ def run_annihilation():
 
 def run_selberg(mc_samples=10 ** 7):
     """Quadrature, Monte Carlo and exact checks of the integral identities."""
-    from .selberg import (aomoto_ratio_exact, selberg_closed,
-                          selberg_montecarlo, selberg_quadrature,
-                          vanishing_check)
-
     q_val, q_err = selberg_quadrature(2, 1, 1, 1)
     quad_ok = abs(q_val - 1 / 6) < 1e-8
     closed3 = selberg_closed(3, 1, 1, 1)
@@ -269,8 +249,6 @@ def run_selberg(mc_samples=10 ** 7):
 
 def run_finite_n(dmax=3, nmax=6):
     """The restriction diagnostic; always reported as findings."""
-    from .finiten import limit_diagnostic
-
     diag = limit_diagnostic(dmax, list(range(1, nmax + 1)), which="c0")
     cell10 = diag["cells"][(1, 0)]["finite"] == [[Fraction(2)]]
     cell20 = diag["cells"][(2, 0)]["finite"] == [[Fraction(0)]]

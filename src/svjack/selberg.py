@@ -52,6 +52,27 @@ def _require_parameters(n, alpha, beta, gamma):
                          % (alpha, beta, gamma))
 
 
+def check_selberg_domain(n, alpha, beta, gamma):
+    """Whether the cube integral converges: alpha, beta > 0 and
+    gamma > -min(1/n, alpha/(n-1), beta/(n-1))."""
+    if alpha <= 0 or beta <= 0:
+        return False
+    bound = min(1.0 / n,
+                alpha / (n - 1) if n > 1 else math.inf,
+                beta / (n - 1) if n > 1 else math.inf)
+    return gamma > -bound
+
+
+def _require_convergent(n, alpha, beta, gamma):
+    """The entry check of the numeric integrations, which need the integral
+    itself; the closed form continues it analytically beyond that domain."""
+    _require_parameters(n, alpha, beta, gamma)
+    if not check_selberg_domain(n, alpha, beta, gamma):
+        raise ValueError("the integral diverges unless alpha, beta > 0 and gamma > "
+                         "-min(1/n, alpha/(n-1), beta/(n-1)); got %r, %r, %r"
+                         % (alpha, beta, gamma))
+
+
 def _log_gamma_signed(x):
     if x <= 0 and float(x).is_integer():
         raise ValueError("gamma pole at %s" % x)
@@ -121,10 +142,14 @@ def _jacobi_nodes_01(deg, alpha, beta):
 
 def selberg_quadrature(n, alpha, beta, gamma):
     """Tensor Gauss-Jacobi quadrature for n <= 2, absorbing the endpoint
-    weight into the nodes; returns (value, error_estimate)."""
-    _require_parameters(n, alpha, beta, gamma)
+    weight into the nodes; returns (value, error_estimate).  The tensor
+    nodes include the diagonal x_1 = x_2, so n = 2 needs gamma >= 0."""
+    _require_convergent(n, alpha, beta, gamma)
     if n > 2:
         raise ValueError("quadrature supports n <= 2")
+    if n == 2 and gamma < 0:
+        raise ValueError("quadrature needs gamma >= 0 (its nodes include the "
+                         "diagonal), got %r" % gamma)
     alpha, beta, gamma = float(alpha), float(beta), float(gamma)
 
     def compute(deg):
@@ -142,14 +167,19 @@ def selberg_quadrature(n, alpha, beta, gamma):
 def selberg_montecarlo(n, alpha, beta, gamma, samples=10 ** 6, seed=0):
     """Plain Monte Carlo over the unit cube with per-variable Beta importance
     sampling for the endpoint factors; returns (value, standard_error)."""
-    _require_parameters(n, alpha, beta, gamma)
+    _require_convergent(n, alpha, beta, gamma)
     _require_samples(samples)
-    rng = np.random.default_rng(seed)
     alpha_f, beta_f, gamma_f = float(alpha), float(beta), float(gamma)
-    x = rng.beta(alpha_f, beta_f, size=(samples, n))
     # Beta(alpha, beta) density absorbs x^{a-1}(1-x)^{b-1}/B(a,b)
     log_b = (gammaln(alpha_f) + gammaln(beta_f) - gammaln(alpha_f + beta_f))
-    vals = np.full(samples, math.exp(log_b) ** n)
+    try:
+        weight = math.exp(log_b) ** n
+    except OverflowError:
+        raise ValueError("B(alpha, beta)^n leaves the float range (log %g)"
+                         % (n * log_b)) from None
+    rng = np.random.default_rng(seed)
+    x = rng.beta(alpha_f, beta_f, size=(samples, n))
+    vals = np.full(samples, weight)
     # pairwise factors go through one scratch buffer; the elementwise
     # operations are those of vals * np.abs(x_i - x_j) ** (2 gamma)
     tmp = np.empty(samples)

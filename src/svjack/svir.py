@@ -17,7 +17,7 @@ rational function of t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,22 +33,22 @@ HALF = Fraction(1, 2)
 # superpartitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class SuperPartition:
-    """A pair (bosonic partition, strict half-odd fermionic partition)."""
+class SuperPartition(namedtuple("SuperPartition", "bosonic fermionic")):
+    """A pair (bosonic partition, strict half-odd fermionic partition); a
+    named tuple, so it hashes, orders and equals as the plain pair, and ``*``
+    repeats it."""
 
-    bosonic: tuple
-    fermionic: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        b = self.bosonic
-        f = self.fermionic
+    def __new__(cls, bosonic, fermionic):
+        b, f = bosonic, fermionic
         if any(b[i] < b[i + 1] for i in range(len(b) - 1)) or any(p < 1 for p in b):
             raise ValueError("bosonic part must be a partition: %r" % (b,))
         if any(f[i] <= f[i + 1] for i in range(len(f) - 1)):
             raise ValueError("fermionic parts must strictly decrease: %r" % (f,))
         if any((2 * p) % 2 != 1 or p < 0 for p in f):
             raise ValueError("fermionic parts must be positive half-odd: %r" % (f,))
+        return super().__new__(cls, b, f)
 
     def size(self):
         return sum(self.bosonic, Fraction(0)) + sum(self.fermionic, Fraction(0))
@@ -109,16 +109,9 @@ def pns(level):
 # highest-weight data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HighestWeightData:
-    t: object
-    rho: object
-    c: object
-    t_minus: object
-    r: int
-    s: int
-    h: object
-    alpha_plus: object
+# the weights of one module, a named tuple: it equals the plain tuple of its
+# fields, and ``*`` repeats it
+HighestWeightData = namedtuple("HighestWeightData", "t rho c h alpha_plus")
 
 
 def _rho_and_c(tv):
@@ -140,8 +133,7 @@ def hw_data(t, r, s):
     t_minus = -1 / tv
     h = (r * tv + s * t_minus) ** 2 * Fraction(1, 8) - rho * rho * HALF
     alpha_plus = tv * Fraction(r + 1, 2) + t_minus * Fraction(s + 1, 2)
-    return HighestWeightData(t=tv, rho=rho, c=c, t_minus=t_minus,
-                             r=r, s=s, h=h, alpha_plus=alpha_plus)
+    return HighestWeightData(t=tv, rho=rho, c=c, h=h, alpha_plus=alpha_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +244,12 @@ def _sp_of(word):
 # Verma vectors and generator action
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VermaVector:
-    level: Fraction
-    terms: dict                    # SuperPartition -> scalar
-    weight: HighestWeightData | None
-    h: object
-    c: object
+class VermaVector(namedtuple("VermaVector", "level terms weight h c")):
+    """terms maps SuperPartition -> scalar; weight is a HighestWeightData or
+    None.  A named tuple with its own + and -: it equals the plain tuple of
+    its fields, and ``*`` repeats that tuple (scale multiplies by a scalar)."""
+
+    __slots__ = ()
 
     def is_zero(self):
         return not self.terms

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .kernel import is_zero
+from .kernel import is_zero, scalar_to_json
 
 
 def check_partition(lam):
@@ -344,7 +344,6 @@ def diagonal_form(f, g, weight, zero):
 
 
 def symfunc_to_json(f):
-    from .kernel import scalar_to_json
     return {
         "basis": f.basis,
         "terms": [

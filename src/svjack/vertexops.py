@@ -19,9 +19,9 @@ The operators provided here:
                    eta_0 plus a scalar in the zero mode
 
 together with the eigenvalue formulas eps (Macdonald), eps0 and eps1.  The
-identities between them (the hbar expansion of eta_0, the zero-mode identity
-of the current, the annihilation of singular-vector images) are checked on
-images of symmetric functions, never through operator matrices.
+identities between them (the hbar expansion of eta_0 and the zero-mode
+identity of the current) are checked on images of symmetric functions, never
+through operator matrices.
 
 Convention note: the creation series of eta carries (1 - t^{-a}); this is the
 form whose zero mode has eigenvalue 1 + (t-1)(q-1)/t on p_1 and whose
@@ -35,10 +35,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .kernel import Jet, KernelError, RatFun, VerificationFailure, as_scalar, is_zero
+from .kernel import Jet, KernelError, VerificationFailure, as_scalar, is_zero
 from .symfunc import (
     SymFunc,
-    convert,
     merge_partitions,
     multiplicities,
     multiply,
@@ -410,44 +409,3 @@ def _jet_coeff(x, k):
 def _jet_part(f, k):
     """The SymFunc of the h^k coefficients of f's coefficients."""
     return SymFunc(f.basis, {mu: _jet_coeff(c, k) for mu, c in f.terms.items()})
-
-
-# ---------------------------------------------------------------------------
-# annihilation of singular-vector images by positive current modes
-# ---------------------------------------------------------------------------
-
-def dvir_alpha_for_singular(r, s, gamma):
-    """The current weight whose positive modes annihilate the image of the
-    (r, s) singular vector: 2*alpha = (s+1)*gamma - (r+1).
-
-    Determined by solving the annihilation conditions exactly for small
-    (r, s) and verified for every case exercised by the test-suite solver.
-    """
-    return (gamma * (s + 1) - (r + 1)) * Fraction(1, 2)
-
-
-def t1_annihilation_check(r, s, nmax=None):
-    """Apply T^0_n and T^1_n(1/t^2) for n >= 1 to the singular-vector image
-    and assert both vanish; t is carried symbolically."""
-    from .fock import monic_image, verma_to_lambda
-    from .svir import singular_vector
-
-    if nmax is None:
-        nmax = r * s
-    chi = singular_vector(r, s, "sym")
-    _, v = monic_image(convert(verma_to_lambda(chi), "m"), (r,) * s)  # over Q(t)
-    tvar = RatFun.variable("t")
-    gamma = 1 / (tvar * tvar)
-    alpha = dvir_alpha_for_singular(r, s, gamma)
-    cur = dvir_jet(gamma, alpha, 1)
-    checked = []
-    for n in range(1, nmax + 1):
-        image = cur.t_apply(n, v)
-        for k in (0, 1):
-            part = _jet_part(image, k)
-            if not part.is_zero():
-                raise VerificationFailure(
-                    "T^%d_%d fails to annihilate the (%d,%d) image at %r"
-                    % (k, n, r, s, next(iter(part.terms))))
-        checked.append(n)
-    return {"rs": [r, s], "modes_checked": checked, "annihilated": True}

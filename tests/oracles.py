@@ -520,15 +520,6 @@ def c1n_corrected_apply(orbits, n, gamma):
     return {k: v for k, v in out.items() if v != 0}
 
 
-def check_selberg_domain(n, alpha, beta, gamma):
-    if alpha <= 0 or beta <= 0:
-        return False
-    bound = min(1.0 / n,
-                alpha / (n - 1) if n > 1 else math.inf,
-                beta / (n - 1) if n > 1 else math.inf)
-    return gamma > -bound
-
-
 def i0_closed(r, t):
     """Gamma-product form of the normalization I(0) = S_r((1-r)t, 1, t)."""
     t = float(t)

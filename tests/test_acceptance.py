@@ -257,7 +257,7 @@ def test_criterion_11_structural_annihilation():
     """Positive modes of both orders of the two-term current annihilate the
     singular-vector images for (1,1), (3,1), (1,3), (2,2).  Exact."""
     started = time.time()
-    from svjack.vertexops import t1_annihilation_check
+    from svjack.fock import t1_annihilation_check
     for r, s in ((1, 1), (3, 1), (1, 3), (2, 2)):
         rep = t1_annihilation_check(r, s)
         assert rep["annihilated"], (r, s)

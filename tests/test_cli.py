@@ -120,7 +120,7 @@ def test_readme_examples_parse(capsys):
         argv = shlex.split(line, comments=True)[1:]
         try:
             parser.parse_args(argv)
-        except SystemExit as exc:
+        except ValueError as exc:
             raise AssertionError("README example does not parse: %s" % line) from exc
         if "reproduce-paper" in argv:
             continue
@@ -142,9 +142,7 @@ def test_benchmark_tracer_installs():
 
 
 def test_verify_rejects_removed_max_degree_flag(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "--r", "1", "--s", "1", "--max-degree", "4"])
-    assert err.value.code == 2
+    assert main(["verify", "--r", "1", "--s", "1", "--max-degree", "4"]) == 2
 
 
 def test_verify_parity_usage_error(capsys):
@@ -201,6 +199,22 @@ def test_bad_argument_exits_two_without_traceback(capsys, argv):
     "selberg recursion --n 2 --alpha nan --beta 1 --gamma 1",
     "selberg integral --n 3 --alpha 1e-300 --beta 1e-300 --gamma 1 --method closed",
     "selberg recursion --n 3 --alpha 1e-300 --beta 1e-300 --gamma 1",
+    # a numeric method outside the domain it can integrate: the Beta weight
+    # beyond the float range, nodes on the diagonal, a divergent integral,
+    # and alpha <= 0 (not scipy's alpha - 1 <= -1)
+    "selberg integral --n 3 --alpha 1e-150 --beta 1e-150 --gamma 1 --method montecarlo "
+    "--samples 10",
+    "selberg integral --n 2 --alpha 1 --beta 1 --gamma -0.4 --method quadrature",
+    "selberg integral --n 2 --alpha 1 --beta 1 --gamma -0.6 --method montecarlo "
+    "--samples 1000",
+    "selberg integral --n 2 --alpha -0.5 --beta 1 --gamma 1 --method quadrature",
+    # argparse's own errors: a missing or mistyped option, and a negative
+    # fraction read as an option (it is passed as --alpha=-1/2)
+    "verify --r 2",
+    "verify --r x --s 1",
+    "jack --partition 2 --alpha -1/2",
+    "selberg recursion --n x --alpha 1 --beta 1 --gamma 1",
+    "selberg",
 ])
 def test_usage_error_json_document(capsys, argv):
     code = main(["--json"] + argv.split())
@@ -220,9 +234,14 @@ def test_usage_error_json_document(capsys, argv):
 
 
 def test_unknown_flag_exits_two(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "--bogus", "1"])
-    assert err.value.code == 2
+    assert main(["verify", "--bogus", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"]])
+def test_parse_error_without_a_subcommand_names_svjack(capsys, argv):
+    assert main(["--json"] + argv) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["command"] == "svjack" and doc["error"].startswith("UsageError: ")
 
 
 def test_singular_subcommand(capsys):

@@ -371,7 +371,7 @@ def _scalars(x):
     if isinstance(x, SymFunc):
         return [x.terms[lam] for lam in sorted(x.terms)]
     if isinstance(x, HighestWeightData):
-        return [x.t, x.rho, x.c, x.t_minus, x.h, x.alpha_plus]
+        return [x.t, x.rho, x.c, x.h, x.alpha_plus]
     return [x]
 
 

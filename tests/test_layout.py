@@ -4,16 +4,21 @@ an entry point: a command-line handler, a reproduce-paper section or a name
 kept on purpose.  Helpers only the tests call live in tests/oracles.py."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "svjack"
 
-# exported although nothing in src/svjack reaches them yet, with the reason
+# exported although nothing in src/svjack reaches them yet, or reached from
+# outside it, with the reason
 KEEP = {
     "uglov.uglov_limit_check": "certifies the eigenvalue-tied gamma-family "
                                "shapes against the Macdonald limit; no "
                                "reproduce-paper section runs it yet",
+    "cli._Parser.error": "argparse calls it on a bad argument",
 }
 
 
@@ -60,6 +65,7 @@ def _unreached():
         for meth in stmt.body:
             if (isinstance(meth, ast.FunctionDef)
                     and not (meth.name.startswith("__") and meth.name.endswith("__"))
+                    and "%s.%s.%s" % (module, stmt.name, meth.name) not in KEEP
                     and not named_elsewhere(meth.name, i,
                                             [m for m in stmt.body if m is not meth])):
                 out.append("%s.%s.%s" % (module, stmt.name, meth.name))
@@ -138,3 +144,67 @@ def test_operator_matrices_only_where_linear_algebra_needs_them():
     callers = {path.stem for path in SRC.glob("*.py")
                if "operator_matrix" in _called(ast.parse(path.read_text()))}
     assert callers == {"svir", "finiten"}
+
+
+def _imports(module):
+    """(imported module, inside a function) for each import statement of
+    src/svjack/<module>.py; a relative import names the svjack module."""
+    out = []
+
+    def visit(node, nested):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom):
+                name = child.module if child.level == 0 else "svjack." + child.module
+                out.append((name, nested))
+            elif isinstance(child, ast.Import):
+                out.extend((alias.name, nested) for alias in child.names)
+            visit(child, nested or isinstance(child, (ast.FunctionDef, ast.Lambda)))
+
+    visit(ast.parse((SRC / (module + ".py")).read_text()), False)
+    return out
+
+
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+
+
+def test_only_cli_imports_inside_a_function():
+    """Imports sit at the top of every module but cli, which defers only the
+    modules that `import svjack` does not load."""
+    nested = {(module, name) for module in MODULES
+              for name, inside in _imports(module) if inside}
+    assert nested == {("cli", "svjack.finiten"), ("cli", "svjack.selberg"),
+                      ("cli", "svjack.reproduce")}
+
+
+def test_svjack_import_graph_has_no_cycle():
+    """The svjack modules, nested imports included, import each other along
+    a DAG."""
+    edges = {module: {name[len("svjack."):] for name, _ in _imports(module)
+                      if name.startswith("svjack.")} for module in MODULES}
+    done, path = set(), []
+
+    def visit(module):
+        assert module not in path, "import cycle: %s" % " -> ".join(path + [module])
+        if module not in done:
+            path.append(module)
+            for dep in sorted(edges[module]):
+                visit(dep)
+            path.pop()
+            done.add(module)
+
+    for module in MODULES:
+        visit(module)
+
+
+def test_cli_start_up_loads_no_numeric_or_deferred_module():
+    """A fresh `import svjack.cli` leaves numpy, scipy, the record-class
+    generator and the three modules cli defers unloaded."""
+    deferred = ["numpy", "scipy", "dataclasses",
+                "svjack.finiten", "svjack.selberg", "svjack.reproduce"]
+    code = ("import sys, svjack.cli; print([m for m in %r if m in sys.modules])"
+            % deferred)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

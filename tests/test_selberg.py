@@ -8,6 +8,7 @@ from svjack.selberg import (
     aomoto_closed,
     aomoto_ratio_exact,
     aomoto_recursion_check,
+    check_selberg_domain,
     selberg_closed,
     selberg_montecarlo,
     selberg_quadrature,
@@ -15,7 +16,7 @@ from svjack.selberg import (
     vanishing_moment_exact,
 )
 
-from oracles import check_selberg_domain, i0_closed, montecarlo_symmetrized_moment
+from oracles import i0_closed, montecarlo_symmetrized_moment
 
 
 def test_selberg_n1_is_beta():
@@ -62,6 +63,23 @@ def test_domain_predicate():
     assert check_selberg_domain(2, 1, 1, 1)
     assert not check_selberg_domain(2, -1, 1, 1)
     assert not check_selberg_domain(2, 1, 1, -0.6)
+
+
+def test_numeric_methods_reject_what_they_cannot_integrate():
+    # B(1e-300, 1e-300)^3 is past the largest float: bad input, not an OverflowError
+    with pytest.raises(ValueError, match="leaves the float range"):
+        selberg_montecarlo(3, 1e-300, 1e-300, 1, samples=10)
+    for fn in (selberg_quadrature, selberg_montecarlo):
+        for args in ((-0.5, 1, 1), (1, 0, 1), (1, 1, -0.6)):
+            with pytest.raises(ValueError, match="diverges"):
+                fn(2, *args)
+    with pytest.raises(ValueError, match="gamma >= 0"):
+        selberg_quadrature(2, 1, 1, -0.4)
+    # inside the domain, the Monte Carlo still integrates gamma < 0
+    est, err = selberg_montecarlo(2, 1, 1, -0.4, samples=10_000, seed=1)
+    assert math.isfinite(est) and math.isfinite(err)
+    # the closed form keeps its analytic continuation
+    assert math.isfinite(selberg_closed(2, 1, 1, -0.6))
 
 
 def test_aomoto_k1_shifts_alpha():

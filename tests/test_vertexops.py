@@ -245,7 +245,7 @@ def test_hbar_parameters_shapes():
 
 # --- positive current modes annihilate singular images ----------------------
 
-from svjack.vertexops import dvir_alpha_for_singular, t1_annihilation_check
+from svjack.fock import dvir_alpha_for_singular, t1_annihilation_check
 
 
 @pytest.mark.parametrize("rs", [(1, 1), (3, 1), (1, 3), (2, 2)])
