@@ -94,7 +94,7 @@ def selberg_closed(n, alpha, beta, gamma):
             lg, sg = _log_gamma_signed(x)
             log -= lg
             sign *= sg
-    if math.isnan(log) or log > math.log(sys.float_info.max):
+    if not math.log(sys.float_info.min) <= log <= math.log(sys.float_info.max):
         raise ValueError("the closed form leaves the float range (log %g)" % log)
     return sign * math.exp(log)
 
@@ -168,6 +168,9 @@ def selberg_montecarlo(n, alpha, beta, gamma, samples=10 ** 6, seed=0):
     """Plain Monte Carlo over the unit cube with per-variable Beta importance
     sampling for the endpoint factors; returns (value, standard_error)."""
     _require_convergent(n, alpha, beta, gamma)
+    if not check_selberg_domain(n, alpha, beta, 2 * gamma):
+        raise ValueError("the Monte Carlo variance diverges unless gamma > "
+                         "-min(1/n, alpha/(n-1), beta/(n-1))/2; got %r" % (gamma,))
     _require_samples(samples)
     alpha_f, beta_f, gamma_f = float(alpha), float(beta), float(gamma)
     # Beta(alpha, beta) density absorbs x^{a-1}(1-x)^{b-1}/B(a,b)
@@ -175,8 +178,9 @@ def selberg_montecarlo(n, alpha, beta, gamma, samples=10 ** 6, seed=0):
     try:
         weight = math.exp(log_b) ** n
     except OverflowError:
-        raise ValueError("B(alpha, beta)^n leaves the float range (log %g)"
-                         % (n * log_b)) from None
+        weight = math.inf
+    if not sys.float_info.min <= weight < math.inf:
+        raise ValueError("B(alpha, beta)^n leaves the float range (log %g)" % (n * log_b))
     rng = np.random.default_rng(seed)
     x = rng.beta(alpha_f, beta_f, size=(samples, n))
     vals = np.full(samples, weight)

@@ -10,7 +10,7 @@ matrices and serialization is by degree, then reverse-lexicographic
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .kernel import is_zero, scalar_to_json
 
@@ -115,15 +115,7 @@ class SymFunc:
     def __eq__(self, other):
         if not isinstance(other, SymFunc):
             return NotImplemented
-        if self.basis != other.basis:
-            other = convert(other, self.basis)
-        keys = set(self.terms) | set(other.terms)
-        for k in keys:
-            a = self.terms.get(k, 0)
-            b = other.terms.get(k, 0)
-            if not is_zero(a - b):
-                return False
-        return True
+        return (self - other).is_zero()
 
     def __hash__(self):
         raise TypeError("SymFunc is unhashable")
@@ -244,23 +236,9 @@ def _e_to_p_single(n):
     return {mu: c for mu, c in acc.items() if c != 0}
 
 
-def _expand_product(factors_of_dicts):
-    """Product of basis-free expansions given as partition->coeff dicts,
-    multiplying by multiset concatenation (valid in the p and e bases)."""
-    out = {(): Fraction(1)}
-    for d in factors_of_dicts:
-        nxt = {}
-        for mu, c in out.items():
-            for nu, b in d.items():
-                key = merge_partitions(mu, nu)
-                nxt[key] = nxt.get(key, Fraction(0)) + c * b
-        out = nxt
-    return out
-
-
 @lru_cache(maxsize=None)
 def _e_lam_to_p(lam):
-    return _expand_product([_e_to_p_single(r) for r in lam])
+    return reduce(multiply, (SymFunc("p", _e_to_p_single(r)) for r in lam), SymFunc.one()).terms
 
 
 @lru_cache(maxsize=None)

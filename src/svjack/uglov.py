@@ -5,9 +5,9 @@ Macdonald functions are the unique monic, dominance-triangular eigenvectors
 of eta_0, found by back-substitution along a linear extension of the
 dominance order and re-checked against the full eigenrelation afterwards,
 so a hypothetical triangularity failure of the operator would be detected
-rather than silently accepted.  The gamma-family is built by Gram-Schmidt
-under the degenerate limit of the (q, t) inner product, a construction that
-has no eigenvalue-tie failure modes.
+rather than silently accepted.  The gamma-family is built by orthogonal
+projection onto the lower members under the degenerate limit of the (q, t)
+inner product, a construction that has no eigenvalue-tie failure modes.
 
 The q -> 1 limits that *define* the degenerate families are verified
 independently through truncated hbar-jets (uglov_limit_check, jack), never
@@ -19,29 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .kernel import Jet, KernelError, VerificationFailure, as_scalar, is_zero
-from .symfunc import SymFunc, convert, diagonal_form, dominance_leq, partitions
+from .symfunc import SymFunc, _back_substitute, convert, diagonal_form, dominance_leq, partitions
 from .vertexops import _jet_part, eps_macdonald, eta_apply, hbar_parameters
-
-
-def _gram_schmidt(lam, member, inner):
-    """Monic dominance-triangular expansion with leading term m_lam that is
-    orthogonal under ``inner`` to member(mu) for every mu strictly below lam.
-
-    The members must be monic, triangular and mutually orthogonal, so
-    subtracting each one's projection once gives the unique such expansion.
-    Raises KernelError on a null member.
-    """
-    lower = [mu for mu in partitions(sum(lam)) if mu != lam and dominance_leq(mu, lam)]
-    f = SymFunc("m", {lam: Fraction(1)})
-    for mu in reversed(lower):
-        p_mu = member(mu)
-        den = inner(p_mu, p_mu)
-        if is_zero(den):
-            raise KernelError("vanishing norm in the Gram-Schmidt ladder at %r" % (mu,))
-        num = inner(f, p_mu)
-        if not is_zero(num):
-            f = f - p_mu.scale(num / den)
-    return f
 
 
 def _triangular_eigenvector(apply_fn, lam, eig_of):
@@ -151,20 +130,38 @@ def uglov2_orth(lam, gamma="sym"):
     expansion orthogonal to all lower family members under uglov_inner.
 
     This route has no eigenvalue-tie failure modes: the form is diagonal and
-    nondegenerate on power sums, so the Gram-Schmidt ladder always produces
-    the unique monic triangular orthogonal vector.  Where the C^1_0(gamma)
-    eigenproblem is unambiguous the two characterizations agree (the test
-    suite cross-checks them); at tied eigenvalues only this one determines
-    the coefficients the eigenproblem leaves free.
+    nondegenerate on power sums, so the ladder always produces the unique
+    monic triangular orthogonal vector.  Where the C^1_0(gamma) eigenproblem
+    is unambiguous the two characterizations agree (the test suite
+    cross-checks them); at tied eigenvalues only this one determines the
+    coefficients the eigenproblem leaves free.
     """
-    lam = tuple(lam)
-    g = _nonzero_gamma(gamma)
+    return _ladder(tuple(lam), _nonzero_gamma(gamma))[0]
+
+
+def _ladder(lam, g):
+    """(P_lam, its p-expansion, its norm), cached.
+
+    The lower members P_mu are monic, triangular and mutually orthogonal, so
+    P_lam = m_lam - sum_{mu < lam} <m_lam, P_mu> / <P_mu, P_mu> P_mu, which is
+    row lam of a triangular inversion.  Raises KernelError on a null lower
+    member.
+    """
     # typed: a constant RatFun equals and hashes like its Fraction, but the
     # coefficients carry the field of gamma
     key = (lam, type(g), g)
     if key not in _ORTH_CACHE:
-        _ORTH_CACHE[key] = _gram_schmidt(lam, lambda mu: uglov2_orth(mu, g),
-                                         lambda f, h: uglov_inner(f, h, g))
+        m_lam = convert(SymFunc("m", {lam: Fraction(1)}), "p")
+        lower = [mu for mu in partitions(sum(lam)) if mu != lam and dominance_leq(mu, lam)]
+        row = {lam: Fraction(1)}
+        for mu in reversed(lower):
+            _, p_mu, norm = _ladder(mu, g)
+            if is_zero(norm):
+                raise KernelError("vanishing norm in the Gram-Schmidt ladder at %r" % (mu,))
+            row[mu] = uglov_inner(m_lam, p_mu, g) / norm
+        f = SymFunc("m", _back_substitute(row, lam, lambda mu: _ladder(mu, g)[0].terms))
+        p = convert(f, "p")
+        _ORTH_CACHE[key] = (f, p, uglov_inner(p, p, g))
     return _ORTH_CACHE[key]
 
 

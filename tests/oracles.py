@@ -53,11 +53,17 @@ from svjack.symfunc import (
     SymFunc,
     convert,
     diagonal_form,
+    dominance_leq,
     multiplicities,
     partitions,
     to_p,
 )
-from svjack.uglov import _check_generic_qt, _gram_schmidt, _triangular_eigenvector
+from svjack.uglov import (
+    _check_generic_qt,
+    _nonzero_gamma,
+    _triangular_eigenvector,
+    uglov_inner,
+)
 from svjack.vertexops import (
     _jet_coeff,
     _submultisets,
@@ -747,6 +753,28 @@ def inner_qt(f, g, q, t):
     return diagonal_form(f, g, weight, q * 0)
 
 
+def gram_schmidt_reference(lam, member, inner):
+    """Modified Gram-Schmidt: the monic dominance-triangular expansion with
+    leading term m_lam that is orthogonal under ``inner`` to member(mu) for
+    every mu strictly below lam, subtracting one projection at a time from
+    the running vector.
+
+    The members must be monic, triangular and mutually orthogonal, so this
+    gives the unique such expansion.  Raises KernelError on a null member.
+    """
+    lower = [mu for mu in partitions(sum(lam)) if mu != lam and dominance_leq(mu, lam)]
+    f = SymFunc("m", {lam: Fraction(1)})
+    for mu in reversed(lower):
+        p_mu = member(mu)
+        den = inner(p_mu, p_mu)
+        if is_zero(den):
+            raise KernelError("vanishing norm in the Gram-Schmidt ladder at %r" % (mu,))
+        num = inner(f, p_mu)
+        if not is_zero(num):
+            f = f - p_mu.scale(num / den)
+    return f
+
+
 def macdonald_gram_schmidt(lam, q, t):
     """Independent construction: monic triangular expansion orthogonal to all
     lower P_mu under the (q, t) inner product."""
@@ -757,8 +785,20 @@ def macdonald_gram_schmidt(lam, q, t):
 
 @lru_cache(maxsize=None)
 def _macdonald_ladder(lam, q, t):
-    return _gram_schmidt(lam, lambda mu: _macdonald_ladder(mu, q, t),
-                         lambda f, g: inner_qt(f, g, q, t))
+    return gram_schmidt_reference(lam, lambda mu: _macdonald_ladder(mu, q, t),
+                                  lambda f, g: inner_qt(f, g, q, t))
+
+
+def uglov2_gram_schmidt(lam, gamma="sym"):
+    """The gamma-family by the reference ladder under uglov_inner, each
+    inner product converting both arguments to power sums."""
+    return _uglov_ladder(tuple(lam), _nonzero_gamma(gamma))
+
+
+@lru_cache(maxsize=None, typed=True)  # the coefficients carry the field of g
+def _uglov_ladder(lam, g):
+    return gram_schmidt_reference(lam, lambda mu: _uglov_ladder(mu, g),
+                                  lambda f, h: uglov_inner(f, h, g))
 
 
 def uglov2_kernel_dimension(lam, gamma="sym"):

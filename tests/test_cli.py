@@ -208,6 +208,12 @@ def test_bad_argument_exits_two_without_traceback(capsys, argv):
     "selberg integral --n 2 --alpha 1 --beta 1 --gamma -0.6 --method montecarlo "
     "--samples 1000",
     "selberg integral --n 2 --alpha -0.5 --beta 1 --gamma 1 --method quadrature",
+    # a Monte Carlo of infinite variance, whose standard error means nothing
+    "selberg integral --n 2 --alpha 1 --beta 1 --gamma -0.45 --method montecarlo "
+    "--samples 1000000 --seed 3",
+    # closed forms below the float range would read 0.0 and pass vacuously
+    "selberg integral --n 25 --alpha 1 --beta 1 --gamma 1 --method closed",
+    "selberg recursion --n 25 --alpha 1 --beta 1 --gamma 1",
     # argparse's own errors: a missing or mistyped option, and a negative
     # fraction read as an option (it is passed as --alpha=-1/2)
     "verify --r 2",

@@ -322,6 +322,12 @@ def test_verify_conjecture_small(rs):
     assert rep["proportional"] and rep["eigencheck"] and rep["triangular"]
 
 
+@pytest.mark.parametrize("rs", [(3, 3), (1, 9), (9, 1)])
+def test_verify_conjecture_at_rs_nine(rs):
+    rep = verify_conjecture(*rs, t="sym")
+    assert rep["proportional"] and rep["eigencheck"] and rep["triangular"]
+
+
 def test_image_scalars_golden():
     """The package's own exact proportionality scalars, frozen."""
     import json

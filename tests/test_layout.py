@@ -121,8 +121,9 @@ def _called(node):
 def test_each_symmetric_function_construction_is_written_once():
     """Both power-sum-diagonal forms call the one loop, singular_vector builds
     its blocks with the one operator-matrix builder, fermion_act makes one
-    vertex extraction, ff_act applies every mode through one dispatch, and
-    the second copies are gone."""
+    vertex extraction, ff_act applies every mode through one dispatch, the
+    gamma-family ladder is the one triangular back-substitution, and the
+    second copies are gone."""
     for root, module, name in ((TESTS, "oracles", "inner_qt"), (SRC, "uglov", "uglov_inner")):
         form = _function(module, name, root)
         assert "diagonal_form" in _called(form), name
@@ -131,11 +132,13 @@ def test_each_symmetric_function_construction_is_written_once():
     assert _called(_function("fock", "fermion_act")).count("apply_vertex_mode") == 1
     ff = _called(_function("fock", "ff_act"))
     assert (ff.count("fermion_act"), ff.count("boson_act")) == (1, 1)
+    assert "_back_substitute" in _called(_function("uglov", "_ladder"))
     defined = {node.name for path in SRC.glob("*.py")
                for node in ast.parse(path.read_text()).body
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_fermion_vertex", "_p_to_e_single", "_p_lam_to_e",
-                          "_falling", "_apply_a", "_max_degree"}
+                          "_falling", "_apply_a", "_max_degree", "_gram_schmidt",
+                          "_expand_product"}
 
 
 def test_operator_matrices_only_where_linear_algebra_needs_them():

@@ -69,17 +69,35 @@ def test_numeric_methods_reject_what_they_cannot_integrate():
     # B(1e-300, 1e-300)^3 is past the largest float: bad input, not an OverflowError
     with pytest.raises(ValueError, match="leaves the float range"):
         selberg_montecarlo(3, 1e-300, 1e-300, 1, samples=10)
+    # B(400, 400)^2 is below the smallest float: a weight of 0 would read 0 +- 0
+    with pytest.raises(ValueError, match="leaves the float range"):
+        selberg_montecarlo(2, 400, 400, 1, samples=10)
     for fn in (selberg_quadrature, selberg_montecarlo):
         for args in ((-0.5, 1, 1), (1, 0, 1), (1, 1, -0.6)):
             with pytest.raises(ValueError, match="diverges"):
                 fn(2, *args)
     with pytest.raises(ValueError, match="gamma >= 0"):
         selberg_quadrature(2, 1, 1, -0.4)
-    # inside the domain, the Monte Carlo still integrates gamma < 0
-    est, err = selberg_montecarlo(2, 1, 1, -0.4, samples=10_000, seed=1)
+    # the integral converges at gamma = -0.4, but the estimator's second
+    # moment B^n S_n(alpha, beta, 2 gamma) does not: its standard error
+    # would mean nothing
+    with pytest.raises(ValueError, match="variance diverges"):
+        selberg_montecarlo(2, 1, 1, -0.4, samples=10_000, seed=1)
+    # where the variance is finite, the Monte Carlo still integrates gamma < 0
+    est, err = selberg_montecarlo(2, 1, 1, -0.2, samples=10_000, seed=1)
     assert math.isfinite(est) and math.isfinite(err)
     # the closed form keeps its analytic continuation
     assert math.isfinite(selberg_closed(2, 1, 1, -0.6))
+
+
+def test_closed_form_below_the_float_range_is_rejected():
+    # S_25(1, 1, 1) is about e^-764: a value of 0.0 would make every
+    # recursion residual vacuous
+    with pytest.raises(ValueError, match="leaves the float range"):
+        selberg_closed(25, 1, 1, 1)
+    with pytest.raises(ValueError, match="leaves the float range"):
+        aomoto_recursion_check(25, 1, 1, 1)
+    assert aomoto_recursion_check(24, 1, 1, 1)["transcribed_all_ok"] is False
 
 
 def test_aomoto_k1_shifts_alpha():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from svjack.kernel import KernelError, RatFun
+from svjack.kernel import KernelError, RatFun, is_zero
 from svjack.symfunc import (
     SymFunc,
     convert,
@@ -14,6 +14,7 @@ from svjack.uglov import (
     jack,
     macdonald,
     uglov2_orth,
+    uglov_inner,
     uglov_limit_check,
 )
 
@@ -24,6 +25,7 @@ from oracles import (
     map_coeffs,
     p_gen,
     uglov2,
+    uglov2_gram_schmidt,
     uglov2_kernel_dimension,
 )
 
@@ -186,6 +188,69 @@ def test_orthogonality_route_matches_eigen_route():
             assert orth == eig
 
 
+@pytest.mark.parametrize("gamma", ["sym", Fraction(3, 2)], ids=["sym", "3/2"])
+def test_ladder_matches_reference_gram_schmidt(gamma):
+    """Every member of degree <= 7, coefficient types included: the leading
+    1 stays a Fraction and the rest lie in the field of gamma."""
+    for n in range(8):
+        for lam in partitions(n):
+            ours, ref = uglov2_orth(lam, gamma).terms, uglov2_gram_schmidt(lam, gamma).terms
+            assert ours == ref, lam
+            assert [type(c) for c in ours.values()] == [type(ref[mu]) for mu in ours], lam
+
+
+@pytest.mark.parametrize("gamma,degree", [(Fraction(-1), 7), (Fraction(-1, 2), 7),
+                                          (Fraction(-3), 8)], ids=["-1", "-1/2", "-3"])
+def test_ladder_reports_the_reference_null_member(gamma, degree):
+    """At negative gamma some lower members are null; the ladder names the
+    same first one as the reference Gram-Schmidt (at gamma = -3 and degree 8
+    that depends on the order in which the lower members are visited)."""
+    nulls = 0
+    for n in range(degree + 1):
+        for lam in partitions(n):
+            try:
+                ref = uglov2_gram_schmidt(lam, gamma)
+            except KernelError as exc:
+                nulls += 1
+                with pytest.raises(KernelError) as got:
+                    uglov2_orth(lam, gamma)
+                assert str(got.value) == str(exc)
+                continue
+            assert uglov2_orth(lam, gamma).terms == ref.terms, lam
+    assert nulls
+
+
+def test_members_are_pairwise_orthogonal_at_symbolic_gamma():
+    """Incomparable pairs included: the precondition of the ladder's
+    projection formula."""
+    for n in range(1, 8):
+        members = [convert(uglov2_orth(lam, "sym"), "p") for lam in partitions(n)]
+        for i, a in enumerate(members):
+            for b in members[:i]:
+                assert is_zero(uglov_inner(a, b, G))
+
+
+def test_ladder_converts_each_member_to_power_sums_once(monkeypatch):
+    """The (9) ladder at gamma = 1/t^2 from an empty cache: one m-to-p
+    conversion of a multi-term expansion per member, not one per inner
+    product (1,484 for the modified Gram-Schmidt)."""
+    import svjack.symfunc as symfunc
+    import svjack.uglov as uglov
+    t = RatFun.variable("t")
+    real_to_p = symfunc.to_p
+    multi_term = []
+
+    def counting_to_p(f):
+        if f.basis == "m" and len(f.terms) > 1:
+            multi_term.append(f)
+        return real_to_p(f)
+
+    monkeypatch.setattr(uglov, "_ORTH_CACHE", {})
+    monkeypatch.setattr(symfunc, "to_p", counting_to_p)
+    uglov2_orth((9,), RatFun.const("t", 1) / (t * t))
+    assert 0 < len(multi_term) <= len(partitions(9))
+
+
 def test_orthogonality_route_is_eigenfunction_on_ties():
     from svjack.symfunc import convert as conv
     from svjack.vertexops import c0_apply, c1_apply, eps0, eps1
@@ -196,7 +261,6 @@ def test_orthogonality_route_is_eigenfunction_on_ties():
 
 
 def test_uglov_inner_diagonal():
-    from svjack.uglov import uglov_inner
     assert uglov_inner(p_gen((2,)), p_gen((2,)), G) == 2 / G
     assert uglov_inner(p_gen((1, 1)), p_gen((1, 1)), G) == 2 * ONE
     assert uglov_inner(p_gen((2,)), p_gen((1, 1)), G) == 0
@@ -206,7 +270,6 @@ def test_uglov_inner_diagonal():
 @pytest.mark.parametrize("zero", [Fraction(0), 0, RatFun.const("g", 0)],
                          ids=["Fraction", "int", "RatFun"])
 def test_zero_gamma_is_bad_input(zero):
-    from svjack.uglov import uglov2_orth, uglov_inner
     with pytest.raises(ValueError, match="gamma must be nonzero"):
         uglov2_orth((2,), zero)
     with pytest.raises(ValueError, match="gamma must be nonzero"):
