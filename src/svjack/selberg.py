@@ -30,7 +30,11 @@ import numpy as np
 from scipy.special import gammaln, gammasgn, roots_jacobi
 
 
-MAX_SAMPLES = 5 * 10 ** 7  # bounds the memory of one Monte Carlo run
+# bounds the memory of one Monte Carlo run: about 8 bytes a sample for the
+# Selberg integral, whose draws come in chunks of _CHUNK_ROWS rows, and the
+# whole (samples, r) angle array and its complex temporaries for the torus
+MAX_SAMPLES = 5 * 10 ** 7
+_CHUNK_ROWS = 1 << 16  # a power of two keeps SIMD tails as in one pass
 QUADRATURE_DEGREE = 64
 RECURSION_RTOL = 1e-10
 
@@ -101,13 +105,22 @@ def selberg_closed(n, alpha, beta, gamma):
 
 def aomoto_closed(n, k, alpha, beta, gamma):
     """S_n with k inserted coordinates: S_n * prod_{j=1}^k
-    (alpha + (n-j) gamma) / (alpha + beta + (2n-j-1) gamma)."""
+    (alpha + (n-j) gamma) / (alpha + beta + (2n-j-1) gamma).
+
+    A product outside the normal float range is a ValueError, as in
+    selberg_closed.  No factor is 0 or infinite: its numerator and
+    denominator are arguments of the gamma product, whose poles
+    selberg_closed rejects."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     value = selberg_closed(n, alpha, beta, gamma)
     alpha, beta, gamma = float(alpha), float(beta), float(gamma)
     for j in range(1, k + 1):
-        value *= (alpha + (n - j) * gamma) / (alpha + beta + (2 * n - j - 1) * gamma)
+        factor = (alpha + (n - j) * gamma) / (alpha + beta + (2 * n - j - 1) * gamma)
+        if not sys.float_info.min <= abs(value * factor) <= sys.float_info.max:
+            raise ValueError("S(%d) of the Aomoto integral leaves the float range "
+                             "(%g)" % (j, value * factor))
+        value *= factor
     return value
 
 
@@ -182,20 +195,29 @@ def selberg_montecarlo(n, alpha, beta, gamma, samples=10 ** 6, seed=0):
     if not sys.float_info.min <= weight < math.inf:
         raise ValueError("B(alpha, beta)^n leaves the float range (log %g)" % (n * log_b))
     rng = np.random.default_rng(seed)
-    x = rng.beta(alpha_f, beta_f, size=(samples, n))
     vals = np.full(samples, weight)
-    # pairwise factors go through one scratch buffer; the elementwise
-    # operations are those of vals * np.abs(x_i - x_j) ** (2 gamma)
-    tmp = np.empty(samples)
-    for i in range(n):
-        for j in range(i + 1, n):
-            np.subtract(x[:, i], x[:, j], out=tmp)
-            np.abs(tmp, out=tmp)
-            tmp **= 2 * gamma_f
-            vals *= tmp
-    del tmp  # before np.std takes its own temporaries
+    # Generator.beta fills row-major and draws in sequence, so row chunks
+    # reproduce one (samples, n) draw; the elementwise operations are those
+    # of vals * np.abs(x_i - x_j) ** (2 gamma)
+    for lo in range(0, samples, _CHUNK_ROWS):
+        part = vals[lo:lo + _CHUNK_ROWS]
+        x = rng.beta(alpha_f, beta_f, size=(len(part), n))
+        tmp = np.empty(len(part))
+        for i in range(n):
+            for j in range(i + 1, n):
+                np.subtract(x[:, i], x[:, j], out=tmp)
+                np.abs(tmp, out=tmp)
+                tmp **= 2 * gamma_f
+                part *= tmp
+    # vals stays whole: the pairwise sums over all of it fix the bits of
+    # the mean and of the standard error, which follows np.std's own steps
+    # in place rather than in a full-length temporary
     mean = float(np.mean(vals))
-    err = float(np.std(vals) / math.sqrt(samples))
+    centre = np.add.reduce(vals, keepdims=True)
+    np.true_divide(centre, samples, out=centre)
+    vals -= centre
+    np.square(vals, out=vals)
+    err = float(np.sqrt(np.add.reduce(vals) / samples) / math.sqrt(samples))
     return mean, err
 
 
@@ -224,7 +246,7 @@ def aomoto_recursion_check(n, alpha, beta, gamma):
     for k in range(1, n + 1):
         s_prev = aomoto_closed(n, k - 1, alpha, beta, gamma)
         s_k = aomoto_closed(n, k, alpha, beta, gamma)
-        scale = max(abs(s_prev), abs(s_k), 1e-300)
+        scale = max(abs(s_prev), abs(s_k))
         transcribed = (alpha * s_prev - (alpha + beta) * s_prev
                        + gamma * (n - k) * s_prev - gamma * (2 * n - k - 1) * s_k)
         corrected = ((alpha + gamma * (n - k)) * s_prev

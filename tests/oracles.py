@@ -26,6 +26,7 @@ from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
+from scipy.special import gammaln
 
 from svjack.finiten import (
     c0n_apply,
@@ -537,6 +538,28 @@ def i0_closed(r, t):
             log += s * lg
             sign *= sg
     return sign * math.exp(log)
+
+
+def selberg_montecarlo_reference(n, alpha, beta, gamma, samples, seed):
+    """The Selberg Monte Carlo on whole arrays: one (samples, n) Beta draw
+    and np.std, the form selberg_montecarlo reproduces bit for bit in
+    bounded memory.  The parameters are taken as valid."""
+    alpha_f, beta_f, gamma_f = float(alpha), float(beta), float(gamma)
+    log_b = (gammaln(alpha_f) + gammaln(beta_f) - gammaln(alpha_f + beta_f))
+    weight = math.exp(log_b) ** n
+    rng = np.random.default_rng(seed)
+    x = rng.beta(alpha_f, beta_f, size=(samples, n))
+    vals = np.full(samples, weight)
+    tmp = np.empty(samples)
+    for i in range(n):
+        for j in range(i + 1, n):
+            np.subtract(x[:, i], x[:, j], out=tmp)
+            np.abs(tmp, out=tmp)
+            tmp **= 2 * gamma_f
+            vals *= tmp
+    mean = float(np.mean(vals))
+    err = float(np.std(vals) / math.sqrt(samples))
+    return mean, err
 
 
 def montecarlo_symmetrized_moment(n, alpha, beta, gamma, moment, samples=10 ** 6,

@@ -1,9 +1,14 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from svjack.selberg import (
+    _CHUNK_ROWS,
     MAX_SAMPLES,
     aomoto_closed,
     aomoto_ratio_exact,
@@ -16,7 +21,10 @@ from svjack.selberg import (
     vanishing_moment_exact,
 )
 
-from oracles import i0_closed, montecarlo_symmetrized_moment
+from oracles import (i0_closed, montecarlo_symmetrized_moment,
+                     selberg_montecarlo_reference)
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def test_selberg_n1_is_beta():
@@ -97,7 +105,15 @@ def test_closed_form_below_the_float_range_is_rejected():
         selberg_closed(25, 1, 1, 1)
     with pytest.raises(ValueError, match="leaves the float range"):
         aomoto_recursion_check(25, 1, 1, 1)
-    assert aomoto_recursion_check(24, 1, 1, 1)["transcribed_all_ok"] is False
+    # S_24 is normal, but S(24) = 1.3e-318 is subnormal: its residuals
+    # would rest on a handful of bits
+    assert selberg_closed(24, 1, 1, 1) > sys.float_info.min
+    with pytest.raises(ValueError, match="leaves the float range"):
+        aomoto_closed(24, 24, 1, 1, 1)
+    with pytest.raises(ValueError, match="leaves the float range"):
+        aomoto_recursion_check(24, 1, 1, 1)
+    # at n = 23 every S(k) is normal (the least is 6.8e-292)
+    assert aomoto_recursion_check(23, 1, 1, 1)["transcribed_all_ok"] is False
 
 
 def test_aomoto_k1_shifts_alpha():
@@ -151,6 +167,41 @@ def test_montecarlo_deterministic_given_seed():
     a = selberg_montecarlo(2, 1, 1, 1, samples=10_000, seed=5)
     b = selberg_montecarlo(2, 1, 1, 1, samples=10_000, seed=5)
     assert a == b
+
+
+@pytest.mark.parametrize("samples", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                                     3 * _CHUNK_ROWS + 7])
+@pytest.mark.parametrize("n, alpha, beta, gamma", [
+    (1, 1, 1, 0.5),
+    (3, 1, 1, 1),
+    (3, 0.5, 2.5, -0.1),
+    (5, 2, 3, -0.05),
+    (5, 0.5, 2.5, 0.3),
+])
+def test_montecarlo_matches_the_whole_array_reference(n, alpha, beta, gamma, samples):
+    # the row-chunked draws and the in-place standard error give the bits
+    # of one (samples, n) draw and np.std
+    seed = samples + n
+    assert (selberg_montecarlo(n, alpha, beta, gamma, samples=samples, seed=seed)
+            == selberg_montecarlo_reference(n, alpha, beta, gamma, samples, seed))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts kilobytes on Linux")
+def test_montecarlo_memory_is_about_eight_bytes_a_sample():
+    # 10^6 samples at n = 3 keep one 8 MB array of values; the whole
+    # (samples, 3) draw and its full-length temporaries grew it by 39 MB
+    code = ("import resource\n"
+            "from svjack.selberg import selberg_montecarlo\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "selberg_montecarlo(3, 1, 1, 1, samples=10 ** 6, seed=42)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(after - before)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    growth_kb = int(proc.stdout)  # ru_maxrss is in kilobytes on Linux
+    assert growth_kb < 20 * 1024
 
 
 def test_montecarlo_budget_guard():
