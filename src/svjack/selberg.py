@@ -22,7 +22,9 @@ Carlo over angles.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import sys
 from fractions import Fraction
 
@@ -31,8 +33,10 @@ from scipy.special import gammaln, gammasgn, roots_jacobi
 
 
 # bounds the memory of one Monte Carlo run: about 8 bytes a sample for the
-# Selberg integral, whose draws come in chunks of _CHUNK_ROWS rows, and the
-# whole (samples, r) angle array and its complex temporaries for the torus
+# Selberg integral, whose draws come in chunks of _CHUNK_ROWS rows (at
+# alpha = beta = 1 from blocks of 4,096 uniform pairs, see _uniform_beta),
+# and the whole (samples, r) angle array and its complex temporaries for
+# the torus
 MAX_SAMPLES = 5 * 10 ** 7
 _CHUNK_ROWS = 1 << 16  # a power of two keeps SIMD tails as in one pass
 QUADRATURE_DEGREE = 64
@@ -46,6 +50,12 @@ def _require_samples(samples):
         raise ValueError("samples must be at least 1, got %d" % samples)
     if samples > MAX_SAMPLES:
         raise ValueError("sample budget %d exceeds the cap %d" % (samples, MAX_SAMPLES))
+
+
+def _require_seed(seed):
+    # checked here, as numpy's own message does not name the argument
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError("seed must be a nonnegative integer, got %r" % (seed,))
 
 
 def _require_parameters(n, alpha, beta, gamma):
@@ -177,14 +187,62 @@ def selberg_quadrature(n, alpha, beta, gamma):
     return fine, abs(fine - coarse)
 
 
+def _uniform_beta(rng):
+    """Return draw(size), which gives the doubles of rng.beta(1.0, 1.0, size)
+    from the same stream, in bulk; successive calls continue it as
+    successive rng.beta calls do.
+
+    At a, b <= 1 numpy draws Beta by Johnk's rejection: each trial takes
+    the next two doubles U, V of the stream, the ones Generator.random
+    gives, is accepted when 0 < X + Y <= 1 for X = U^(1/a), Y = V^(1/b),
+    and then returns X / (X + Y).  At a = b = 1 the powers are U and V
+    themselves, and a sum and a quotient are correctly rounded in IEEE
+    arithmetic, so numpy's vector add and divide give the doubles of its
+    element loop.  The accepted values of one block of trials that a draw
+    does not use wait for the next draw."""
+    pairs = np.empty(2 * 4096)  # 64 kB of trials: 4,096 (U, V) pairs
+    u, v = pairs[0::2], pairs[1::2]
+    total = np.empty(len(u))
+    spare = np.empty(0)
+
+    def draw(size):
+        nonlocal spare
+        out = np.empty(size)
+        flat = out.reshape(-1)
+        filled = min(len(spare), len(flat))
+        flat[:filled] = spare[:filled]
+        spare = spare[filled:]
+        while filled < len(flat):
+            rng.random(out=pairs)
+            np.add(u, v, out=total)
+            keep = (total <= 1.0) & (total > 0.0)
+            # compress rather than a boolean index: the same values, faster
+            accepted = np.compress(keep, u) / np.compress(keep, total)
+            take = min(len(accepted), len(flat) - filled)
+            flat[filled:filled + take] = accepted[:take]
+            spare = accepted[take:]
+            filled += take
+        return out
+
+    return draw
+
+
 def selberg_montecarlo(n, alpha, beta, gamma, samples=10 ** 6, seed=0):
     """Plain Monte Carlo over the unit cube with per-variable Beta importance
-    sampling for the endpoint factors; returns (value, standard_error)."""
+    sampling for the endpoint factors; returns (value, standard_error).
+
+    The draws are those of one rng.beta(alpha, beta, (samples, n)) with
+    rng = np.random.default_rng(seed), taken in row chunks.  At alpha =
+    beta = 1, the uniform density and the paper's S_3(1, 1, 1) check,
+    _uniform_beta makes the same doubles from rng.random in bulk: numpy's
+    Johnk rejection with its element loop vectorised, in about a quarter of
+    the time of rng.beta."""
     _require_convergent(n, alpha, beta, gamma)
     if not check_selberg_domain(n, alpha, beta, 2 * gamma):
         raise ValueError("the Monte Carlo variance diverges unless gamma > "
                          "-min(1/n, alpha/(n-1), beta/(n-1))/2; got %r" % (gamma,))
     _require_samples(samples)
+    _require_seed(seed)
     alpha_f, beta_f, gamma_f = float(alpha), float(beta), float(gamma)
     # Beta(alpha, beta) density absorbs x^{a-1}(1-x)^{b-1}/B(a,b)
     log_b = (gammaln(alpha_f) + gammaln(beta_f) - gammaln(alpha_f + beta_f))
@@ -195,13 +253,17 @@ def selberg_montecarlo(n, alpha, beta, gamma, samples=10 ** 6, seed=0):
     if not sys.float_info.min <= weight < math.inf:
         raise ValueError("B(alpha, beta)^n leaves the float range (log %g)" % (n * log_b))
     rng = np.random.default_rng(seed)
+    if alpha_f == beta_f == 1.0:
+        draw = _uniform_beta(rng)
+    else:
+        draw = functools.partial(rng.beta, alpha_f, beta_f)
     vals = np.full(samples, weight)
     # Generator.beta fills row-major and draws in sequence, so row chunks
     # reproduce one (samples, n) draw; the elementwise operations are those
     # of vals * np.abs(x_i - x_j) ** (2 gamma)
     for lo in range(0, samples, _CHUNK_ROWS):
         part = vals[lo:lo + _CHUNK_ROWS]
-        x = rng.beta(alpha_f, beta_f, size=(len(part), n))
+        x = draw(size=(len(part), n))
         tmp = np.empty(len(part))
         for i in range(n):
             for j in range(i + 1, n):
@@ -317,6 +379,7 @@ def vanishing_check(r, t, moment, samples=10 ** 5, seed=7):
     if len(moment) != r:
         raise ValueError("moment must have %d entries" % r)
     _require_samples(samples)
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * math.pi, size=(samples, r))
     w = np.exp(1j * theta)

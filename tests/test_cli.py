@@ -211,6 +211,9 @@ def test_bad_argument_exits_two_without_traceback(capsys, argv):
     # a Monte Carlo of infinite variance, whose standard error means nothing
     "selberg integral --n 2 --alpha 1 --beta 1 --gamma -0.45 --method montecarlo "
     "--samples 1000000 --seed 3",
+    # a negative seed, named in the message rather than left to numpy
+    "selberg integral --n 3 --alpha 1 --beta 1 --gamma 1 --method montecarlo --seed -1",
+    "selberg vanish --r 2 --t 1 --m 1,0 --seed -3",
     # closed forms below the float range would read 0.0 and pass vacuously
     "selberg integral --n 25 --alpha 1 --beta 1 --gamma 1 --method closed",
     "selberg recursion --n 25 --alpha 1 --beta 1 --gamma 1",

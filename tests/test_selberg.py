@@ -5,11 +5,13 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from svjack.selberg import (
     _CHUNK_ROWS,
     MAX_SAMPLES,
+    _uniform_beta,
     aomoto_closed,
     aomoto_ratio_exact,
     aomoto_recursion_check,
@@ -173,8 +175,10 @@ def test_montecarlo_deterministic_given_seed():
                                      3 * _CHUNK_ROWS + 7])
 @pytest.mark.parametrize("n, alpha, beta, gamma", [
     (1, 1, 1, 0.5),
+    (2, 1, 1, -0.2),
     (3, 1, 1, 1),
     (3, 0.5, 2.5, -0.1),
+    (5, 1, 1, 0.3),
     (5, 2, 3, -0.05),
     (5, 0.5, 2.5, 0.3),
 ])
@@ -184,6 +188,59 @@ def test_montecarlo_matches_the_whole_array_reference(n, alpha, beta, gamma, sam
     seed = samples + n
     assert (selberg_montecarlo(n, alpha, beta, gamma, samples=samples, seed=seed)
             == selberg_montecarlo_reference(n, alpha, beta, gamma, samples, seed))
+
+
+# _uniform_beta draws its trials in blocks of this many (U, V) pairs
+BLOCK = 4096
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * _CHUNK_ROWS + 7])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 63 + 5])
+def test_uniform_beta_is_generator_beta_bit_for_bit(seed, rows):
+    for n in (1, 3):
+        expected = np.random.default_rng(seed).beta(1.0, 1.0, size=(rows, n))
+        got = _uniform_beta(np.random.default_rng(seed))((rows, n))
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_uniform_beta_carries_leftovers_across_draws(seed):
+    # sizes that end inside a block, on one draw, and span several blocks;
+    # each draw starts from the values the last one left over
+    sizes = [(1, 3), (BLOCK - 1, 1), (7, 2), (_CHUNK_ROWS, 3), (BLOCK + 1, 5), (2, 3)]
+    draw = _uniform_beta(np.random.default_rng(seed))
+    got = np.concatenate([draw(size).reshape(-1) for size in sizes])
+    rng = np.random.default_rng(seed)
+    expected = np.concatenate([rng.beta(1.0, 1.0, size=size).reshape(-1) for size in sizes])
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_uniform_montecarlo_never_calls_generator_beta(monkeypatch):
+    # the alpha = beta = 1 path draws from Generator.random alone; a fall
+    # back to Generator.beta would give the same bits at twice the time
+    default_rng = np.random.default_rng
+
+    class WithoutBeta:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            assert name != "beta", "Generator.beta called at alpha = beta = 1"
+            return getattr(self.rng, name)
+
+    expected = selberg_montecarlo_reference(3, 1, 1, 1, _CHUNK_ROWS + 3, 9)
+    monkeypatch.setattr(np.random, "default_rng", WithoutBeta)
+    assert selberg_montecarlo(3, 1, 1, 1, samples=_CHUNK_ROWS + 3, seed=9) == expected
+    with pytest.raises(AssertionError, match="Generator.beta called"):
+        selberg_montecarlo(3, 2, 1, 1, samples=10, seed=9)
+
+
+def test_negative_seed_is_bad_input():
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+        selberg_montecarlo(2, 1, 1, 1, samples=10, seed=-1)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -3"):
+        vanishing_check(2, 1, (1, 0), samples=10, seed=-3)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts kilobytes on Linux")
