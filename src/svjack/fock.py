@@ -4,9 +4,10 @@ function pipeline for singular vectors, the one-screening residue
 computation, and the checks on singular-vector images: the identification
 with the gamma family and the annihilation by positive current modes.
 
-Conventions.  States are power-sum symmetric functions; the boson modes act
-as  a_n -> -2 t n d/dp_{2n},  a_{-n} -> -(1/2t) p_{2n}  (n > 0), with a_0 the
-scalar alpha.  The fermion current lives in the odd power sums: with
+Conventions.  The Fock module is realized on power-sum symmetric functions;
+the boson modes act as  a_n -> -2 t n d/dp_{2n},  a_{-n} -> -(1/2t) p_{2n}
+(n > 0), with a_0 the scalar alpha.  The fermion current lives in the odd
+power sums: with
 
     phi_-(z) = - sum p_{2n-1} z^{2n-1} / (2n-1),
     phi_+(z) =   sum (d/dp_{2n-1}) z^{-(2n-1)},
@@ -26,14 +27,36 @@ modes (see fermion_act), so b~_k is the one extraction
 base field (Q or Q(t)); sqrt(2) enters only the scalar that
 verify_conjecture reports.
 
+The exterior basis.  Bosons act only on the even power sums and fermions
+only on the odd ones, and the b~ generate a Clifford module from the
+vacuum, so the Fock module is Q[p_2, p_4, ...] (x) Lambda(b~_{-1/2},
+b~_{-3/2}, ...).  The image is computed there: a state is a dict from
+(even, ferm) to coefficients, where even is a partition into even parts
+(the monomial p_even) and ferm = (k_1 > ... > k_l) a strictly decreasing
+tuple of positive half-odd indices, standing for
+
+    p_even b~_{-k_1} ... b~_{-k_l} 1.
+
+The sign rule: b~_{-k} inserts k with (-1)^(number of larger indices), or
+gives 0 if k is there; b~_k (k > 0) removes k with 2 (-1)^(number of
+larger indices), or gives 0 if k is absent.  a_n acts on even alone:
+-2 t n m_{2n}(even) on removing a part 2n, -1/(2t) on inserting one, alpha
+at n = 0.  The degree rule: a state has degree |even| + 2 (k_1 + ... + k_l),
+the degree of the symmetric function it stands for.  Only at the end of
+verma_to_lambda is each fermion monomial b~_{-k_1} ... b~_{-k_l} 1 taken to
+the odd power sums by fermion_act, once per tuple and over Q, so the
+fermion keeps its one definition.
+
 A generator is data: _ff_terms lists its normal-ordered terms as
-(coefficient, mode, mode) triples, and ff_act applies them through one
-mode dispatch (a_0 -> alpha, a_m -> boson_act, b~_k -> fermion_act).
+(coefficient, mode, mode) triples, and ff_act applies them to exterior
+states through one mode dispatch (b~_k -> _fermion_mode, a_m ->
+_boson_mode, a_0 included).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .kernel import RatFun, Sqrt2Ext, VerificationFailure, as_scalar, is_zero, scalar_to_json
 from .svir import _word_of, singular_vector
@@ -41,11 +64,12 @@ from .symfunc import (
     SymFunc,
     convert,
     dominance_leq,
+    merge_partitions,
     multiply,
     to_p,
 )
 from .uglov import uglov2_orth
-from .vertexops import _jet_part, apply_vertex_mode, c1_apply, dvir_jet, eps1, p_derivative
+from .vertexops import _jet_part, apply_vertex_mode, c1_apply, dvir_jet, eps1
 
 
 HALF = Fraction(1, 2)
@@ -78,15 +102,49 @@ def fermion_act(k, f):
                              odd_sign_involution(f), parity="odd")
 
 
-def boson_act(n, f, t):
-    """The Heisenberg mode a_n (nonzero integer n) at parameter t."""
+def _degree(key):
+    """The degree of the exterior basis state (even, ferm): |even| + 2 sum(ferm)."""
+    even, ferm = key
+    return sum(even) + int(2 * sum(ferm))
+
+
+def _fermion_mode(k, state):
+    """b~_k on an exterior state by the sign rule of the module docstring.
+    Distinct states go to distinct states, so no two terms are summed."""
+    out = {}
+    if k < 0:
+        k = -k
+        for (even, ferm), c in state.items():
+            if k not in ferm:
+                i = sum(1 for j in ferm if j > k)
+                out[even, ferm[:i] + (k,) + ferm[i:]] = -c if i % 2 else c
+    else:
+        for (even, ferm), c in state.items():
+            if k in ferm:
+                i = ferm.index(k)
+                out[even, ferm[:i] + ferm[i + 1:]] = c * (-2 if i % 2 else 2)
+    return out
+
+
+def _boson_mode(n, state, alpha, t):
+    """a_n on an exterior state, through its even partition:
+    a_n -> -2 t n d/dp_{2n} and a_{-n} -> -(1/2t) p_{2n} for n > 0, a_0 -> alpha.
+    As for _fermion_mode, no two terms are summed."""
     if n == 0:
-        raise ValueError("a_0 acts as the scalar weight; use the alpha argument")
+        return {} if is_zero(alpha) else {key: c * alpha for key, c in state.items()}
+    out = {}
     if n > 0:
-        return p_derivative(f, 2 * n).scale(-2 * t * n)
-    m = -n
-    one = t * 0 + 1
-    return multiply(SymFunc("p", {(2 * m,): one}), to_p(f)).scale(-1 / (2 * t))
+        w = -2 * t * n
+        for (even, ferm), c in state.items():
+            m = even.count(2 * n)
+            if m:
+                i = even.index(2 * n)
+                out[even[:i] + even[i + 1:], ferm] = c * w * m
+    else:
+        w = -1 / (2 * t)
+        for (even, ferm), c in state.items():
+            out[merge_partitions(even, (-2 * n,)), ferm] = c * w
+    return out
 
 
 def _ff_terms(gen, d, rho):
@@ -113,34 +171,44 @@ def _ff_terms(gen, d, rho):
         raise ValueError("unsupported generator %r" % (gen,))
 
 
-def ff_act(gen, f, alpha, rho, t):
-    """The free-field form of a super Virasoro generator on a symmetric
-    function with a_0-weight alpha; ("G", k) gives G~_k = sqrt2 G_k:
+def ff_act(gen, state, alpha, rho, t):
+    """The free-field form of a super Virasoro generator on an exterior state
+    with a_0-weight alpha; ("G", k) gives G~_k = sqrt2 G_k:
 
       L_n  = 1/2 sum_m :a_m a_{n-m}: - rho (n+1) a_n - 1/4 sum_k (k+1/2) :b~_k b~_{n-k}:
       G~_k = sum_m b~_{k-m} a_m - 2 rho (k+1/2) b~_k
     """
-    fp = to_p(f)
-    if fp.is_zero():
-        return fp
-    out = SymFunc("p", {})
-    for c, left, right in _ff_terms(gen, max(sum(lam) for lam in fp.terms), rho):
-        g = fp
+    if not state:
+        return {}
+    out = {}
+    for c, left, right in _ff_terms(gen, max(map(_degree, state)), rho):
+        g = state
         for kind, idx in filter(None, (right, left)):
-            if kind == "b":
-                g = fermion_act(idx, g)
-            else:
-                g = boson_act(idx, g, t) if idx else g.scale(alpha)
-            if g.is_zero():
+            g = _fermion_mode(idx, g) if kind == "b" else _boson_mode(idx, g, alpha, t)
+            if not g:
                 break
         else:
-            out = out + (g if c == 1 else g.scale(c))
-    return out
+            for key, x in g.items():
+                if c != 1:
+                    x = x * c
+                out[key] = out[key] + x if key in out else x
+    return {key: x for key, x in out.items() if not is_zero(x)}
 
 
 # ---------------------------------------------------------------------------
 # Verma -> symmetric functions
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _fermion_monomial(ferm):
+    """b~_{-k_1} ... b~_{-k_l} 1 for ferm = (k_1 > ... > k_l), in the odd
+    power sums and over Q: built from Fraction(1) whatever field the caller
+    works in, so one cache serves every t."""
+    f = SymFunc.one("p")
+    for k in reversed(ferm):
+        f = fermion_act(-k, f)
+    return f
+
 
 def verma_to_lambda(v):
     """Image of a Verma vector under the free-field substitution followed by
@@ -148,19 +216,31 @@ def verma_to_lambda(v):
     A word with m fermionic factors maps by the rescaled generators, times
     2^(-floor(m/2)); as m = 2*level (mod 2), the sum is sqrt2^(2*level mod 2)
     times the true image and lies in the base field of t.
+
+    The words act on exterior states; each fermion monomial goes to the
+    odd power sums once, at the end, and multiplies its even part.
     """
     if v.weight is None:
         raise ValueError("verma_to_lambda needs weight data on the vector")
     hw = v.weight
     alpha, rho, t = hw.alpha_plus, hw.rho, hw.t
     one = t * 0 + 1
-    total = SymFunc("p", {})
+    total = {}
     for sp, coeff in v.terms.items():
-        state = SymFunc("p", {(): one})
+        state = {((), ()): one}
         for gen in reversed(_word_of(sp)):
             state = ff_act(gen, state, alpha, rho, t)
-        total = total + state.scale(coeff * Fraction(1, 2 ** (len(sp.fermionic) // 2)))
-    return total
+        scale = coeff * Fraction(1, 2 ** (len(sp.fermionic) // 2))
+        for key, x in state.items():
+            x = x * scale
+            total[key] = total[key] + x if key in total else x
+    out = {}
+    for (even, ferm), c in total.items():
+        for mu, a in _fermion_monomial(ferm).terms.items():
+            key = merge_partitions(even, mu)
+            term = c * a
+            out[key] = out[key] + term if key in out else term
+    return SymFunc("p", out)
 
 
 def monic_image(image_m, lam):

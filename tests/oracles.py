@@ -36,7 +36,7 @@ from svjack.finiten import (
     mp_mul,
     mp_to_orbits,
 )
-from svjack.fock import odd_sign_involution
+from svjack.fock import _ff_terms, fermion_act, odd_sign_involution
 from svjack.kernel import (
     KernelError,
     Poly,
@@ -49,13 +49,14 @@ from svjack.kernel import (
 )
 from svjack.linalg import bareiss_echelon, nullspace, operator_matrix
 from svjack.selberg import _log_gamma_signed
-from svjack.svir import SuperPartition, monomial_vector
+from svjack.svir import SuperPartition, _word_of, monomial_vector
 from svjack.symfunc import (
     SymFunc,
     convert,
     diagonal_form,
     dominance_leq,
     multiplicities,
+    multiply,
     partitions,
     to_p,
 )
@@ -75,6 +76,7 @@ from svjack.vertexops import (
     dvir_rational,
     eps0,
     eps1,
+    p_derivative,
 )
 
 
@@ -457,6 +459,53 @@ def fermion_act_reference(k, f):
                                  k2, g, parity="odd")
 
     return (half(+1) - half(-1)).scale(Fraction(1, 2))
+
+
+def boson_act(n, f, t):
+    """The Heisenberg mode a_n (nonzero integer n) at parameter t on a
+    symmetric function: a_n -> -2 t n d/dp_{2n}, a_{-n} -> -(1/2t) p_{2n}."""
+    if n == 0:
+        raise ValueError("a_0 acts as the scalar weight; use the alpha argument")
+    if n > 0:
+        return p_derivative(f, 2 * n).scale(-2 * t * n)
+    one = t * 0 + 1
+    return multiply(SymFunc("p", {(-2 * n,): one}), to_p(f)).scale(-1 / (2 * t))
+
+
+def ff_act_reference(gen, f, alpha, rho, t):
+    """fock.ff_act on a symmetric function rather than an exterior state:
+    every fermion mode of every term is a vertex extraction on the
+    intermediate state, every boson mode a p-basis derivative or product."""
+    fp = to_p(f)
+    if fp.is_zero():
+        return fp
+    out = SymFunc("p", {})
+    for c, left, right in _ff_terms(gen, max(sum(lam) for lam in fp.terms), rho):
+        g = fp
+        for kind, idx in filter(None, (right, left)):
+            if kind == "b":
+                g = fermion_act(idx, g)
+            else:
+                g = boson_act(idx, g, t) if idx else g.scale(alpha)
+            if g.is_zero():
+                break
+        else:
+            out = out + (g if c == 1 else g.scale(c))
+    return out
+
+
+def verma_to_lambda_reference(v):
+    """fock.verma_to_lambda by ff_act_reference, state by state on
+    symmetric functions."""
+    hw = v.weight
+    one = hw.t * 0 + 1
+    total = SymFunc("p", {})
+    for sp, coeff in v.terms.items():
+        state = SymFunc("p", {(): one})
+        for gen in reversed(_word_of(sp)):
+            state = ff_act_reference(gen, state, hw.alpha_plus, hw.rho, hw.t)
+        total = total + state.scale(coeff * Fraction(1, 2 ** (len(sp.fermionic) // 2)))
+    return total
 
 
 def pns_generating_function(max_level2):

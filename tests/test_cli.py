@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from svjack import fock
 from svjack.cli import build_parser, main
 
 try:
@@ -92,12 +93,28 @@ FRONTIER_DIGESTS = pathlib.Path(__file__).resolve().parent / "golden" / "frontie
 
 @pytest.mark.parametrize("argv", sorted(json.loads(FRONTIER_DIGESTS.read_text())))
 def test_frontier_output_matches_recorded_digest(capsys, argv):
-    """The symbolic frontier, rs = 8 and rs = 7, prints exactly what it
+    """The symbolic frontier, rs = 8, 7 and 12, prints exactly what it
     printed when these digests were recorded."""
     code, out = run_cli(capsys, "--json", *argv.split())
     assert code == 0
     digests = json.loads(FRONTIER_DIGESTS.read_text())
     assert hashlib.sha256(out.encode()).hexdigest() == digests[argv]
+
+
+def test_image_caches_carry_no_field_between_runs(capsys):
+    """verify at t = 3/2, then at symbolic t, then at 3/2 again in one
+    process prints each recorded digest: nothing one run caches carries its
+    field of scalars into the next."""
+    recorded = dict(json.loads(DIGESTS.read_text()))
+    recorded.update(json.loads(FRONTIER_DIGESTS.read_text()))
+    for argv in ("verify --r 2 --s 4 --t 3/2", "verify --r 2 --s 4 --t sym",
+                 "verify --r 2 --s 4 --t 3/2"):
+        if argv.endswith("sym"):
+            # every fermion monomial the second 3/2 run reads is made at sym
+            fock._fermion_monomial.cache_clear()
+        code, out = run_cli(capsys, "--json", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == recorded[argv], argv
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]

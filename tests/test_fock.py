@@ -5,7 +5,10 @@ import pytest
 
 from svjack.fock import (
     HALF,
-    boson_act,
+    _boson_mode,
+    _degree,
+    _fermion_mode,
+    _fermion_monomial,
     fermion_act,
     ff_act,
     monic_image,
@@ -16,13 +19,22 @@ from svjack.fock import (
     verma_to_lambda,
 )
 from svjack.kernel import RatFun, Sqrt2Ext, is_zero
-from svjack.svir import act, hw_data, monomial_vector, superpartitions
-from svjack.symfunc import SymFunc, convert, e_gen, partitions, to_p
+from svjack.svir import act, hw_data, monomial_vector, singular_vector, superpartitions
+from svjack.symfunc import SymFunc, convert, e_gen, merge_partitions, partitions, to_p
 
-from oracles import fermion_act_reference, homogeneous_degree, p_gen
+from oracles import (
+    boson_act,
+    fermion_act_reference,
+    ff_act_reference,
+    homogeneous_degree,
+    p_gen,
+    verma_to_lambda_reference,
+)
 
 T = RatFun.variable("t")
 ONE = RatFun.const("t", 1)
+VACUUM = {((), ()): ONE}
+MODES = [Fraction(2 * j + 1, 2) for j in range(-4, 4)]  # -7/2 .. 7/2
 
 
 def graded_basis(dmax):
@@ -32,29 +44,82 @@ def graded_basis(dmax):
     return out
 
 
+def random_exterior_state(rng, size=4):
+    """A few exterior basis states (even partition, decreasing half-odd
+    indices) of degree <= 12, with small Q(t) coefficients."""
+    state = {}
+    for _ in range(size):
+        even = tuple(2 * p for p in rng.choice(graded_basis(3)))
+        ferm = tuple(sorted(rng.sample(MODES[4:], rng.randint(0, 3)), reverse=True))
+        state[even, ferm] = T * rng.randint(-3, 3) + rng.randint(1, 4)
+    return state
+
+
+def exterior_image(state):
+    """The symmetric function of an exterior state: each p_even times its
+    fermion monomial in the odd power sums."""
+    out = SymFunc("p", {})
+    for (even, ferm), c in state.items():
+        out = out + SymFunc("p", {merge_partitions(even, mu): c * a
+                                  for mu, a in _fermion_monomial(ferm).terms.items()})
+    return out
+
+
+def same_state(a, b):
+    """Equality of exterior states up to zero coefficients."""
+    return all(is_zero(a.get(key, 0) - b.get(key, 0)) for key in set(a) | set(b))
+
+
+def add_states(*states):
+    out = {}
+    for state in states:
+        for key, c in state.items():
+            out[key] = out[key] + c if key in out else c
+    return out
+
+
+def scale_state(state, c):
+    return {key: x * c for key, x in state.items()}
+
+
 # --- boson modes -------------------------------------------------------------
 
 def test_boson_annihilates_vacuum():
-    one = SymFunc.one("p")
-    assert boson_act(1, one, T).is_zero()
+    assert _boson_mode(1, VACUUM, ONE, T) == {}
 
 
 def test_boson_creation_on_vacuum():
-    one = SymFunc.one("p")
-    f = boson_act(-1, one, T)
-    assert f == SymFunc("p", {(2,): -1 / (2 * T)})
+    assert _boson_mode(-1, VACUUM, ONE, T) == {((2,), ()): -1 / (2 * T)}
+
+
+def test_boson_zero_mode_is_alpha():
+    assert _boson_mode(0, VACUUM, 3 * T, T) == {((), ()): 3 * T}
+    assert _boson_mode(0, VACUUM, 0 * T, T) == {}
 
 
 def test_boson_commutator_is_canonical():
+    """[a_m, a_{-m}] = m on exterior states, whose fermion indices ride along."""
     rng = random.Random(3)
-    t = Fraction(2, 3)
     for _ in range(12):
-        d = rng.randint(0, 6)
-        lam = rng.choice(partitions(d))
-        f = p_gen(lam)
+        f = random_exterior_state(rng)
         m = rng.randint(1, 3)
-        lhs = boson_act(m, boson_act(-m, f, t), t) - boson_act(-m, boson_act(m, f, t), t)
-        assert lhs == f.scale(Fraction(m))
+
+        def a(n, g):
+            return _boson_mode(n, g, ONE, T)
+
+        lhs = add_states(a(m, a(-m, f)), scale_state(a(-m, a(m, f)), -1))
+        assert same_state(lhs, scale_state(f, m)), (m, f)
+
+
+def test_boson_modes_match_the_symmetric_function_reference():
+    """a_n on an exterior state, mapped to symmetric functions, is the
+    reference p-basis derivative or product on the mapped state."""
+    rng = random.Random(4)
+    for _ in range(12):
+        f = random_exterior_state(rng)
+        for n in (-2, -1, 1, 2):
+            got = exterior_image(_boson_mode(n, f, ONE, T))
+            assert got == boson_act(n, exterior_image(f), T), (n, f)
 
 
 # --- fermion modes -----------------------------------------------------------
@@ -109,6 +174,75 @@ def test_fermion_exclusion(k):
         assert fermion_act(k, fermion_act(k, f)).is_zero()
 
 
+# --- the exterior basis --------------------------------------------------------
+
+def test_exterior_fermion_annihilates_vacuum():
+    for k in MODES[4:]:
+        assert _fermion_mode(k, VACUUM) == {}
+
+
+def test_exterior_fermion_sign_rule():
+    """b~_{-k} inserts k with (-1)^(number of larger indices); b~_k removes
+    it with 2 (-1)^(number of larger indices); a repeat or a missing index
+    gives 0."""
+    f = {((2,), (Fraction(5, 2), HALF)): ONE}
+    assert _fermion_mode(Fraction(-3, 2), f) == {((2,), (Fraction(5, 2), Fraction(3, 2), HALF)): -ONE}
+    assert _fermion_mode(Fraction(-7, 2), f) == {((2,), (Fraction(7, 2), Fraction(5, 2), HALF)): ONE}
+    assert _fermion_mode(-HALF, f) == {}
+    assert _fermion_mode(HALF, f) == {((2,), (Fraction(5, 2),)): -2 * ONE}
+    assert _fermion_mode(Fraction(5, 2), f) == {((2,), (HALF,)): 2 * ONE}
+    assert _fermion_mode(Fraction(3, 2), f) == {}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exterior_fermion_anticommutator_canonical(seed):
+    """b~_k b~_l + b~_l b~_k = 2 delta_{k+l,0} on random exterior states."""
+    rng = random.Random(seed)
+    for _ in range(6):
+        f = random_exterior_state(rng)
+        for k in MODES:
+            for l in MODES:
+                lhs = add_states(_fermion_mode(k, _fermion_mode(l, f)),
+                                 _fermion_mode(l, _fermion_mode(k, f)))
+                assert same_state(lhs, scale_state(f, 2 if k + l == 0 else 0)), (k, l, f)
+
+
+def test_exterior_fermion_is_the_vertex_fermion():
+    """b~_k on an exterior state, mapped to symmetric functions, is the
+    vertex extraction fermion_act on the mapped state: the exterior basis is
+    the Clifford module the vacuum generates."""
+    rng = random.Random(5)
+    for _ in range(8):
+        f = random_exterior_state(rng)
+        for k in MODES:
+            got = exterior_image(_fermion_mode(k, f))
+            assert got == fermion_act(k, exterior_image(f)), (k, f)
+
+
+def test_exterior_degree_rule():
+    """A state's degree is |even| + 2 sum(indices), the degree of its image;
+    a level-n generator raises it by 2n."""
+    rng = random.Random(6)
+    hw, alpha, rho, t = _weights(2, 2)
+    for _ in range(20):
+        f = random_exterior_state(rng, size=1)
+        (key,) = f
+        assert _degree(key) == sum(key[0]) + 2 * sum(key[1])
+        assert homogeneous_degree(exterior_image(f)) == _degree(key)
+        for gen in (("L", -1), ("L", 1), ("G", -HALF), ("G", Fraction(3, 2))):
+            out = ff_act(gen, f, alpha, rho, t)
+            assert {_degree(k) for k in out} <= {_degree(key) - int(2 * gen[1])}, gen
+
+
+def test_fermion_monomials_are_cached_over_q():
+    """The cached fermion monomials hold rationals, whatever field the image
+    that first asked for them was computed in."""
+    verma_to_lambda(singular_vector(2, 2, "sym"))
+    for ferm in ((HALF,), (Fraction(3, 2), HALF), (Fraction(5, 2), Fraction(3, 2), HALF)):
+        assert {type(c) for c in _fermion_monomial(ferm).terms.values()} == {Fraction}
+    assert _fermion_monomial((HALF,)) == SymFunc("p", {(1,): Fraction(-1)})
+
+
 def test_odd_sign_involution_is_algebra_involution():
     f = SymFunc("p", {(3, 2): Fraction(5), (2, 2): Fraction(-1),
                       (3, 1): Fraction(7)})
@@ -128,40 +262,35 @@ def _weights(r, s):
 
 def test_ff_l0_weight_on_vacuum():
     hw, alpha, rho, t = _weights(3, 1)
-    one = SymFunc.one("p")
-    f = ff_act(("L", 0), one, alpha, rho, t)
+    f = ff_act(("L", 0), VACUUM, alpha, rho, t)
     h = alpha * alpha * HALF - rho * alpha
-    assert f == one.scale(h)
+    assert same_state(f, scale_state(VACUUM, h))
     assert h == hw.h  # the weight match that makes the intertwiner exist
 
 
 def test_ff_g_minus_half_on_vacuum():
     hw, alpha, rho, t = _weights(1, 1)
-    one = SymFunc.one("p")
-    f = ff_act(("G", -HALF), one, alpha, rho, t)
-    assert f == fermion_act(-HALF, one).scale(alpha)
+    f = ff_act(("G", -HALF), VACUUM, alpha, rho, t)
+    assert same_state(f, {((), (HALF,)): alpha})
+    assert exterior_image(f) == fermion_act(-HALF, SymFunc.one("p")).scale(alpha)
 
 
 def test_ff_fock_image_display_level_three_halves():
     """L_{-1}G_{-1/2}|hw> maps to alpha^2 a_{-1} b_{-1/2} + alpha b_{-3/2}
     applied to the vacuum."""
     hw, alpha, rho, t = _weights(3, 1)
-    one = SymFunc.one("p")
-    lhs = ff_act(("L", -1), ff_act(("G", -HALF), one, alpha, rho, t), alpha, rho, t)
-    b12 = fermion_act(-HALF, one)
-    rhs = boson_act(-1, b12, t).scale(alpha * alpha) + \
-        fermion_act(Fraction(-3, 2), one).scale(alpha)
-    assert lhs == rhs
+    lhs = ff_act(("L", -1), ff_act(("G", -HALF), VACUUM, alpha, rho, t), alpha, rho, t)
+    rhs = {((2,), (HALF,)): alpha * alpha * (-1 / (2 * t)),
+           ((), (Fraction(3, 2),)): alpha}
+    assert same_state(lhs, rhs)
 
 
 def test_ff_g_minus_three_halves_display():
     """G_{-3/2}|hw> maps to a_{-1} b_{-1/2} + (2 rho + alpha) b_{-3/2}."""
     hw, alpha, rho, t = _weights(1, 3)
-    one = SymFunc.one("p")
-    lhs = ff_act(("G", Fraction(-3, 2)), one, alpha, rho, t)
-    rhs = boson_act(-1, fermion_act(-HALF, one), t) + \
-        fermion_act(Fraction(-3, 2), one).scale(alpha + 2 * rho)
-    assert lhs == rhs
+    lhs = ff_act(("G", Fraction(-3, 2)), VACUUM, alpha, rho, t)
+    rhs = {((2,), (HALF,)): -1 / (2 * t), ((), (Fraction(3, 2),)): alpha + 2 * rho}
+    assert same_state(lhs, rhs)
 
 
 @pytest.mark.parametrize("r, s", [(1, 3), (2, 2)])
@@ -171,7 +300,6 @@ def test_l_row_is_the_g_anticommutator(r, s):
     G~ = sqrt2 G.  So the L terms of ff_act are checked against its G terms."""
     hw, alpha, rho, t = _weights(r, s)
     rng = random.Random(10 * r + s)
-    lams = [lam for d in range(5) for lam in partitions(d)]
 
     def ff(gen, f):
         return ff_act(gen, f, alpha, rho, t)
@@ -179,10 +307,22 @@ def test_l_row_is_the_g_anticommutator(r, s):
     for n in range(-3, 4):
         g, g_half = ("G", n - HALF), ("G", HALF)
         for _ in range(3):
-            f = SymFunc("p", {lam: T * rng.randint(-3, 3) + rng.randint(1, 4)
-                              for lam in rng.sample(lams, 4)})
-            anti = ff(g, ff(g_half, f)) + ff(g_half, ff(g, f))
-            assert ff(("L", n), f) == anti.scale(Fraction(1, 4)), (n, f)
+            f = random_exterior_state(rng)
+            anti = add_states(ff(g, ff(g_half, f)), ff(g_half, ff(g, f)))
+            assert same_state(ff(("L", n), f), scale_state(anti, Fraction(1, 4))), (n, f)
+
+
+@pytest.mark.parametrize("gen", [("L", -2), ("L", 1), ("G", Fraction(-3, 2)), ("G", HALF)])
+def test_ff_act_matches_the_symmetric_function_reference(gen):
+    """ff_act on exterior states, mapped to symmetric functions, is the
+    reference ff_act that extracts a vertex mode on every intermediate
+    symmetric function."""
+    hw, alpha, rho, t = _weights(2, 2)
+    rng = random.Random(str(gen))
+    for _ in range(4):
+        f = random_exterior_state(rng)
+        got = exterior_image(ff_act(gen, f, alpha, rho, t))
+        assert got == ff_act_reference(gen, exterior_image(f), alpha, rho, t)
 
 
 @pytest.mark.parametrize("gen", [("L", 1), ("L", 2), ("G", HALF), ("G", Fraction(3, 2))])
@@ -204,7 +344,7 @@ def test_intertwining_on_random_vectors(gen):
         from svjack.svir import VermaVector
         v = VermaVector(Fraction(level2, 2), terms, hw, hw.h, hw.c)
         left = verma_to_lambda(act(gen, v))
-        right = ff_act(gen, verma_to_lambda(v), hw.alpha_plus, hw.rho, hw.t)
+        right = ff_act_reference(gen, verma_to_lambda(v), hw.alpha_plus, hw.rho, hw.t)
         if gen[0] == "G":
             right = right.scale(Fraction(1, 2 ** (level2 % 2)))
         assert (left - right).is_zero()
@@ -223,8 +363,22 @@ def test_image_grading():
 
 # --- singular vector images ----------------------------------------------------
 
+EQUAL_PARITY_RS_TO_9 = [(r, s) for r in range(1, 10) for s in range(1, 10)
+                        if r * s <= 9 and (r - s) % 2 == 0]
+
+
+@pytest.mark.parametrize("rs, t", [(rs, "sym") for rs in EQUAL_PARITY_RS_TO_9]
+                         + [((2, 6), Fraction(3, 2))])
+def test_exterior_image_matches_the_vertex_path(rs, t):
+    """The exterior-basis image of each singular vector equals, coefficient
+    types included, the reference image that extracts a vertex mode on every
+    intermediate symmetric function."""
+    chi = singular_vector(*rs, t)
+    got, want = verma_to_lambda(chi).terms, verma_to_lambda_reference(chi).terms
+    assert got == want
+    assert {mu: type(c) for mu, c in got.items()} == {mu: type(c) for mu, c in want.items()}
+
 def _image_proportional_to(r, s, expected_p):
-    from svjack.svir import singular_vector
     chi = singular_vector(r, s, "sym")
     img = to_p(verma_to_lambda(chi))
     exp = to_p(expected_p)
@@ -253,7 +407,6 @@ def test_image_13_is_e3():
 
 
 def test_normalized_image_is_base_field():
-    from svjack.svir import singular_vector
     chi = singular_vector(2, 2, "sym")
     _, img = monic_image(convert(verma_to_lambda(chi), "m"), (2, 2))
     for c in img.terms.values():

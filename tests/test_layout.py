@@ -118,12 +118,29 @@ def _called(node):
             if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)]
 
 
+def _reached(module, name, stop):
+    """The functions of src/svjack/<module>.py that name reaches by calls
+    within the module, name included, not looking inside those in stop."""
+    tree = ast.parse((SRC / (module + ".py")).read_text())
+    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), [name]
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        if fn not in stop:
+            todo.extend(c for c in _called(defined[fn]) if c in defined)
+    return seen
+
+
 def test_each_symmetric_function_construction_is_written_once():
     """Both power-sum-diagonal forms call the one loop, singular_vector builds
     its blocks with the one operator-matrix builder, fermion_act makes one
-    vertex extraction, ff_act applies every mode through one dispatch, the
-    gamma-family ladder is the one triangular back-substitution, and the
-    second copies are gone."""
+    vertex extraction, ff_act applies every mode kind through one call on
+    exterior states, verma_to_lambda reaches fermion_act only through the
+    cached fermion monomials, the gamma-family ladder is the one triangular
+    back-substitution, and the second copies are gone."""
     for root, module, name in ((TESTS, "oracles", "inner_qt"), (SRC, "uglov", "uglov_inner")):
         form = _function(module, name, root)
         assert "diagonal_form" in _called(form), name
@@ -131,14 +148,22 @@ def test_each_symmetric_function_construction_is_written_once():
     assert "operator_matrix" in _called(_function("svir", "singular_vector"))
     assert _called(_function("fock", "fermion_act")).count("apply_vertex_mode") == 1
     ff = _called(_function("fock", "ff_act"))
-    assert (ff.count("fermion_act"), ff.count("boson_act")) == (1, 1)
+    assert (ff.count("_fermion_mode"), ff.count("_boson_mode")) == (1, 1)
+    monomial = _function("fock", "_fermion_monomial")
+    assert [d.func.id for d in monomial.decorator_list] == ["lru_cache"]
+    assert _called(monomial).count("fermion_act") == 1
+    image_path = _reached("fock", "verma_to_lambda", stop={"_fermion_monomial"})
+    assert {"ff_act", "_fermion_mode", "_boson_mode", "_fermion_monomial"} <= image_path
+    assert "fermion_act" not in image_path
+    assert not any("apply_vertex_mode" in _called(_function("fock", fn))
+                   for fn in image_path - {"_fermion_monomial"})
     assert "_back_substitute" in _called(_function("uglov", "_ladder"))
     defined = {node.name for path in SRC.glob("*.py")
                for node in ast.parse(path.read_text()).body
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_fermion_vertex", "_p_to_e_single", "_p_lam_to_e",
                           "_falling", "_apply_a", "_max_degree", "_gram_schmidt",
-                          "_expand_product"}
+                          "_expand_product", "boson_act"}
 
 
 def test_operator_matrices_only_where_linear_algebra_needs_them():
