@@ -364,8 +364,10 @@ def kac_factor_exponents(level):
 
 
 def kac_det_check(level, t="sym"):
-    """Interpolate det K_level as a polynomial in h, divide out the predicted
-    singular factors, and require a nonzero h-independent quotient.
+    """Interpolate det K_level as a polynomial in h from its values at
+    h = 0, 1, ..., degree + 1, read off the one symbolic-h Gram matrix,
+    divide out the predicted singular factors, and require a nonzero
+    h-independent quotient.
 
     Returns a report with the quotient constant; raises VerificationFailure
     when a factor fails to divide or the quotient retains h-dependence.
@@ -375,14 +377,15 @@ def kac_det_check(level, t="sym"):
         raise ValueError("level must be a nonnegative half-integer, got %s" % level)
     tv = as_scalar(t, "t")
     one = tv * 0 + 1
-    _, c_val = _rho_and_c(tv)
     factors = kac_factor_exponents(level)
     degree = sum(factors.values())
+    # evaluating at h = i is a ring homomorphism, so each evaluated entry is
+    # the entry of gram_matrix(level, one * i, c)
+    gram = gram_matrix_symbolic_h(level, tv)
     points = []
     for i in range(degree + 2):
         hval = one * Fraction(i)
-        mat = gram_matrix(level, hval, c_val)
-        points.append((Fraction(i), det(mat)))
+        points.append((Fraction(i), det([[x(hval) for x in row] for row in gram])))
     poly = poly_interpolate(points, degree, var="h")
     if poly.degree() != degree:
         raise VerificationFailure("determinant degree %s, expected %s"

@@ -12,6 +12,7 @@ applies as functions.
 
 The helpers after the finite-N oracles are reference forms that only the
 tests call: generic field operations, a matrix-vector product, the
+Bareiss loop over the fields (the reference for the integer one), the
 superpartition generating function, the corrected finite-N operators and
 the Selberg-side closed forms and estimators.  The last section holds the
 constructors, restrictions and independent solvers the tests cross-check
@@ -47,7 +48,7 @@ from svjack.kernel import (
     poly_gcd,
     scalar_to_json,
 )
-from svjack.linalg import bareiss_echelon, nullspace, operator_matrix
+from svjack.linalg import _clear_denominators, bareiss_echelon, nullspace, operator_matrix
 from svjack.selberg import _log_gamma_signed
 from svjack.svir import SuperPartition, _word_of, monomial_vector
 from svjack.symfunc import (
@@ -408,6 +409,47 @@ def ratfun_reference(numer, denom):
     inv = Fraction(1) / denom.coeffs[-1]
     return (Poly(numer.var, [c * inv for c in numer.coeffs]),
             Poly(denom.var, [c * inv for c in denom.coeffs]))
+
+
+def bareiss_echelon_reference(mat):
+    """The Bareiss loop over the fields themselves: the rows scaled by
+    ``_clear_denominators`` are eliminated with Fraction or RatFun arithmetic,
+    each division ``num / prev`` taking the field's gcds.  Returns (echelon
+    matrix, pivot column list, row permutation sign), like
+    ``linalg.bareiss_echelon``, whose integer loop it cross-checks."""
+    _, m, _ = _clear_denominators(mat)
+    if not m:
+        return m, [], 1
+    rows, cols = len(m), len(m[0])
+    piv_cols = []
+    prev = 1
+    r = 0
+    sign = 1
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if not is_zero(m[i][c]):
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
+        piv = m[r][c]
+        for i in range(r + 1, rows):
+            for j in range(cols):
+                if j == c:
+                    continue
+                num = m[i][j] * piv - m[i][c] * m[r][j]
+                m[i][j] = num / prev if prev != 1 else num
+            m[i][c] = m[i][c] * 0
+        prev = piv
+        piv_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, piv_cols, sign
 
 
 def graded_to_json(op):

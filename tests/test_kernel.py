@@ -1,9 +1,11 @@
+import unittest.mock
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import svjack.linalg
 from svjack.kernel import (
     Jet,
     KernelError,
@@ -16,6 +18,7 @@ from svjack.kernel import (
     scalar_to_json,
 )
 from svjack.linalg import (
+    bareiss_echelon,
     det,
     identity,
     nullspace,
@@ -23,7 +26,15 @@ from svjack.linalg import (
     poly_interpolate,
 )
 
-from oracles import exact_div, field_ops, inner_qt, mat_vec, rank, ratfun_reference
+from oracles import (
+    bareiss_echelon_reference,
+    exact_div,
+    field_ops,
+    inner_qt,
+    mat_vec,
+    rank,
+    ratfun_reference,
+)
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -328,6 +339,133 @@ def test_det_values():
     one = RatFun.const("t", 1)
     m2 = [[t, one], [one, t]]
     assert det(m2) == t * t - 1
+
+
+# --- the integer Bareiss loop against the loop over the fields ---------------
+
+_T = RatFun.variable("t")
+_DENOMINATORS = [1, _T, _T * _T, _T + 1, 2 * _T - 3, _T * _T + _T + 5]
+_small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def _entries(field):
+    """Entries over Q, over Q(t), or over both mixed; zero is frequent so
+    that columns and pivots vanish."""
+    over_q = st.one_of(st.just(Fraction(0)), _small)
+    ratfun = st.builds(lambda coeffs, den: sum((c * _T ** i for i, c in enumerate(coeffs)),
+                                               _T * 0) / den,
+                       st.lists(_small, min_size=1, max_size=3),
+                       st.sampled_from(_DENOMINATORS))
+    over_qt = st.one_of(over_q.map(lambda x: x + _T * 0), ratfun)
+    return {"Q": over_q, "Qt": over_qt, "mixed": st.one_of(over_q, over_qt)}[field]
+
+
+@st.composite
+def _matrices(draw, field, square=False):
+    """Rectangular (or square) matrices, made rank-deficient, given a zero
+    column or a zero first entry (a row swap at the first pivot) at random."""
+    rows = draw(st.integers(1, 5))
+    cols = rows if square else draw(st.integers(1, 5))
+    entry = _entries(field)
+    m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    zero = m[0][0] * 0
+    if rows >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(rows)))[:3]
+        a, b = draw(_small), draw(_small)
+        m[k] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    if draw(st.booleans()):
+        c = draw(st.integers(0, cols - 1))
+        for row in m:
+            row[c] = zero
+    if draw(st.booleans()):
+        m[0][0] = zero
+    return m
+
+
+def _with_reference_loop(fn, mat):
+    """fn(mat) with linalg's Bareiss loop replaced by the loop over the
+    fields, so nullspace and det run the back-substitution and the
+    determinant read-off of the reference elimination."""
+    with unittest.mock.patch.object(svjack.linalg, "bareiss_echelon",
+                                    bareiss_echelon_reference):
+        return fn(mat)
+
+
+def _same(mat, got, want):
+    """Equal values, and equal types unless mat mixes Fractions and RatFuns
+    (the loop over the fields then leaves some of each)."""
+    assert got == want
+    if len({type(x) for row in mat for x in row}) == 1:
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+
+@pytest.mark.parametrize("field", ["Q", "Qt", "mixed"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_bareiss_matches_the_field_loop(field, data):
+    """Pivot columns, sign, echelon form and nullspace are those of the loop
+    over Q or Q(t): the integer row scales are divided out when the rows are
+    lifted back."""
+    mat = data.draw(_matrices(field))
+    before = [list(row) for row in mat]
+    ech, piv_cols, sign = bareiss_echelon(mat)
+    ref_ech, ref_piv_cols, ref_sign = bareiss_echelon_reference(mat)
+    assert (piv_cols, sign) == (ref_piv_cols, ref_sign)
+    assert len(ech) == len(ref_ech)
+    for row, ref_row in zip(ech, ref_ech):
+        _same(mat, row, ref_row)
+    basis, ref_basis = nullspace(mat), _with_reference_loop(nullspace, mat)
+    assert len(basis) == len(ref_basis)
+    for v, ref_v in zip(basis, ref_basis):
+        _same(mat, v, ref_v)
+    assert mat == before
+
+
+@pytest.mark.parametrize("field", ["Q", "Qt", "mixed"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_bareiss_determinant_matches_the_field_loop(field, data):
+    mat = data.draw(_matrices(field, square=True))
+    _same(mat, [det(mat)], [_with_reference_loop(det, mat)])
+
+
+def test_bareiss_reads_int_entries_as_rationals():
+    """An int entry is the rational it names (the loop over the fields
+    divided ints into floats here)."""
+    ints = [[2, 1, 1], [1, 3, 2], [1, 0, 0]]
+    fractions = [[Fraction(x) for x in row] for row in ints]
+    assert det(ints) == det(fractions) == -1
+    assert bareiss_echelon(ints) == bareiss_echelon(fractions)
+    assert nullspace([[1, 2, 3], [4, 5, 6]]) == [[1, -2, 1]]
+
+
+def test_inexact_bareiss_division_raises():
+    """Sylvester's identity makes every division exact, so an inexact one
+    is a bug, never a silent fallback."""
+    from svjack.linalg import _int_step, _zz_step
+    assert _int_step(3, 4, 2, 3, 3) == 2
+    assert _zz_step((1, 1), (0, 1), (), (), (0, 1)) == (1, 1)
+    with pytest.raises(KernelError, match="inexact Bareiss division"):
+        _int_step(1, 1, 0, 0, 2)
+    with pytest.raises(KernelError, match="inexact Bareiss division"):
+        _zz_step((1, 1), (1,), (), (), (0, 1))
+
+
+def test_bareiss_rejects_two_variables_and_other_scalars():
+    t, g = RatFun.variable("t"), RatFun.variable("g")
+    for mat in ([[t, g]], [[t], [g]], [[1 / t, g]]):
+        with pytest.raises(KernelError, match="cannot be combined"):
+            nullspace(mat)
+        with pytest.raises(KernelError, match="cannot be combined"):
+            bareiss_echelon(mat)
+    with pytest.raises(KernelError, match="cannot be combined"):
+        det([[t, g], [g, t]])
+    for x in (Poly.x("h"), Sqrt2Ext(Fraction(1), Fraction(1)), 1.5):
+        for mat in ([[x, Fraction(1)]], [[1 / t, x]]):
+            with pytest.raises(KernelError, match="no exact elimination"):
+                nullspace(mat)
+        with pytest.raises(KernelError, match="no exact elimination"):
+            det([[x, Fraction(0)], [Fraction(0), Fraction(1)]])
 
 
 def test_poly_interpolate_quadratic():

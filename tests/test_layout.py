@@ -92,19 +92,42 @@ def test_failures_come_in_three_kinds():
     assert defined == {"KernelError", "VerificationFailure"}
 
 
+def _swaps_two_entries(node):
+    """Whether node holds an assignment a[i], a[j] = a[j], a[i]: the row
+    exchange of a pivoting elimination."""
+    for sub in ast.walk(node):
+        if (isinstance(sub, ast.Assign) and isinstance(sub.targets[0], ast.Tuple)
+                and isinstance(sub.value, ast.Tuple)):
+            left = [ast.unparse(x) for x in sub.targets[0].elts]
+            right = [ast.unparse(x) for x in sub.value.elts]
+            if (len(left) == 2 and left == right[::-1]
+                    and all(isinstance(x, ast.Subscript) for x in sub.value.elts)):
+                return True
+    return False
+
+
+def _for_depth(node):
+    """How deep for loops nest inside node."""
+    inner = max((_for_depth(child) for child in ast.iter_child_nodes(node)), default=0)
+    return inner + isinstance(node, ast.For)
+
+
 def test_each_exact_arithmetic_rule_is_written_once():
-    """The scalar classes take their derived operators from one base class,
-    and det reads the determinant off the one Bareiss loop."""
+    """The scalar classes take their derived operators from one base class;
+    det and nullspace read the one Bareiss loop, and linalg has no second
+    elimination: only bareiss_echelon exchanges rows, and only it and
+    nullspace's back-substitution nest loops three deep."""
     from svjack.kernel import Jet, Poly, RatFun, Sqrt2Ext
     derived = {"__sub__", "__rsub__", "__rtruediv__", "__pow__"}
     for cls in (Poly, RatFun, Sqrt2Ext, Jet):
         assert not derived & set(vars(cls)), cls.__name__
-    tree = ast.parse((SRC / "linalg.py").read_text())
-    det = next(node for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name == "det")
-    called = {node.func.id for node in ast.walk(det)
-              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    assert "bareiss_echelon" in called
+    for name in ("det", "nullspace"):
+        assert "bareiss_echelon" in _called(_function("linalg", name)), name
+    functions = [node for node in ast.parse((SRC / "linalg.py").read_text()).body
+                 if isinstance(node, ast.FunctionDef)]
+    assert {fn.name for fn in functions if _swaps_two_entries(fn)} == {"bareiss_echelon"}
+    assert ({fn.name for fn in functions if _for_depth(fn) >= 3}
+            == {"bareiss_echelon", "nullspace"})
 
 
 def _function(module, name, root=SRC):

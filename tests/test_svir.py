@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from svjack.kernel import Poly, RatFun, VerificationFailure
+from svjack.kernel import Poly, RatFun, VerificationFailure, as_scalar
 from svjack.svir import (
     HALF,
     SuperPartition,
+    _rho_and_c,
     act,
     gram_matrix,
     gram_matrix_symbolic_h,
@@ -205,6 +206,27 @@ def test_gram_symmetry_low_levels():
         for i in range(n):
             for j in range(n):
                 assert mat[i][j] == mat[j][i]
+
+
+@pytest.mark.parametrize("t", ["sym", Fraction(3, 2)], ids=["sym", "3/2"])
+def test_symbolic_h_gram_evaluates_to_each_kac_point(t):
+    """kac_det_check evaluates one symbolic-h Gram matrix at h = 0, 1, ...,
+    degree + 1; each entry equals the entry of the Gram matrix built at that
+    h, in the same scalar type."""
+    tv = as_scalar(t, "t")
+    one = tv * 0 + 1
+    _, c = _rho_and_c(tv)
+    for level2 in range(1, 7):
+        level = Fraction(level2, 2)
+        gram = gram_matrix_symbolic_h(level, tv)
+        for i in range(sum(kac_factor_exponents(level).values()) + 2):
+            hval = one * i
+            direct = gram_matrix(level, hval, c)
+            evaluated = [[x(hval) for x in row] for row in gram]
+            assert evaluated == direct, (level, i)
+            assert ([type(x) for row in evaluated for x in row]
+                    == [type(x) for row in direct for x in row]), (level, i)
+            assert {type(x) for row in direct for x in row} == {type(tv)}
 
 
 # --- Kac determinant -----------------------------------------------------------
