@@ -69,7 +69,7 @@ from .symfunc import (
     to_p,
 )
 from .uglov import uglov2_orth
-from .vertexops import _jet_part, apply_vertex_mode, c1_apply, dvir_jet, eps1
+from .vertexops import VertexOperator, _jet_part, apply_vertex_mode, c1_apply, dvir_jet, eps1
 
 
 HALF = Fraction(1, 2)
@@ -85,6 +85,10 @@ def odd_sign_involution(f):
     return SymFunc("p", out)
 
 
+# e^{phi_-} e^{2 phi_+}, whose modes give fermion_act
+_FERMION = VertexOperator(lambda a: Fraction(-1, a), lambda b: Fraction(2), "odd")
+
+
 def fermion_act(k, f):
     """The rescaled fermion mode b~_k = sqrt2 b_k (k half-odd) on a symmetric
     function, with b~_k b~_l + b~_l b~_k = 2 delta_{k+l,0}.
@@ -98,8 +102,7 @@ def fermion_act(k, f):
     k = Fraction(k)
     if (2 * k) % 2 != 1:
         raise ValueError("fermion modes carry half-odd indices")
-    return apply_vertex_mode(lambda a: Fraction(-1, a), lambda b: Fraction(2), int(2 * k),
-                             odd_sign_involution(f), parity="odd")
+    return apply_vertex_mode(_FERMION, int(2 * k), odd_sign_involution(f))
 
 
 def _degree(key):
@@ -257,10 +260,16 @@ def monic_image(image_m, lam):
 # the r = 1 screening residue
 # ---------------------------------------------------------------------------
 
-def _exp_series(j, parity, sign):
-    """[w^j] exp(sign sum_{a in parity} p_a w^a / a) as a p-basis SymFunc."""
-    return apply_vertex_mode(lambda a: Fraction(sign, a), lambda b: None, -j,
-                             SymFunc.one("p"), parity)
+# E1(w) = exp(sum_{a odd} p_a w^a / a) and E0(w) = exp(-sum_{a even} p_a w^a / a)
+_SCREENING_SERIES = {
+    "E1": VertexOperator(lambda a: Fraction(1, a), lambda b: None, "odd"),
+    "E0": VertexOperator(lambda a: Fraction(-1, a), lambda b: None, "even"),
+}
+
+
+def _exp_series(j, name):
+    """[w^j] of the series E1 or E0 as a p-basis SymFunc."""
+    return apply_vertex_mode(_SCREENING_SERIES[name], -j, SymFunc.one("p"))
 
 
 def screening_series(smax):
@@ -270,14 +279,14 @@ def screening_series(smax):
 
     Only odd powers survive and [w^{2n-1}] equals -2 e_{2n-1}.
     """
-    e1_plus = [_exp_series(j, "odd", +1) for j in range(smax + 1)]
+    e1_plus = [_exp_series(j, "E1") for j in range(smax + 1)]
     diff = []
     for j in range(smax + 1):
         if j % 2 == 1:
             diff.append(e1_plus[j].scale(Fraction(-2)))
         else:
             diff.append(SymFunc("p", {}))
-    e0 = [_exp_series(j, "even", -1) for j in range(smax + 1)]
+    e0 = [_exp_series(j, "E0") for j in range(smax + 1)]
     out = []
     for j in range(smax + 1):
         acc = SymFunc("p", {})

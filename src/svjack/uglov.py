@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from .kernel import Jet, KernelError, VerificationFailure, as_scalar, is_zero
 from .symfunc import SymFunc, _back_substitute, convert, diagonal_form, dominance_leq, partitions
-from .vertexops import _jet_part, eps_macdonald, eta_apply, hbar_parameters
+from .vertexops import (_jet_part, apply_vertex_mode, eps_macdonald, eta_operator,
+                        hbar_parameters)
 
 
 def _triangular_eigenvector(apply_fn, lam, eig_of):
@@ -92,8 +93,9 @@ def macdonald(lam, q, t):
     via the eta_0 eigenproblem."""
     lam = tuple(lam)
     q, t = _check_generic_qt(q, t, sum(lam))
+    eta = eta_operator(q, t)
     return _triangular_eigenvector(
-        lambda f: eta_apply(q, t, 0, f), lam,
+        lambda f: apply_vertex_mode(eta, 0, f), lam,
         lambda mu: eps_macdonald(mu, q, t))
 
 
@@ -173,8 +175,9 @@ def _jet_triangular_limit(lam, q, t):
     """Triangular eigenproblem for eta_0 over jets; the constant jet
     coefficient of the result is the q -> 1 limit of P_lambda."""
     lam = tuple(lam)
+    eta = eta_operator(q, t)
     vec = _triangular_eigenvector(
-        lambda f: eta_apply(q, t, 0, f), lam,
+        lambda f: apply_vertex_mode(eta, 0, f), lam,
         lambda mu: eps_macdonald(mu, q, t))
     return _jet_part(vec, 0)
 

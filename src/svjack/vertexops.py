@@ -9,9 +9,17 @@ to a fixed element is a finite exact sum; no truncation parameter is
 involved beyond the degree of the input.  One weight rule, a product of
 coefficient powers times a count, prices both sides (see apply_vertex_mode).
 
+An operator is a VertexOperator, built once and applied mode by mode: it
+caches its coefficients creation(a), annihilation(b) and its creation
+series [z^a], so the caches live exactly as long as the operator.  The
+constant operators (C0 here, the fermion mode and the screening series in
+fock) are built at import; a DVirCurrent builds its three in __init__, and
+each check at fixed (q, t) builds one eta.
+
 The operators provided here:
 
-* eta_apply     -- the Macdonald eigenoperator family eta_n(q, t)
+* eta_operator  -- the Macdonald eigenoperator family eta_n(q, t); eta_apply
+                   applies one mode of a fresh one
 * c0_apply      -- the odd-sector operator obtained from eta at (q, t) = (-1, -1)
 * c1_apply      -- its first-order deformation in gamma
 * DVirCurrent   -- the two-term deformed Virasoro current and its dressing
@@ -85,45 +93,59 @@ def _weight(coeff, mult, count):
     return w if k == 1 else w * k
 
 
-def apply_vertex_mode(creation, annihilation, n, f, parity="any"):
-    """[z^{-n}] exp(sum_a creation(a) p_a z^a) exp(sum_b annihilation(b) dp_b z^{-b})
-    applied to a SymFunc (converted to the p basis).
+class VertexOperator:
+    """exp(sum_a creation(a) p_a z^a) exp(sum_b annihilation(b) dp_b z^{-b}),
+    both series restricted to the part sizes ``parity`` keeps.
 
     ``creation(a)`` / ``annihilation(b)`` return exact scalars (or 0 / None
-    for absent indices).  ``parity`` restricts both series to odd or even
-    indices, which prunes the enumeration for the purely odd operators.
-
-    On p_lam, removing the parts nu weighs prod_p annihilation(p)^m C(m_p(lam), m)
-    and creating kappa weighs prod_p creation(p)^m / m!; the creation series
-    [z^a] is built once per degree a and call.
+    for absent indices).  Each coefficient is computed once, and so is the
+    creation series [z^a]; both caches belong to the operator and are freed
+    with it.
     """
-    creation = lru_cache(maxsize=None)(creation)
-    annihilation = lru_cache(maxsize=None)(annihilation)
 
-    @lru_cache(maxsize=None)
-    def series(a):
-        out = {}
-        for kappa in _partitions_with_parity(a, parity):
-            w = _weight(creation, multiplicities(kappa),
-                        lambda p, m: Fraction(1, math.factorial(m)))
-            if w is not None:
-                out[kappa] = w
+    def __init__(self, creation, annihilation, parity="any"):
+        self.creation = lru_cache(maxsize=None)(creation)
+        self.annihilation = lru_cache(maxsize=None)(annihilation)
+        self.parity = parity
+        self._series = {}
+
+    def series(self, a):
+        """{kappa: prod_p creation(p)^m / m!} over the partitions kappa of a
+        with kept parts, the [z^a] coefficient of the creation series."""
+        out = self._series.get(a)
+        if out is None:
+            out = {}
+            for kappa in _partitions_with_parity(a, self.parity):
+                w = _weight(self.creation, multiplicities(kappa),
+                            lambda p, m: Fraction(1, math.factorial(m)))
+                if w is not None:
+                    out[kappa] = w
+            self._series[a] = out
         return out
 
+
+def apply_vertex_mode(op, n, f):
+    """[z^{-n}] of the VertexOperator op applied to a SymFunc (converted to
+    the p basis).
+
+    On p_lam, removing the parts nu weighs prod_p annihilation(p)^m C(m_p(lam), m)
+    and creating kappa weighs the op.series entry of kappa.
+    """
+    keep = _KEEP[op.parity]
     out = {}
     for lam, coeff in to_p(f).terms.items():
         mult = multiplicities(lam)
-        for nu in _submultisets({p: m for p, m in mult.items() if p % 2 in _KEEP[parity]}):
+        for nu in _submultisets({p: m for p, m in mult.items() if p % 2 in keep}):
             a_tot = sum(p * m for p, m in nu.items()) - n
             if a_tot < 0:
                 continue
-            w = _weight(annihilation, nu, lambda p, m: math.comb(mult[p], m))
+            w = _weight(op.annihilation, nu, lambda p, m: math.comb(mult[p], m))
             if w is None:
                 continue
             w = coeff * w
             stripped = tuple(p for p in sorted(mult, reverse=True)
                              for _ in range(mult[p] - nu.get(p, 0)))
-            for kappa, wk in series(a_tot).items():
+            for kappa, wk in op.series(a_tot).items():
                 key = merge_partitions(stripped, kappa)
                 term = w * wk
                 out[key] = out[key] + term if key in out else term
@@ -150,8 +172,9 @@ def p_derivative(f, j):
 # eta, c0, c1
 # ---------------------------------------------------------------------------
 
-def eta_apply(q, t, n, f):
-    """Mode eta_n at parameters (q, t) applied to f."""
+def eta_operator(q, t):
+    """The eta family at parameters (q, t); its mode n is
+    apply_vertex_mode(eta_operator(q, t), n, f)."""
     q, t = as_scalar(q, "q"), as_scalar(t, "t")
     t_inv = 1 / t
 
@@ -161,12 +184,20 @@ def eta_apply(q, t, n, f):
     def ann(b):
         return -(1 - q ** b)
 
-    return apply_vertex_mode(cre, ann, n, f, parity="any")
+    return VertexOperator(cre, ann)
+
+
+def eta_apply(q, t, n, f):
+    """Mode eta_n at parameters (q, t) applied to f."""
+    return apply_vertex_mode(eta_operator(q, t), n, f)
+
+
+# the odd-sector operator, over Q whatever field it acts on
+_C0 = VertexOperator(lambda a: Fraction(2, a), lambda b: Fraction(-2), "odd")
 
 
 def c0_apply(n, f):
-    return apply_vertex_mode(lambda a: Fraction(2, a), lambda b: Fraction(-2), n, f,
-                             parity="odd")
+    return apply_vertex_mode(_C0, n, f)
 
 
 def c1_apply(gamma, n, f):
@@ -255,9 +286,9 @@ def eta_hbar_check(gamma, dmax):
     on every m_lam with |lam| <= dmax, through jet order 1; returns the
     verified report."""
     gamma = Fraction(gamma)
-    q, t = hbar_parameters(gamma, 1)
+    eta = eta_operator(*hbar_parameters(gamma, 1))
     for lam, f in _monomials(dmax):
-        image = eta_apply(q, t, 0, f)
+        image = apply_vertex_mode(eta, 0, f)
         if not (_jet_part(image, 0) - c0_apply(0, f)).is_zero():
             raise VerificationFailure("h^0 mismatch at %r" % (lam,))
         if not (_jet_part(image, 1) - c1_apply(gamma, 0, f)).is_zero():
@@ -312,32 +343,35 @@ class DVirCurrent:
         self.t = t
         self.p_sqrt = p_sqrt
         self.kappa = kappa
-        self._t_inv = 1 / t
-        self._p = p_sqrt * p_sqrt
-        self._ps_inv = 1 / p_sqrt
+        t_inv, p, ps_inv = 1 / t, p_sqrt * p_sqrt, 1 / p_sqrt
 
-    # creation / annihilation coefficient functions
-    def _phi(self, a):
-        return (1 - self._t_inv ** a) * (self._ps_inv ** a) / ((1 + self._p ** a) * a)
+        # creation / annihilation coefficient functions; they close over the
+        # parameters, not self, so the operators hold no reference cycle
+        def phi(a):
+            return (1 - t_inv ** a) * (ps_inv ** a) / ((1 + p ** a) * a)
 
-    def _psi(self, a):
-        return (1 - self._t_inv ** a) * (self.p_sqrt ** a) / ((1 + self._p ** a) * a)
+        def psi(a):
+            return (1 - t_inv ** a) * (p_sqrt ** a) / ((1 + p ** a) * a)
 
-    def _h1(self, b):
-        return -(1 - self.q ** b) * self.p_sqrt ** b
+        def h1(b):
+            return -(1 - q ** b) * p_sqrt ** b
 
-    def _h2(self, b):
-        return (1 - self.q ** b) * self._ps_inv ** b
+        def h2(b):
+            return (1 - q ** b) * ps_inv ** b
+
+        self._b1 = VertexOperator(phi, h1)
+        self._b2 = VertexOperator(lambda a: -psi(a), h2)
+        self._psi = VertexOperator(psi, lambda b: None)
 
     def t_apply(self, n, f):
         """T_n = [z^{-n}] (B1(z) + B2(z)) applied to f."""
-        b1 = apply_vertex_mode(self._phi, self._h1, n, f)
-        b2 = apply_vertex_mode(lambda a: -self._psi(a), self._h2, n, f)
+        b1 = apply_vertex_mode(self._b1, n, f)
+        b2 = apply_vertex_mode(self._b2, n, f)
         return b1 + b2.scale(self.kappa)
 
     def psi_apply(self, n, f):
         """psi_{-n} = [z^n] psi(z) applied to f (n >= 0)."""
-        return apply_vertex_mode(self._psi, lambda b: None, -n, f)
+        return apply_vertex_mode(self._psi, -n, f)
 
 
 def dvir_rational(q, t, two_alpha):
@@ -380,8 +414,9 @@ def pt_eta_check(cur, dmax):
 
     Returns a report dict; raises VerificationFailure on failure.
     """
+    eta = eta_operator(cur.q, cur.t)
     for lam, f, lhs in _zero_mode_sums(cur, dmax):
-        diff = lhs - (eta_apply(cur.q, cur.t, 0, f) + to_p(f).scale(cur.kappa))
+        diff = lhs - (apply_vertex_mode(eta, 0, f) + to_p(f).scale(cur.kappa))
         if not diff.is_zero():
             raise VerificationFailure("zero-mode identity fails at %r: %r" % (lam, diff))
     return {"dmax": dmax, "verified": True}

@@ -68,6 +68,7 @@ from svjack.uglov import (
     uglov_inner,
 )
 from svjack.vertexops import (
+    VertexOperator,
     _jet_coeff,
     _submultisets,
     apply_vertex_mode,
@@ -182,6 +183,51 @@ def vertex_mode_apply_oracle(creation, annihilation, n, f, dmax):
         if lam in fp.terms:
             out[mu] = out.get(mu, Fraction(0)) + c * fp.terms[lam]
     return SymFunc("p", out)
+
+
+def vertex_mode_per_call(creation, annihilation, n, f, parity="any"):
+    """One mode of an operator built for this application alone, so its
+    coefficient and series caches start empty: the reference a reused
+    VertexOperator must equal exactly."""
+    return apply_vertex_mode(VertexOperator(creation, annihilation, parity), n, f)
+
+
+def dvir_per_call(cur):
+    """(t_apply, psi_apply) of the DVirCurrent cur, each application on fresh
+    operators whose coefficients follow the formulas of its docstring."""
+    q, t, p_sqrt, kappa = cur.q, cur.t, cur.p_sqrt, cur.kappa
+    t_inv, p, ps_inv = 1 / t, p_sqrt * p_sqrt, 1 / p_sqrt
+
+    def phi(a):
+        return (1 - t_inv ** a) * (ps_inv ** a) / ((1 + p ** a) * a)
+
+    def psi(a):
+        return (1 - t_inv ** a) * (p_sqrt ** a) / ((1 + p ** a) * a)
+
+    def t_apply(n, f):
+        b1 = vertex_mode_per_call(phi, lambda b: -(1 - q ** b) * p_sqrt ** b, n, f)
+        b2 = vertex_mode_per_call(lambda a: -psi(a), lambda b: (1 - q ** b) * ps_inv ** b,
+                                  n, f)
+        return b1 + b2.scale(kappa)
+
+    def psi_apply(n, f):
+        return vertex_mode_per_call(psi, lambda b: None, -n, f)
+
+    return t_apply, psi_apply
+
+
+def uniform_beta_reference(doubles, count):
+    """The first count values of rng.beta(1.0, 1.0) drawn from the stream of
+    doubles, by numpy's Johnk loop one trial at a time: the pair (U, V) is
+    accepted when 0 < U + V <= 1 and gives U / (U + V)."""
+    out = []
+    pairs = iter(doubles)
+    while len(out) < count:
+        u, v = float(next(pairs)), float(next(pairs))
+        total = u + v
+        if 0.0 < total <= 1.0:
+            out.append(u / total)
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +543,8 @@ def fermion_act_reference(k, f):
     k2 = int(2 * Fraction(k))
 
     def half(sign):
-        return apply_vertex_mode(lambda a: Fraction(-sign, a), lambda b: Fraction(2 * sign),
-                                 k2, g, parity="odd")
+        return vertex_mode_per_call(lambda a: Fraction(-sign, a),
+                                    lambda b: Fraction(2 * sign), k2, g, "odd")
 
     return (half(+1) - half(-1)).scale(Fraction(1, 2))
 
@@ -779,7 +825,7 @@ def solve_t1_alpha(r, s):
     for n in range(1, r * s + 1):
         base = cur0.t_apply(n, v)
         # the B2 term of T_n without its factor kappa
-        b2 = apply_vertex_mode(lambda a: -cur0._psi(a), cur0._h2, n, v)
+        b2 = apply_vertex_mode(cur0._b2, n, v)
         for mu in set(base.terms) | set(b2.terms):
             c1 = _jet_coeff(base.terms.get(mu, zero), 1)
             y0 = _jet_coeff(b2.terms.get(mu, zero), 0)

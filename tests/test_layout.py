@@ -19,6 +19,9 @@ KEEP = {
                                "shapes against the Macdonald limit; no "
                                "reproduce-paper section runs it yet",
     "cli._Parser.error": "argparse calls it on a bad argument",
+    "vertexops.eta_apply": "the public one-mode form of eta_operator; the "
+                           "package's checks build one eta per (q, t) and "
+                           "reuse it",
 }
 
 
@@ -187,6 +190,36 @@ def test_each_symmetric_function_construction_is_written_once():
     assert not defined & {"_fermion_vertex", "_p_to_e_single", "_p_lam_to_e",
                           "_falling", "_apply_a", "_max_degree", "_gram_schmidt",
                           "_expand_product", "boson_act"}
+
+
+def _module_operators(module):
+    """The names src/svjack/<module>.py binds at module level to a value
+    built by VertexOperator calls."""
+    tree = ast.parse((SRC / (module + ".py")).read_text())
+    return {target.id for node in tree.body if isinstance(node, ast.Assign)
+            and "VertexOperator" in _called(node.value)
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
+def test_vertex_operators_are_built_once():
+    """apply_vertex_mode reads the caches its operator keeps and builds none,
+    and c0_apply, fermion_act and _exp_series apply operators bound at module
+    level rather than build coefficient functions on every call."""
+    body = _function("vertexops", "apply_vertex_mode")
+    assert not _referenced_names(body) & {"lru_cache", "cache"}
+    for module, name in (("vertexops", "c0_apply"), ("fock", "fermion_act"),
+                         ("fock", "_exp_series")):
+        fn = _function(module, name)
+        assert not any(isinstance(node, (ast.Lambda, ast.FunctionDef))
+                       for node in ast.walk(fn) if node is not fn), name
+        assert "VertexOperator" not in _called(fn), name
+        calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "apply_vertex_mode"]
+        assert len(calls) == 1, name
+        op = calls[0].args[0]
+        if isinstance(op, ast.Subscript):
+            op = op.value
+        assert isinstance(op, ast.Name) and op.id in _module_operators(module), name
 
 
 def test_operator_matrices_only_where_linear_algebra_needs_them():

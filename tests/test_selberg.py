@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from svjack.selberg import (
+    _BLOCK_PAIRS,
     _CHUNK_ROWS,
     MAX_SAMPLES,
     _uniform_beta,
@@ -24,7 +25,7 @@ from svjack.selberg import (
 )
 
 from oracles import (i0_closed, montecarlo_symmetrized_moment,
-                     selberg_montecarlo_reference)
+                     selberg_montecarlo_reference, uniform_beta_reference)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -191,10 +192,12 @@ def test_montecarlo_matches_the_whole_array_reference(n, alpha, beta, gamma, sam
 
 
 # _uniform_beta draws its trials in blocks of this many (U, V) pairs
-BLOCK = 4096
+BLOCK = _BLOCK_PAIRS
 
 
-@pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * _CHUNK_ROWS + 7])
+# 4,095 to 4,097 end inside a block, BLOCK - 1 to BLOCK + 1 on its boundary
+@pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, BLOCK - 1, BLOCK, BLOCK + 1,
+                                  3 * _CHUNK_ROWS + 7])
 @pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 63 + 5])
 def test_uniform_beta_is_generator_beta_bit_for_bit(seed, rows):
     for n in (1, 3):
@@ -213,6 +216,37 @@ def test_uniform_beta_carries_leftovers_across_draws(seed):
     got = np.concatenate([draw(size).reshape(-1) for size in sizes])
     rng = np.random.default_rng(seed)
     expected = np.concatenate([rng.beta(1.0, 1.0, size=size).reshape(-1) for size in sizes])
+    assert got.tobytes() == expected.tobytes()
+
+
+class PlantedZeros:
+    """Generator.random(out=) with (U, V) = (0.0, 0.0) planted in the first,
+    sixth and last pair of every block and in every pair of the second
+    block; it keeps the doubles it gave."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.given = []
+
+    def random(self, out):
+        self.rng.random(out=out)
+        out[[0, 1, 10, 11, -2, -1]] = 0.0
+        if len(self.given) == 1:
+            out[:] = 0.0
+        self.given.append(out.copy())
+
+
+@pytest.mark.parametrize("size", [(1, 1), (BLOCK - 5, 1), (3 * BLOCK, 1), (BLOCK + 1, 3)])
+def test_uniform_beta_rejects_zero_pairs(size):
+    # a U = V = 0 trial, once in 2^106, is rejected as numpy's Johnk loop
+    # rejects it, without a 0/0 on the way
+    stream = PlantedZeros(5)
+    draw = _uniform_beta(stream)
+    with np.errstate(all="raise"):
+        first = draw(size)
+        second = draw((7, 2))
+    got = np.concatenate([first.reshape(-1), second.reshape(-1)])
+    expected = uniform_beta_reference(np.concatenate(stream.given), len(got))
     assert got.tobytes() == expected.tobytes()
 
 

@@ -1,14 +1,19 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from svjack.fock import _exp_series, fermion_act, odd_sign_involution
 from svjack.kernel import Jet, KernelError, RatFun, VerificationFailure
 from svjack.symfunc import SymFunc, convert, e_gen, multiply, partitions
 from svjack.vertexops import (
+    VertexOperator,
     apply_vertex_mode,
     c0_apply,
     c1_apply,
+    dvir_jet,
     dvir_rational,
     eps0,
     eps1,
@@ -16,6 +21,7 @@ from svjack.vertexops import (
     eps_macdonald,
     eta_apply,
     eta_hbar_check,
+    eta_operator,
     exact_sqrt,
     hbar_parameters,
     pt_c10_check,
@@ -28,12 +34,14 @@ from oracles import (
     c1_mode,
     commuting_family_check,
     dvir_modes,
+    dvir_per_call,
     graded_apply,
     graded_to_json,
     m_gen,
     p_gen,
     solve_t1_alpha,
     vertex_mode_apply_oracle,
+    vertex_mode_per_call,
 )
 
 
@@ -67,11 +75,12 @@ def test_vertex_mode_against_dense_oracle(n):
 
             terms = {lam: lift(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
                      for d in range(5) for lam in partitions(d)}
-            images = [apply_vertex_mode(cre, ann, n, SymFunc("p", {lam: c}), parity)
+            op = VertexOperator(cre, ann, parity)
+            images = [apply_vertex_mode(op, n, SymFunc("p", {lam: c}))
                       for lam, c in terms.items()]
             keys = [mu for image in images for mu in image.terms]
             collided = collided or len(set(keys)) < len(keys)
-            mine = apply_vertex_mode(cre, ann, n, SymFunc("p", terms), parity)
+            mine = apply_vertex_mode(op, n, SymFunc("p", terms))
             assert mine == sum(images[1:], images[0]), (field, parity)
             ref = vertex_mode_apply_oracle(cre, ann, n, SymFunc("p", terms), dmax=4 - min(n, 0))
             assert mine == ref, (field, parity)
@@ -91,6 +100,79 @@ def test_eta_mode_against_dense_oracle():
     for lam in [(1,), (2,), (1, 1), (2, 1), (3, 1)]:
         f = p_gen(lam)
         assert eta_apply(q, t, 0, f) == vertex_mode_apply_oracle(cre, ann, 0, f, dmax=6)
+
+
+# --- reused operators against the per-call path ----------------------------
+
+def _same(a, b):
+    """Equal SymFuncs whose coefficients also have the same types."""
+    return (a.basis == b.basis and a.terms == b.terms
+            and all(type(c) is type(b.terms[mu]) for mu, c in a.terms.items()))
+
+
+def _sweep(dmax, lift=lambda x: x):
+    """m_lam up to degree dmax, down the degrees and up again, so a reused
+    operator's caches meet degrees they hold and degrees they do not."""
+    lams = [lam for d in range(dmax + 1) for lam in partitions(d)]
+    return [m_gen(lam, lift(Fraction(1))) for lam in lams[::-1] + lams]
+
+
+@pytest.mark.parametrize("cur, dmax", [
+    (dvir_jet(Fraction(1, 2), Fraction(3, 2), 1), 4),
+    (dvir_jet(1 / (_T * _T), 0 * _T, 1), 3),
+    (dvir_rational(Fraction(1, 2), Fraction(2), 1), 4),
+], ids=["jet", "jet-symbolic", "rational"])
+def test_reused_current_equals_the_per_call_path(cur, dmax):
+    t_ref, psi_ref = dvir_per_call(cur)
+    for f in _sweep(dmax):
+        for n in range(-1, dmax + 1):
+            assert _same(cur.t_apply(n, f), t_ref(n, f)), (n, f)
+        for n in range(dmax + 1):
+            assert _same(cur.psi_apply(n, f), psi_ref(n, f)), (n, f)
+
+
+@pytest.mark.parametrize("q, t", [hbar_parameters(Fraction(2, 3), 1),
+                                  hbar_parameters(RatFun.variable("g"), 1),
+                                  (Fraction(2, 3), Fraction(3, 5))],
+                         ids=["jet", "jet-symbolic", "rational"])
+def test_reused_eta_equals_the_per_call_path(q, t):
+    eta = eta_operator(q, t)
+    for f in _sweep(4):
+        for n in (-2, 0, 1, 3):
+            assert _same(apply_vertex_mode(eta, n, f), eta_apply(q, t, n, f)), (n, f)
+
+
+@pytest.mark.parametrize("lift", [lambda x: x, lambda x: (_T + x) / (_T - 2)],
+                         ids=["Q", "Q(t)"])
+def test_module_operators_equal_the_per_call_path(lift):
+    for f in _sweep(5, lift):
+        for n in (-1, 0, 2):
+            assert _same(c0_apply(n, f),
+                         vertex_mode_per_call(lambda a: Fraction(2, a), lambda b: Fraction(-2),
+                                              n, f, "odd")), (n, f)
+        for k in (Fraction(-3, 2), Fraction(1, 2), Fraction(5, 2)):
+            assert _same(fermion_act(k, f),
+                         vertex_mode_per_call(lambda a: Fraction(-1, a), lambda b: Fraction(2),
+                                              int(2 * k), odd_sign_involution(f), "odd")), (k, f)
+    for j in (7, 0, 3, 6):
+        for name, sign, parity in (("E1", 1, "odd"), ("E0", -1, "even")):
+            assert _same(_exp_series(j, name),
+                         vertex_mode_per_call(lambda a: Fraction(sign, a), lambda b: None,
+                                              -j, SymFunc.one("p"), parity)), (j, name)
+
+
+def test_a_dropped_operator_frees_its_caches():
+    # the caches live as long as their operator: nothing global keeps a
+    # current, its three operators or an eta alive
+    cur = dvir_jet(Fraction(1, 2), Fraction(3, 2), 1)
+    f = m_gen((2, 1))
+    cur.psi_apply(1, cur.t_apply(1, f))
+    eta = eta_operator(*hbar_parameters(Fraction(2, 3), 1))
+    apply_vertex_mode(eta, 0, f)
+    refs = [weakref.ref(x) for x in (cur, cur._b1, cur._b2, cur._psi, eta)]
+    del cur, eta
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 # --- eigenvalue formulas ----------------------------------------------------
