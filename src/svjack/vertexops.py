@@ -21,7 +21,9 @@ The operators provided here:
 * eta_operator  -- the Macdonald eigenoperator family eta_n(q, t); eta_apply
                    applies one mode of a fresh one
 * c0_apply      -- the odd-sector operator obtained from eta at (q, t) = (-1, -1)
-* c1_apply      -- its first-order deformation in gamma
+* c1_apply      -- its first-order deformation in gamma, gamma A + B, where
+                   A sums -+ p_j C0_{n+j} and B sums -+ j C0_{n-j} dp_j;
+                   both are accumulated in one pass, not from C0 modes
 * DVirCurrent   -- the two-term deformed Virasoro current and its dressing
                    factor psi, normalized so that psi(z) T(z) reproduces
                    eta_0 plus a scalar in the zero mode
@@ -48,7 +50,6 @@ from .symfunc import (
     SymFunc,
     merge_partitions,
     multiplicities,
-    multiply,
     partitions,
     to_p,
 )
@@ -124,47 +125,44 @@ class VertexOperator:
         return out
 
 
+def _annihilations(op, mult, least):
+    """(stripped, size, weight) for each sub-multiset nu of the parts op's
+    parity keeps in p_lam, mult = multiplicities(lam), of size |nu| >= least:
+    stripped is lam without nu (a tuple, not sorted) and weight is
+    prod_p annihilation(p)^m C(m_p(lam), m).  A nu whose weight vanishes is
+    skipped; the size test comes first, so no weight is priced in vain."""
+    keep = _KEEP[op.parity]
+    for nu in _submultisets({p: m for p, m in mult.items() if p % 2 in keep}):
+        size = sum(p * m for p, m in nu.items())
+        if size < least:
+            continue
+        w = _weight(op.annihilation, nu, lambda p, m: math.comb(mult[p], m))
+        if w is not None:
+            yield (tuple(p for p, m in mult.items() for _ in range(m - nu.get(p, 0))),
+                   size, w)
+
+
+def _create(op, stripped, a, w, out):
+    """Add w p_stripped times the [z^a] creation series of op into the
+    p-coefficient dict out."""
+    for kappa, wk in op.series(a).items():
+        key = merge_partitions(stripped, kappa)
+        term = w * wk
+        out[key] = out[key] + term if key in out else term
+
+
 def apply_vertex_mode(op, n, f):
     """[z^{-n}] of the VertexOperator op applied to a SymFunc (converted to
     the p basis).
 
     On p_lam, removing the parts nu weighs prod_p annihilation(p)^m C(m_p(lam), m)
-    and creating kappa weighs the op.series entry of kappa.
+    and creating kappa weighs the op.series entry of kappa: _annihilations,
+    then _create.
     """
-    keep = _KEEP[op.parity]
     out = {}
     for lam, coeff in to_p(f).terms.items():
-        mult = multiplicities(lam)
-        for nu in _submultisets({p: m for p, m in mult.items() if p % 2 in keep}):
-            a_tot = sum(p * m for p, m in nu.items()) - n
-            if a_tot < 0:
-                continue
-            w = _weight(op.annihilation, nu, lambda p, m: math.comb(mult[p], m))
-            if w is None:
-                continue
-            w = coeff * w
-            stripped = tuple(p for p in sorted(mult, reverse=True)
-                             for _ in range(mult[p] - nu.get(p, 0)))
-            for kappa, wk in op.series(a_tot).items():
-                key = merge_partitions(stripped, kappa)
-                term = w * wk
-                out[key] = out[key] + term if key in out else term
-    return SymFunc("p", out)
-
-
-def p_derivative(f, j):
-    """d/dp_j on the power-sum basis."""
-    fp = to_p(f)
-    out = {}
-    for lam, coeff in fp.terms.items():
-        m = multiplicities(lam).get(j, 0)
-        if not m:
-            continue
-        rest = list(lam)
-        rest.remove(j)
-        key = tuple(rest)
-        term = coeff * m
-        out[key] = out[key] + term if key in out else term
+        for stripped, size, w in _annihilations(op, multiplicities(lam), n):
+            _create(op, stripped, size - n, coeff * w, out)
     return SymFunc("p", out)
 
 
@@ -200,34 +198,46 @@ def c0_apply(n, f):
     return apply_vertex_mode(_C0, n, f)
 
 
-def c1_apply(gamma, n, f):
-    """Mode C^1_n(gamma): the first-order gamma-deformation of C^0_n.
+def _c1_rows(n, lam):
+    """(A_n p_lam, B_n p_lam) over Q as p-coefficient dicts; see c1_apply."""
+    mult = multiplicities(lam)
+    a_row, b_row = {}, {}
+    for stripped, size, w in _annihilations(_C0, mult, n + 1):
+        for j in range(1, size - n + 1):
+            _create(_C0, stripped + (j,), size - n - j, -w if j % 2 else w, a_row)
+    for j, m in mult.items():
+        rest = dict(mult)
+        rest[j] -= 1
+        w_j = -j * m if j % 2 else j * m
+        for stripped, size, w in _annihilations(_C0, rest, n - j):
+            _create(_C0, stripped, size - n + j, w_j * w, b_row)
+    return a_row, b_row
 
-    Assembled from C^0 modes with one power-sum multiplication or one
-    derivative inserted:
-      -gamma p_j C^0_{n+j}   (j odd)      +gamma p_j C^0_{n+j}   (j even)
-      -j C^0_{n-j} dp_j      (j odd)      +j C^0_{n-j} dp_j      (j even)
+
+def c1_apply(gamma, n, f):
+    """Mode C^1_n(gamma) = gamma A_n + B_n: the first-order gamma-deformation
+    of C^0_n, with
+
+      A_n = sum_{j >= 1} -+ p_j C^0_{n+j}          (- for odd j, + for even j)
+      B_n = sum_{j >= 1} -+ j C^0_{n-j} dp_j
+
+    One walk over f's p-terms accumulates A and B: _c1_rows builds A_n p_lam
+    and B_n p_lam over Q through the strip, weigh and create steps of
+    apply_vertex_mode, pricing each removable nu of lam once for every j, and
+    f's coefficient multiplies each row entry once.  gamma multiplies A once,
+    at the end.
     """
-    fp = to_p(f)
-    if not fp.terms:
-        return SymFunc("p", {})
-    degmax = max(sum(lam) for lam in fp.terms)
-    out = SymFunc("p", {})
-    for j in range(1, degmax - n + 1):
-        g = c0_apply(n + j, fp)
-        if g.is_zero():
-            continue
-        sign = Fraction(-1) if j % 2 == 1 else Fraction(1)
-        pj = SymFunc("p", {(j,): sign})
-        out = out + multiply(pj, g).scale(gamma)
-    present = sorted({p for lam in fp.terms for p in lam})
-    for j in present:
-        dj = p_derivative(fp, j)
-        if dj.is_zero():
-            continue
-        sign = Fraction(-j) if j % 2 == 1 else Fraction(j)
-        out = out + c0_apply(n - j, dj).scale(sign)
-    return out
+    a_part, b_part = {}, {}
+    for lam, coeff in to_p(f).terms.items():
+        for part, row in zip((a_part, b_part), _c1_rows(n, lam)):
+            for key, x in row.items():
+                if x:
+                    term = coeff * x
+                    part[key] = part[key] + term if key in part else term
+    out = {key: gamma * a for key, a in a_part.items() if not is_zero(a)}
+    for key, b in b_part.items():
+        out[key] = out[key] + b if key in out else b
+    return SymFunc("p", out)
 
 
 def eps_macdonald(lam, q, t):

@@ -78,7 +78,6 @@ from svjack.vertexops import (
     dvir_rational,
     eps0,
     eps1,
-    p_derivative,
 )
 
 
@@ -190,6 +189,50 @@ def vertex_mode_per_call(creation, annihilation, n, f, parity="any"):
     coefficient and series caches start empty: the reference a reused
     VertexOperator must equal exactly."""
     return apply_vertex_mode(VertexOperator(creation, annihilation, parity), n, f)
+
+
+def p_derivative(f, j):
+    """d/dp_j on the power-sum basis."""
+    fp = to_p(f)
+    out = {}
+    for lam, coeff in fp.terms.items():
+        m = multiplicities(lam).get(j, 0)
+        if not m:
+            continue
+        rest = list(lam)
+        rest.remove(j)
+        key = tuple(rest)
+        term = coeff * m
+        out[key] = out[key] + term if key in out else term
+    return SymFunc("p", out)
+
+
+def c1_apply_reference(gamma, n, f):
+    """Mode C^1_n(gamma) assembled from whole C^0 modes, one power-sum
+    multiplication or one derivative inserted:
+      -gamma p_j C^0_{n+j}   (j odd)      +gamma p_j C^0_{n+j}   (j even)
+      -j C^0_{n-j} dp_j      (j odd)      +j C^0_{n-j} dp_j      (j even)
+    the reference the one-pass vertexops.c1_apply must equal exactly."""
+    fp = to_p(f)
+    if not fp.terms:
+        return SymFunc("p", {})
+    degmax = max(sum(lam) for lam in fp.terms)
+    out = SymFunc("p", {})
+    for j in range(1, degmax - n + 1):
+        g = c0_apply(n + j, fp)
+        if g.is_zero():
+            continue
+        sign = Fraction(-1) if j % 2 == 1 else Fraction(1)
+        pj = SymFunc("p", {(j,): sign})
+        out = out + multiply(pj, g).scale(gamma)
+    present = sorted({p for lam in fp.terms for p in lam})
+    for j in present:
+        dj = p_derivative(fp, j)
+        if dj.is_zero():
+            continue
+        sign = Fraction(-j) if j % 2 == 1 else Fraction(j)
+        out = out + c0_apply(n - j, dj).scale(sign)
+    return out
 
 
 def dvir_per_call(cur):
@@ -815,8 +858,8 @@ def solve_t1_alpha(r, s):
     from svjack.fock import monic_image, verma_to_lambda
     from svjack.svir import singular_vector
 
-    chi = singular_vector(r, s, "sym")
-    _, v = monic_image(convert(verma_to_lambda(chi), "m"), (r,) * s)
+    raw = verma_to_lambda(singular_vector(r, s, "sym"))
+    _, v = monic_image(raw, convert(raw, "m"), (r,) * s)
     tvar = RatFun.variable("t")
     gamma = 1 / (tvar * tvar)
     zero = gamma * 0

@@ -93,7 +93,7 @@ FRONTIER_DIGESTS = pathlib.Path(__file__).resolve().parent / "golden" / "frontie
 
 @pytest.mark.parametrize("argv", sorted(json.loads(FRONTIER_DIGESTS.read_text())))
 def test_frontier_output_matches_recorded_digest(capsys, argv):
-    """The symbolic frontier, verify at rs = 8, 7 and 12, the rs = 12
+    """The symbolic frontier, verify at rs = 8, 7, 11 and 12, the rs = 12
     singular vector and the level-7/2 Kac determinant, prints exactly what
     it printed when these digests were recorded."""
     code, out = run_cli(capsys, "--json", *argv.split())

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from svjack.fock import (
     HALF,
     _boson_mode,
+    _first_unorthogonal,
     _degree,
     _fermion_mode,
     _fermion_monomial,
@@ -18,9 +20,11 @@ from svjack.fock import (
     verify_conjecture,
     verma_to_lambda,
 )
-from svjack.kernel import RatFun, Sqrt2Ext, is_zero
+from svjack.kernel import RatFun, Sqrt2Ext, VerificationFailure, is_zero
 from svjack.svir import act, hw_data, monomial_vector, singular_vector, superpartitions
-from svjack.symfunc import SymFunc, convert, e_gen, merge_partitions, partitions, to_p
+from svjack.symfunc import (SymFunc, convert, dominance_leq, e_gen, merge_partitions,
+                             partitions, to_p)
+from svjack.uglov import uglov2_orth, uglov_inner
 
 from oracles import (
     boson_act,
@@ -407,8 +411,8 @@ def test_image_13_is_e3():
 
 
 def test_normalized_image_is_base_field():
-    chi = singular_vector(2, 2, "sym")
-    _, img = monic_image(convert(verma_to_lambda(chi), "m"), (2, 2))
+    raw = verma_to_lambda(singular_vector(2, 2, "sym"))
+    _, img = monic_image(raw, convert(raw, "m"), (2, 2))
     for c in img.terms.values():
         assert not isinstance(c, Sqrt2Ext)
     m = convert(img, "m")
@@ -491,3 +495,85 @@ def test_image_scalars_golden():
         r, s = (int(x) for x in key.split(","))
         rep = verify_conjecture(r, s, "sym")
         assert rep["scalar"] == expected, key
+
+
+# --- the certificate: triangular, led by m_lam, orthogonal to every lower m_mu ---
+
+def _certificate_case(rs, t):
+    """(lam, gamma, raw_p, raw_m) for the (r, s) singular vector at t."""
+    chi = singular_vector(*rs, t)
+    raw_p = verma_to_lambda(chi)
+    tt = chi.weight.t
+    return (rs[0],) * rs[1], (tt * 0 + 1) / (tt * tt), raw_p, convert(raw_p, "m")
+
+
+def _lower(lam):
+    return [mu for mu in partitions(sum(lam)) if mu != lam and dominance_leq(mu, lam)]
+
+
+def _m(mu, c=Fraction(1)):
+    return SymFunc("m", {mu: c})
+
+
+@pytest.mark.parametrize("t", ["sym", Fraction(3, 2)])
+@pytest.mark.parametrize("rs", EQUAL_PARITY_RS_TO_9)
+def test_certificate_agrees_with_the_ladder(rs, t):
+    """Where the certificate holds, the image is its m_lam coefficient times
+    the gamma-family member the Gram-Schmidt ladder builds."""
+    lam, gamma, raw_p, raw_m = _certificate_case(rs, t)
+    lead, monic = monic_image(raw_p, raw_m, lam)
+    assert all(dominance_leq(mu, lam) for mu in raw_m.terms)
+    assert _first_unorthogonal(raw_p, lam, gamma) is None
+    assert raw_m == uglov2_orth(lam, gamma).scale(lead)
+    assert monic == to_p(uglov2_orth(lam, gamma))
+
+
+@pytest.mark.parametrize("rs, t", [((2, 2), "sym"), ((2, 4), "sym"), ((3, 3), "sym"),
+                                   ((3, 3), Fraction(3, 2)), ((5, 1), Fraction(3, 2))])
+def test_certificate_catches_every_lower_perturbation(rs, t):
+    """Adding eps m_mu for any mu < lam makes <f, m_nu> = eps <m_mu, m_nu>, so
+    the certificate names the first nu below lam, in partitions() order, that
+    m_mu is not orthogonal to; for the first mu below lam that is mu."""
+    lam, gamma, raw_p, _ = _certificate_case(rs, t)
+    lower = _lower(lam)
+    assert lower
+    for mu in lower:
+        first = next(nu for nu in lower
+                     if not is_zero(uglov_inner(_m(mu), _m(nu), gamma)))
+        assert _first_unorthogonal(raw_p + to_p(_m(mu, gamma / 1000)), lam, gamma) == first
+    top = lower[0]
+    assert _first_unorthogonal(raw_p + to_p(_m(top, gamma / 1000)), lam, gamma) == top
+
+
+def _perturb_image(monkeypatch, extra):
+    """Make verify_conjecture see its image plus extra(t) in the m basis."""
+    import svjack.fock as fock
+    real = fock.verma_to_lambda
+    monkeypatch.setattr(fock, "verma_to_lambda",
+                        lambda v: real(v) + to_p(extra(v.weight.t)))
+
+
+@pytest.mark.parametrize("t", ["sym", Fraction(3, 2)])
+@pytest.mark.parametrize("rs", [(2, 2), (3, 1), (2, 4), (3, 3)])
+def test_verify_conjecture_rejects_a_lower_perturbation(monkeypatch, rs, t):
+    """(t/1000) m_mu added to the image, for the first mu below lam: the
+    failure names mu."""
+    lam = (rs[0],) * rs[1]
+    mu = _lower(lam)[0]
+    _perturb_image(monkeypatch, lambda tt: _m(mu, tt / 1000))
+    message = ("image is not proportional to the shape-%s family member; first "
+               "mismatch at m_%s" % (list(lam), list(mu)))
+    with pytest.raises(VerificationFailure, match="^%s$" % re.escape(message)):
+        verify_conjecture(*rs, t=t)
+
+
+@pytest.mark.parametrize("extra, named", [(((3, 1),), (3, 1)), (((3, 1), (4,)), (4,))])
+def test_verify_conjecture_rejects_a_non_triangular_image(monkeypatch, extra, named):
+    """A monomial that (2, 2) does not dominate fails the triangularity check,
+    which names the first such monomial in partitions() order."""
+    _perturb_image(monkeypatch,
+                   lambda tt: SymFunc("m", {mu: tt / 1000 for mu in extra}))
+    message = ("image is not dominance-triangular below m_[2, 2]; first monomial "
+               "outside at m_%s" % (list(named),))
+    with pytest.raises(VerificationFailure, match="^%s$" % re.escape(message)):
+        verify_conjecture(2, 2, t="sym")

@@ -189,7 +189,23 @@ def test_each_symmetric_function_construction_is_written_once():
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_fermion_vertex", "_p_to_e_single", "_p_lam_to_e",
                           "_falling", "_apply_a", "_max_degree", "_gram_schmidt",
-                          "_expand_product", "boson_act"}
+                          "_expand_product", "boson_act", "p_derivative"}
+
+
+def test_verify_certifies_without_the_ladder():
+    """verify_conjecture certifies the identification by orthogonality to the
+    lower monomials: fock never names the gamma-family ladder uglov2_orth."""
+    assert "uglov2_orth" not in (SRC / "fock.py").read_text()
+
+
+def test_c1_shares_the_vertex_weight_rule():
+    """C^1 = gamma A + B is priced by the strip, weigh and create steps of
+    apply_vertex_mode, not assembled from whole C^0 modes."""
+    for name in ("apply_vertex_mode", "_c1_rows"):
+        called = _called(_function("vertexops", name))
+        assert {"_annihilations", "_create"} <= set(called), name
+    assert _reached("vertexops", "c1_apply", stop=set()) >= {"_c1_rows"}
+    assert not {"c0_apply", "apply_vertex_mode"} & _reached("vertexops", "c1_apply", stop=set())
 
 
 def _module_operators(module):

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from svjack.fock import _exp_series, fermion_act, odd_sign_involution
-from svjack.kernel import Jet, KernelError, RatFun, VerificationFailure
+from svjack.fock import _exp_series, fermion_act, monic_image, odd_sign_involution, verma_to_lambda
+from svjack.kernel import Jet, KernelError, RatFun, VerificationFailure, as_scalar
+from svjack.svir import singular_vector
 from svjack.symfunc import SymFunc, convert, e_gen, multiply, partitions
+from svjack.uglov import uglov2_orth
 from svjack.vertexops import (
     VertexOperator,
     apply_vertex_mode,
@@ -31,6 +33,7 @@ from svjack.vertexops import (
 from oracles import (
     GradedOperator,
     c0_mode,
+    c1_apply_reference,
     c1_mode,
     commuting_family_check,
     dvir_modes,
@@ -226,6 +229,40 @@ def test_c1_on_p1_and_e2_and_vacuum():
     e2 = convert(e_gen((2,)), "p")
     assert c1_apply(g, 0, e2) == e2.scale(-4 * g)
     assert c1_apply(g, 0, SymFunc.one("p")).is_zero()
+
+
+def _same_coefficients(got, want):
+    """Equal keys, and per key the same coefficient repr and type."""
+    return ({mu: (repr(c), type(c)) for mu, c in got.terms.items()}
+            == {mu: (repr(c), type(c)) for mu, c in want.terms.items()})
+
+
+@pytest.mark.parametrize("g", ["sym", Fraction(2, 3)])
+@pytest.mark.parametrize("d", range(8))
+def test_c1_apply_equals_the_reference_on_the_gamma_family(g, d):
+    """The one-pass gamma A_n + B_n equals C^1_n assembled from whole C^0
+    modes, coefficient by coefficient, on every gamma-family member of
+    degree d, for n = -2..2."""
+    gamma = as_scalar(g, "g")
+    for lam in partitions(d):
+        f = uglov2_orth(lam, g)
+        for n in range(-2, 3):
+            assert _same_coefficients(c1_apply(gamma, n, f), c1_apply_reference(gamma, n, f)), \
+                (lam, n)
+
+
+@pytest.mark.parametrize("rs", [(r, s) for r in range(1, 10) for s in range(1, 10)
+                                if r * s <= 9 and (r - s) % 2 == 0])
+def test_c1_apply_equals_the_reference_on_singular_vector_images(rs):
+    """The same on the monic image of each singular vector with rs <= 9, at
+    symbolic t and gamma = 1/t^2 (n = 0 is what verify_conjecture applies)."""
+    chi = singular_vector(*rs, "sym")
+    raw = verma_to_lambda(chi)
+    _, f = monic_image(raw, convert(raw, "m"), (rs[0],) * rs[1])
+    t = chi.weight.t
+    gamma = (t * 0 + 1) / (t * t)
+    for n in range(-2, 3):
+        assert _same_coefficients(c1_apply(gamma, n, f), c1_apply_reference(gamma, n, f)), n
 
 
 def test_graded_operator_blocks_and_apply():
