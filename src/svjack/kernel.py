@@ -422,10 +422,6 @@ class RatFun(_Scalar):
     def denom(self):
         return Poly(self.var, [Fraction(a, self.D[-1]) for a in self.D])
 
-    def denominator(self):
-        """D as an element of the field: 1 for a polynomial."""
-        return _ratfun(self.var, Fraction(1), self.D, (1,))
-
     def is_zero(self):
         return not self.c
 
@@ -747,7 +743,8 @@ class Jet(_Scalar):
 # ---------------------------------------------------------------------------
 
 def scalar_to_json(x):
-    """Canonical JSON form: rationals as {num, den} with string payloads."""
+    """Canonical JSON form of a rational, a RatFun or a Sqrt2Ext, rationals
+    as {num, den} with string payloads; any other scalar raises KernelError."""
     if isinstance(x, int):
         x = Fraction(x)
     if isinstance(x, Fraction):
@@ -760,8 +757,4 @@ def scalar_to_json(x):
         }
     if isinstance(x, Sqrt2Ext):
         return {"base": scalar_to_json(x.a), "sqrt2": scalar_to_json(x.b)}
-    if isinstance(x, Jet):
-        return {"order": x.order, "coeffs": [scalar_to_json(c) for c in x.coeffs]}
-    if isinstance(x, Poly):
-        return {"var": x.var, "coeffs": [scalar_to_json(c) for c in x.coeffs]}
     raise KernelError("cannot serialize %r" % (x,))

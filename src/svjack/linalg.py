@@ -1,9 +1,10 @@
 """Exact dense linear algebra over the kernel scalar fields.
 
 Elimination follows the Bareiss fraction-free recurrence on integers.  A
-matrix over Q or Q(t) has each row's denominators cleared, first the
-rational-function ones and then the integer ones, so its entries lie in Z
-or in Z[t] (integer polynomial tuples, as in the kernel).  There every
+matrix over Q or Q(t) has each row's denominators cleared in one step, by
+the product of the rational-function ones and then the lcm of the integer
+ones, so its entries lie in Z or in Z[t] (integer polynomial tuples, as in
+the kernel) without any RatFun arithmetic on the way.  There every
 intermediate entry is a minor of that integer matrix, and Sylvester's
 identity makes each division by the previous pivot exact: a quotient, not
 a gcd, so an inexact one can only be a bug and raises ``KernelError``.
@@ -19,44 +20,6 @@ from fractions import Fraction
 
 from .kernel import (KernelError, Poly, RatFun, VerificationFailure, _ratfun, _zz_combine,
                      _zz_exact_quotient, _zz_mul, _zz_primitive, is_zero)
-
-
-def _clear_denominators(mat):
-    """(var, rows, scales): the rows of ``mat``, each multiplied by the
-    product of the denominators of its RatFun entries, and the list of those
-    products (rows whose entries are all polynomials already are copied
-    unscaled); var is the variable of the RatFun entries, None if there are
-    none.
-
-    Scaling a row by a nonzero factor changes neither the kernel nor the
-    rank, and clearing the denominators makes the Bareiss divisions exact on
-    the polynomial level.  Rows may mix plain rationals with rational
-    functions; RatFuns in two variables, or an entry that is not an int, a
-    Fraction or a RatFun, raise KernelError.
-    """
-    var = None
-    for row in mat:
-        for x in row:
-            if isinstance(x, RatFun):
-                if var is not None and x.var != var:
-                    raise KernelError("rational functions in %r and %r cannot be "
-                                      "combined" % (var, x.var))
-                var = x.var
-            elif not isinstance(x, (int, Fraction)):
-                raise KernelError("no exact elimination over %r" % (x,))
-    rows, scales = [], []
-    for row in mat:
-        scale = None
-        for x in row:
-            d = x.denominator() if isinstance(x, RatFun) else 1
-            if d != 1:
-                scale = d if scale is None else scale * d
-        if scale is None:
-            rows.append(list(row))
-        else:
-            rows.append([x * scale for x in row])
-            scales.append(scale)
-    return var, rows, scales
 
 
 def _int_step(x, piv, a, y, prev):
@@ -80,24 +43,51 @@ def _zz_step(x, piv, a, y, prev):
     return q
 
 
-def _integer_rows(var, rows):
-    """(integer rows, scales): each row of ``rows`` times the lcm of its
-    entries' rational denominators, that lcm in ``scales``.  The entries are
-    ints when var is None and integer polynomial tuples otherwise; RatFun
-    entries must be polynomials, as ``_clear_denominators`` leaves them.
+def _denominator(entries):
+    """The product of the denominators of the RatFun entries, an integer
+    polynomial."""
+    den = (1,)
+    for x in entries:
+        if isinstance(x, RatFun):
+            den = _zz_mul(den, x.D)
+    return den
+
+
+def _integer_rows(mat):
+    """(var, integer rows, scales): each row of ``mat`` in Z or Z[t], times
+    the product D of its entries' RatFun denominators and then the lcm of the
+    rational denominators left, that lcm in ``scales``.
+
+    A RatFun entry c N / d becomes c N (D / d) and a rational entry x becomes
+    x D, so no RatFun arithmetic is done.  Scaling a row by a nonzero factor
+    changes neither the kernel nor the rank.  The entries are ints when var,
+    the variable of the RatFun entries, is None and integer polynomial tuples
+    otherwise.  RatFuns in two variables, or an entry that is not an int, a
+    Fraction or a RatFun, raise KernelError.
     """
+    var = None
+    for row in mat:
+        for x in row:
+            if isinstance(x, RatFun):
+                if var is not None and x.var != var:
+                    raise KernelError("rational functions in %r and %r cannot be "
+                                      "combined" % (var, x.var))
+                var = x.var
+            elif not isinstance(x, (int, Fraction)):
+                raise KernelError("no exact elimination over %r" % (x,))
     out, scales = [], []
-    for row in rows:
+    for row in mat:
+        den = _denominator(row)
         # each entry as a rational content times an integer polynomial
-        split = [(x.c, x.N) if isinstance(x, RatFun) else (Fraction(x), (1,))
-                 for x in row]
+        split = [(x.c, _zz_mul(x.N, den if x.D == (1,) else _zz_exact_quotient(den, x.D)))
+                 if isinstance(x, RatFun) else (Fraction(x), den) for x in row]
         s = math.lcm(*(c.denominator for c, _ in split))
         ks = [c.numerator * (s // c.denominator) for c, _ in split]
         if var is not None:
             ks = [tuple(k * a for a in p) if k else () for k, (_, p) in zip(ks, split)]
         out.append(ks)
         scales.append(s)
-    return out, scales
+    return var, out, scales
 
 
 def _lift(var, x, p):
@@ -112,23 +102,22 @@ def _lift(var, x, p):
 
 
 def bareiss_echelon(mat):
-    """Fraction-free forward elimination of the rows scaled by
-    ``_clear_denominators``.
+    """Fraction-free forward elimination of the rows of ``mat``.
 
     The one Bareiss loop runs on the integer rows of ``_integer_rows``, in Z
     or Z[t], where every division by the previous pivot is exact (Sylvester's
     identity), so an inexact one raises KernelError.  Echelon row r is then
-    the cleared row times P_r, the product of the integer scales of the rows
-    at positions 0..r, and it is lifted back divided by P_r.  Pivots are
-    chosen by zero tests alone, so the pivots, the sign and the echelon form
-    are those of the same elimination over Q or Q(t).
+    the row cleared of its RatFun denominators times P_r, the product of the
+    integer scales of the rows at positions 0..r, and it is lifted back
+    divided by P_r.  Pivots are chosen by zero tests alone, so the pivots,
+    the sign and the echelon form are those of the same elimination over Q
+    or Q(t).
 
     Returns (echelon matrix, pivot column list, row permutation sign).
     """
-    var, cleared, _ = _clear_denominators(mat)
-    if not cleared:
-        return cleared, [], 1
-    m, scales = _integer_rows(var, cleared)
+    var, m, scales = _integer_rows(mat)
+    if not m:
+        return [], [], 1
     zero, prev, step = (0, 1, _int_step) if var is None else ((), (1,), _zz_step)
     rows, cols = len(m), len(m[0])
     piv_cols = []
@@ -165,22 +154,20 @@ def bareiss_echelon(mat):
 
 def det(mat):
     """Determinant of a square matrix: the last Bareiss pivot, which is the
-    determinant of the row-swapped and row-scaled matrix, divided by the
-    row scales and signed by the swaps."""
+    determinant of the row-swapped matrix cleared of its RatFun denominators,
+    divided by their product and signed by the swaps."""
     n = len(mat)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in mat):
         raise KernelError("determinant of a non-square matrix")
-    # the cleared rows have no denominators left, so bareiss_echelon
-    # copies them unscaled
-    _, rows, scales = _clear_denominators(mat)
-    ech, piv_cols, sign = bareiss_echelon(rows)
+    ech, piv_cols, sign = bareiss_echelon(mat)
     if len(piv_cols) < n:
         return mat[0][0] * 0
     d = ech[n - 1][n - 1]
-    if scales:
-        d = d / math.prod(scales)
+    den = _denominator(x for row in mat for x in row)
+    if den != (1,):
+        d = d / _ratfun(d.var, Fraction(1), den, (1,))
     return -d if sign < 0 else d
 
 

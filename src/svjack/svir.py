@@ -2,11 +2,12 @@
 field, generator actions by normal ordering, contravariant Gram matrices,
 Kac-determinant factorization checks, and singular vectors as kernels.
 
-Generators are encoded as ('L', n) with integer n, ('G', k) with half-odd
-Fraction k, and ('C',).  A basis monomial applied to the highest-weight
-vector is stored as a word of negative-index generators in canonical order:
-the L block with magnitudes ascending left to right, then the G block with
-magnitudes ascending; equivalently L_{-a_l} ... L_{-a_1} G_{-b_m} ... G_{-b_1}
+Generators are encoded as ('L', n) with integer n and ('G', k) with
+half-odd Fraction k; the central element acts as the scalar c.  A basis
+monomial applied to the highest-weight vector is stored as a word of
+negative-index generators in canonical order: the L block with magnitudes
+ascending left to right, then the G block with magnitudes ascending;
+equivalently L_{-a_l} ... L_{-a_1} G_{-b_m} ... G_{-b_1}
 for the bosonic partition (a_1 >= ... >= a_l) and the strict half-odd
 fermionic partition (b_1 > ... > b_m).
 
@@ -143,18 +144,13 @@ def hw_data(t, r, s):
 def _gen_key(gen):
     """Total order used for PBW straightening: negative modes first (L block
     before G block, magnitudes ascending), then zero modes, then positive."""
-    kind, idx = gen[0], gen[1] if len(gen) > 1 else None
-    if kind == "C":
-        return (1, 0, 0)
+    kind, idx = gen
     cls = 0 if idx < 0 else (1 if idx == 0 else 2)
     block = 0 if kind == "L" else 1
     return (cls, block, abs(idx))
 
 
-def _vacuum(gen, h, c):
-    kind = gen[0]
-    if kind == "C":
-        return {(): c}
+def _vacuum(gen, h):
     idx = gen[1]
     if idx > 0:
         return {}
@@ -194,10 +190,8 @@ def _swap(x, y, c, one):
 def _push(gen, word, h, c):
     """Normal-order gen * (word |h, c>) into canonical monomials, with
     coefficients in the field of h."""
-    if gen[0] == "C":
-        return {word: c}
     if not word:
-        return _vacuum(gen, h, c)
+        return _vacuum(gen, h)
     y = word[0]
     rest = word[1:]
     if gen[0] == "G" and y[0] == "G" and gen[1] == y[1]:
@@ -290,8 +284,7 @@ def act(gen, v):
         gen = ("L", int(gen[1]))
         shift = Fraction(-gen[1])
     else:
-        gen = ("C",)
-        shift = Fraction(0)
+        raise ValueError("unsupported generator %r" % (gen,))
     out = {}
     for sp, coeff in v.terms.items():
         for word, scal in _push(gen, _word_of(sp), v.h, v.c).items():

@@ -18,8 +18,7 @@ each check at fixed (q, t) builds one eta.
 
 The operators provided here:
 
-* eta_operator  -- the Macdonald eigenoperator family eta_n(q, t); eta_apply
-                   applies one mode of a fresh one
+* eta_operator  -- the Macdonald eigenoperator family eta_n(q, t)
 * c0_apply      -- the odd-sector operator obtained from eta at (q, t) = (-1, -1)
 * c1_apply      -- its first-order deformation in gamma, gamma A + B, where
                    A sums -+ p_j C0_{n+j} and B sums -+ j C0_{n-j} dp_j;
@@ -183,11 +182,6 @@ def eta_operator(q, t):
         return -(1 - q ** b)
 
     return VertexOperator(cre, ann)
-
-
-def eta_apply(q, t, n, f):
-    """Mode eta_n at parameters (q, t) applied to f."""
-    return apply_vertex_mode(eta_operator(q, t), n, f)
 
 
 # the odd-sector operator, over Q whatever field it acts on

@@ -48,7 +48,7 @@ from svjack.kernel import (
     poly_gcd,
     scalar_to_json,
 )
-from svjack.linalg import _clear_denominators, bareiss_echelon, nullspace, operator_matrix
+from svjack.linalg import bareiss_echelon, nullspace, operator_matrix
 from svjack.selberg import _log_gamma_signed
 from svjack.svir import SuperPartition, _word_of, monomial_vector
 from svjack.symfunc import (
@@ -498,6 +498,38 @@ def ratfun_reference(numer, denom):
     inv = Fraction(1) / denom.coeffs[-1]
     return (Poly(numer.var, [c * inv for c in numer.coeffs]),
             Poly(denom.var, [c * inv for c in denom.coeffs]))
+
+
+def _clear_denominators(mat):
+    """(var, rows, scales): the rows of ``mat``, each multiplied in RatFun
+    arithmetic by the product of the denominators of its RatFun entries, and
+    the list of those products (rows whose entries are all polynomials
+    already are copied unscaled); var is the variable of the RatFun entries,
+    None if there are none.  Raises KernelError where ``linalg._integer_rows``
+    does."""
+    var = None
+    for row in mat:
+        for x in row:
+            if isinstance(x, RatFun):
+                if var is not None and x.var != var:
+                    raise KernelError("rational functions in %r and %r cannot be "
+                                      "combined" % (var, x.var))
+                var = x.var
+            elif not isinstance(x, (int, Fraction)):
+                raise KernelError("no exact elimination over %r" % (x,))
+    rows, scales = [], []
+    for row in mat:
+        scale = None
+        for x in row:
+            if isinstance(x, RatFun) and x.D != (1,):
+                d = RatFun(x.var, Poly(x.var, x.D))
+                scale = d if scale is None else scale * d
+        if scale is None:
+            rows.append(list(row))
+        else:
+            rows.append([x * scale for x in row])
+            scales.append(scale)
+    return var, rows, scales
 
 
 def bareiss_echelon_reference(mat):

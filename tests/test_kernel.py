@@ -490,6 +490,10 @@ def test_scalar_json_shapes():
     assert j["var"] == "t"
     assert j["numer"] == [{"num": "1", "den": "1"}, {"num": "1", "den": "1"}]
     assert j["denom"] == [{"num": "1", "den": "1"}]
+    # jets and polynomials are arithmetic intermediates: no document holds one
+    for x in (Jet([Fraction(1), Fraction(2)], 1), Poly("t", [Fraction(1), Fraction(2)])):
+        with pytest.raises(KernelError, match="cannot serialize"):
+            scalar_to_json(x)
 
 
 # --- the field is read off the parameters ------------------------------------
@@ -518,20 +522,20 @@ def _embedding_cases():
     from svjack.svir import hw_data
     from svjack.symfunc import SymFunc
     from svjack.uglov import uglov2_orth
-    from svjack.vertexops import eps1, eps_macdonald, eta_apply
+    from svjack.vertexops import apply_vertex_mode, eps1, eps_macdonald, eta_operator
     f = SymFunc("p", {(2, 1): Fraction(1), (3,): Fraction(1, 2)})
     return {
         "eps_macdonald": lambda k: eps_macdonald((2, 1), 2 * k, 3 * k),
         "eps1": lambda k: eps1((2, 1), 3 * k),
         "inner_qt": lambda k: inner_qt(f, f, 2 * k, 3 * k),
-        "eta_apply": lambda k: eta_apply(2 * k, 3 * k, 0, f),
+        "eta_operator": lambda k: apply_vertex_mode(eta_operator(2 * k, 3 * k), 0, f),
         "hw_data": lambda k: hw_data(2 * k, 3, 1),
         "uglov2_orth": lambda k: uglov2_orth((2, 1), 3 * k),
         "screening_r1": lambda k: screening_r1(3, 2 * k),
     }
 
 
-@pytest.mark.parametrize("name", ["eps_macdonald", "eps1", "inner_qt", "eta_apply",
+@pytest.mark.parametrize("name", ["eps_macdonald", "eps1", "inner_qt", "eta_operator",
                                   "hw_data", "uglov2_orth", "screening_r1"])
 def test_int_parameter_gives_the_fraction_result(name):
     """An int parameter is the rational it names: same value, same scalar

@@ -19,9 +19,6 @@ KEEP = {
                                "shapes against the Macdonald limit; no "
                                "reproduce-paper section runs it yet",
     "cli._Parser.error": "argparse calls it on a bad argument",
-    "vertexops.eta_apply": "the public one-mode form of eta_operator; the "
-                           "package's checks build one eta per (q, t) and "
-                           "reuse it",
 }
 
 
@@ -131,6 +128,19 @@ def test_each_exact_arithmetic_rule_is_written_once():
     assert {fn.name for fn in functions if _swaps_two_entries(fn)} == {"bareiss_echelon"}
     assert ({fn.name for fn in functions if _for_depth(fn) >= 3}
             == {"bareiss_echelon", "nullspace"})
+
+
+def test_elimination_enters_the_integers_at_one_point():
+    """Rows reach Z or Z[t] in one step, linalg._integer_rows: no module
+    keeps a RatFun clearing step beside it, and det reaches the integers
+    only through bareiss_echelon."""
+    defined = {node.name for path in SRC.glob("*.py")
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    assert "_clear_denominators" not in defined
+    assert "_integer_rows" in _called(_function("linalg", "bareiss_echelon"))
+    assert not ({"_integer_rows", "_clear_denominators"}
+                & _referenced_names(_function("linalg", "det")))
 
 
 def _function(module, name, root=SRC):

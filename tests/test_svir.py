@@ -99,6 +99,15 @@ def test_act_pairing_examples():
     assert w.terms[vac] == 2 * h + Fraction(14, 3)
 
 
+@pytest.mark.parametrize("gen", [("C",), ("X", 1)])
+def test_act_rejects_other_generators(gen):
+    """Only L and G modes act; the central element is the scalar c, not a
+    generator, and any other kind is bad input."""
+    v = monomial_vector(SuperPartition((1,), ()), hw=hw_data(Fraction(3, 2), 1, 1))
+    with pytest.raises(ValueError, match="unsupported generator"):
+        act(gen, v)
+
+
 def test_l0_grading():
     h = RatFun.variable("h")
     for level2 in range(0, 7):

@@ -21,7 +21,6 @@ from svjack.vertexops import (
     eps1,
     eps_hbar_check,
     eps_macdonald,
-    eta_apply,
     eta_hbar_check,
     eta_operator,
     exact_sqrt,
@@ -102,7 +101,8 @@ def test_eta_mode_against_dense_oracle():
 
     for lam in [(1,), (2,), (1, 1), (2, 1), (3, 1)]:
         f = p_gen(lam)
-        assert eta_apply(q, t, 0, f) == vertex_mode_apply_oracle(cre, ann, 0, f, dmax=6)
+        assert (apply_vertex_mode(eta_operator(q, t), 0, f)
+                == vertex_mode_apply_oracle(cre, ann, 0, f, dmax=6))
 
 
 # --- reused operators against the per-call path ----------------------------
@@ -142,7 +142,8 @@ def test_reused_eta_equals_the_per_call_path(q, t):
     eta = eta_operator(q, t)
     for f in _sweep(4):
         for n in (-2, 0, 1, 3):
-            assert _same(apply_vertex_mode(eta, n, f), eta_apply(q, t, n, f)), (n, f)
+            fresh = apply_vertex_mode(eta_operator(q, t), n, f)
+            assert _same(apply_vertex_mode(eta, n, f), fresh), (n, f)
 
 
 @pytest.mark.parametrize("lift", [lambda x: x, lambda x: (_T + x) / (_T - 2)],
@@ -195,12 +196,12 @@ def test_eps_values():
 def test_eta_eigen_examples():
     q, t = Fraction(2, 3), Fraction(3, 5)
     one = SymFunc.one("p")
-    assert eta_apply(q, t, 0, one) == one  # eps on the empty partition is 1
+    assert apply_vertex_mode(eta_operator(q, t), 0, one) == one  # eps on the empty partition is 1
     # p_1 is the degree-1 Macdonald function
     f = p_gen((1,))
     expected = eps_macdonald((1,), q, t)
     assert expected == 1 + (t - 1) * (q - 1) / t
-    assert eta_apply(q, t, 0, f) == f.scale(expected)
+    assert apply_vertex_mode(eta_operator(q, t), 0, f) == f.scale(expected)
 
 
 def test_c0_on_vacuum_and_p1():
