@@ -501,35 +501,18 @@ def ratfun_reference(numer, denom):
 
 
 def _clear_denominators(mat):
-    """(var, rows, scales): the rows of ``mat``, each multiplied in RatFun
-    arithmetic by the product of the denominators of its RatFun entries, and
-    the list of those products (rows whose entries are all polynomials
-    already are copied unscaled); var is the variable of the RatFun entries,
-    None if there are none.  Raises KernelError where ``linalg._integer_rows``
-    does."""
-    var = None
+    """The rows of ``mat``, each multiplied in RatFun arithmetic by the
+    product of the denominators of its RatFun entries, the factor
+    ``linalg._integer_rows`` clears before the rational lcm; rows with no
+    denominator are copied unscaled."""
+    rows = []
     for row in mat:
-        for x in row:
-            if isinstance(x, RatFun):
-                if var is not None and x.var != var:
-                    raise KernelError("rational functions in %r and %r cannot be "
-                                      "combined" % (var, x.var))
-                var = x.var
-            elif not isinstance(x, (int, Fraction)):
-                raise KernelError("no exact elimination over %r" % (x,))
-    rows, scales = [], []
-    for row in mat:
-        scale = None
+        scale = 1
         for x in row:
             if isinstance(x, RatFun) and x.D != (1,):
-                d = RatFun(x.var, Poly(x.var, x.D))
-                scale = d if scale is None else scale * d
-        if scale is None:
-            rows.append(list(row))
-        else:
-            rows.append([x * scale for x in row])
-            scales.append(scale)
-    return var, rows, scales
+                scale = scale * RatFun(x.var, Poly(x.var, x.D))
+        rows.append(list(row) if scale == 1 else [x * scale for x in row])
+    return rows
 
 
 def bareiss_echelon_reference(mat):
@@ -538,7 +521,7 @@ def bareiss_echelon_reference(mat):
     each division ``num / prev`` taking the field's gcds.  Returns (echelon
     matrix, pivot column list, row permutation sign), like
     ``linalg.bareiss_echelon``, whose integer loop it cross-checks."""
-    _, m, _ = _clear_denominators(mat)
+    m = _clear_denominators(mat)
     if not m:
         return m, [], 1
     rows, cols = len(m), len(m[0])

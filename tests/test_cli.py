@@ -94,7 +94,7 @@ FRONTIER_DIGESTS = pathlib.Path(__file__).resolve().parent / "golden" / "frontie
 @pytest.mark.parametrize("argv", sorted(json.loads(FRONTIER_DIGESTS.read_text())))
 def test_frontier_output_matches_recorded_digest(capsys, argv):
     """The symbolic frontier, verify at rs = 8, 7, 11 and 12, the rs = 12
-    singular vector and the level-7/2 Kac determinant, and the two largest
+    singular vector and the level-7/2 Kac determinant, and two larger
     eliminations, the rs = 16 singular vector over Q and the level-4 Kac
     determinant over Q(t), print exactly what they printed when these
     digests were recorded."""

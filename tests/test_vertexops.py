@@ -195,13 +195,14 @@ def test_eps_values():
 
 def test_eta_eigen_examples():
     q, t = Fraction(2, 3), Fraction(3, 5)
+    eta = eta_operator(q, t)
     one = SymFunc.one("p")
-    assert apply_vertex_mode(eta_operator(q, t), 0, one) == one  # eps on the empty partition is 1
+    assert apply_vertex_mode(eta, 0, one) == one  # eps on the empty partition is 1
     # p_1 is the degree-1 Macdonald function
     f = p_gen((1,))
     expected = eps_macdonald((1,), q, t)
     assert expected == 1 + (t - 1) * (q - 1) / t
-    assert apply_vertex_mode(eta_operator(q, t), 0, f) == f.scale(expected)
+    assert apply_vertex_mode(eta, 0, f) == f.scale(expected)
 
 
 def test_c0_on_vacuum_and_p1():
