@@ -29,7 +29,6 @@ import sys
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, roots_jacobi
 
 
 # bounds the memory of one Monte Carlo run: about 8 bytes a sample for the
@@ -90,10 +89,79 @@ def _require_convergent(n, alpha, beta, gamma):
                          % (alpha, beta, gamma))
 
 
+# the coefficients of cephes lgam (Moshier, Methods and Programs for
+# Mathematical Functions, 1989): A for the Stirling correction in 1/x^2,
+# B/C the rational approximation of log Gamma on [2, 3]; C carries cephes'
+# implicit leading 1 (its p1evl)
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+           7.93650340457716943945E-4, -2.77777777730099687205E-3,
+           8.33333333333331927722E-2)
+_LGAM_B = (-1.37825152569120859100E3, -3.88016315134637840924E4,
+           -3.31612992738871184744E5, -1.16237097492762307383E6,
+           -1.72173700820839662146E6, -8.53555664245765465627E5)
+_LGAM_C = (1.0, -3.51815701436523470549E2, -1.70642106651881159223E4,
+           -2.20528590553854454839E5, -1.13933444367982507207E6,
+           -2.53252307177582951285E6, -2.01889141433532773231E6)
+_LS2PI = 0.91893853320467274178  # log sqrt(2 pi)
+_LOGPI = 1.14472988584940017414
+_MAXLGM = 2.556348e305
+
+
+def _horner(x, coef):
+    ans = 0.0
+    for c in coef:
+        ans = ans * x + c
+    return ans
+
+
 def _log_gamma_signed(x):
+    """(log |Gamma(x)|, sign of Gamma(x)) as cephes lgam and gammasgn
+    compute them, step for step in Python floats: the same doubles as the
+    compiled routines, bit for bit, without loading them.  Below -2^31 the
+    compiled gammasgn casts floor(x) to a C int, which reads every such
+    floor as even; the sign here follows its true parity."""
     if x <= 0 and float(x).is_integer():
         raise ValueError("gamma pole at %s" % x)
-    return float(gammaln(x)), gammasgn(x)
+    x = float(x)
+    if not math.isfinite(x):
+        return x, 1.0 if x > 0 else math.nan
+    sign = 1.0 if x > 0 or math.floor(x) % 2 == 0 else -1.0
+    if x < -34.0:
+        # reflection: |Gamma(x)| = pi / (q |sin(pi z)| Gamma(q)), q = -x
+        q = -x
+        p = float(math.floor(q))
+        z = q - p
+        if z > 0.5:
+            z = p + 1.0 - q
+        return _LOGPI - math.log(q * math.sin(math.pi * z)) - _log_gamma_signed(q)[0], sign
+    if x < 13.0:
+        # shift into [2, 3), collecting the factors in z
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        z = abs(z)
+        if u == 2.0:
+            return math.log(z), sign
+        x += p - 2.0
+        return math.log(z) + x * _horner(x, _LGAM_B) / _horner(x, _LGAM_C), sign
+    if x > _MAXLGM:
+        return math.inf, sign
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q, sign
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        q += ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+              + 0.0833333333333333333333) / x
+    else:
+        q += _horner(p, _LGAM_A) / x
+    return q, sign
 
 
 def selberg_closed(n, alpha, beta, gamma):
@@ -159,6 +227,10 @@ def aomoto_ratio_exact(r, t, k):
 
 def _jacobi_nodes_01(deg, alpha, beta):
     """Nodes/weights for int_0^1 x^{alpha-1} (1-x)^{beta-1} f(x) dx."""
+    # deferred: the nodes are the one use of the special-function library,
+    # so the other Selberg checks start without it
+    from scipy.special import roots_jacobi
+
     # map to the Jacobi weight (1-u)^{beta-1} (1+u)^{alpha-1} on [-1, 1]
     x, w = roots_jacobi(deg, beta - 1, alpha - 1)
     nodes = (x + 1) / 2
@@ -260,7 +332,8 @@ def selberg_montecarlo(n, alpha, beta, gamma, samples=10 ** 6, seed=0):
     _require_seed(seed)
     alpha_f, beta_f, gamma_f = float(alpha), float(beta), float(gamma)
     # Beta(alpha, beta) density absorbs x^{a-1}(1-x)^{b-1}/B(a,b)
-    log_b = (gammaln(alpha_f) + gammaln(beta_f) - gammaln(alpha_f + beta_f))
+    log_b = (_log_gamma_signed(alpha_f)[0] + _log_gamma_signed(beta_f)[0]
+             - _log_gamma_signed(alpha_f + beta_f)[0])
     try:
         weight = math.exp(log_b) ** n
     except OverflowError:

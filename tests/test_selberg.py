@@ -11,7 +11,9 @@ import pytest
 from svjack.selberg import (
     _BLOCK_PAIRS,
     _CHUNK_ROWS,
+    _MAXLGM,
     MAX_SAMPLES,
+    _log_gamma_signed,
     _uniform_beta,
     aomoto_closed,
     aomoto_ratio_exact,
@@ -50,6 +52,73 @@ def test_selberg_s3_closed_positive():
 def test_selberg_pole_detection():
     with pytest.raises(ValueError, match="gamma pole"):
         selberg_closed(2, 0.25, 1, -0.25)  # alpha + gamma = 0 hits gamma(0)
+
+
+def _log_gamma_grid():
+    """Points in every branch of cephes lgam: the reflection below -34,
+    the shift into [2, 3) from (-34, 0), (0, 2), [2, 3) and [3, 13), the
+    Stirling series on [13, 1000), its 3-term form on [1000, 1e8], the bare
+    Stirling sum above 1e8 and infinity above MAXLGM; each branch edge with
+    its neighbouring doubles, and the non-finite inputs."""
+    rng = np.random.default_rng(23)
+    edges = [-34.0, 2.0, 3.0, 13.0, 1000.0, 1e8, _MAXLGM]
+    return np.concatenate([
+        np.arange(-60, 40) + 0.5,
+        rng.uniform(-1e6, -34, 300), -np.exp(rng.uniform(3.6, 21, 300)),
+        rng.uniform(-34, 0, 1000), rng.uniform(0, 2, 500), rng.uniform(2, 3, 300),
+        rng.uniform(3, 13, 500), rng.uniform(13, 1000, 500),
+        rng.uniform(1000, 1e8, 300), np.exp(rng.uniform(math.log(1e8), 700, 300)),
+        np.exp(rng.uniform(-700, 0, 300)), [1e-310, 5e-324, -5e-324],
+        np.nextafter(np.arange(-33.0, 14.0), -np.inf), np.nextafter(np.arange(-33.0, 14.0), np.inf),
+        edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+        [1.0, 2.0, 1e306, math.inf, -math.inf, math.nan],
+    ])
+
+
+def test_log_gamma_is_scipy_bit_for_bit():
+    # the port against the compiled routines it replaces, on every branch
+    from scipy.special import gammaln, gammasgn
+    grid = [x for x in _log_gamma_grid().tolist() if not (x <= 0 and x.is_integer())]
+    port = [_log_gamma_signed(x) for x in grid]
+    assert [lg.hex() for lg, _ in port] == [float(v).hex() for v in gammaln(grid)]
+    assert [sg.hex() for _, sg in port] == [float(v).hex() for v in gammasgn(grid)]
+    assert all(type(lg) is float and type(sg) is float for lg, sg in port)
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, -1.0, -2, -34.0, -35.0, -1e20])
+def test_log_gamma_raises_at_the_poles(x):
+    with pytest.raises(ValueError, match="gamma pole at "):
+        _log_gamma_signed(x)
+
+
+def test_log_gamma_sign_below_the_int_range():
+    # Gamma(x) < 0 where floor(x) is odd; the compiled gammasgn casts floor(x)
+    # to a C int and reads +1 for every x below -2^31
+    assert _log_gamma_signed(-2147483648.5)[1] == -1.0
+    assert _log_gamma_signed(-2147483647.5)[1] == 1.0
+    assert _log_gamma_signed(-3e9 - 0.5)[1] == -1.0
+
+
+@pytest.mark.parametrize("argv, loads", [
+    ("integral --n 3 --alpha 1 --beta 1 --gamma 1 --method montecarlo --samples 1000", False),
+    ("integral --n 3 --alpha 0.5 --beta 2 --gamma 1 --method montecarlo --samples 1000", False),
+    ("integral --n 3 --alpha 1 --beta 1 --gamma 1 --method closed", False),
+    ("recursion --n 3 --alpha 1 --beta 1 --gamma 1", False),
+    ("vanish --r 2 --t 1 --m 1,0 --samples 1000", False),
+    ("integral --n 2 --alpha 1 --beta 1 --gamma 1 --method quadrature", True),
+])
+def test_only_the_quadrature_loads_scipy(argv, loads):
+    # in a fresh process: scipy.special costs about 25 MB and 0.2 s of
+    # start-up, so the Monte Carlo process of reproduce-paper leaves it out
+    code = ("import sys\n"
+            "from svjack.cli import main\n"
+            "code = main(['--json', 'selberg'] + %r)\n"
+            "print('scipy' in sys.modules, code)\n" % argv.split())
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "%s 0" % loads
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
