@@ -120,9 +120,9 @@ def _log_gamma_signed(x):
     compiled routines, bit for bit, without loading them.  Below -2^31 the
     compiled gammasgn casts floor(x) to a C int, which reads every such
     floor as even; the sign here follows its true parity."""
-    if x <= 0 and float(x).is_integer():
-        raise ValueError("gamma pole at %s" % x)
     x = float(x)
+    if x <= 0 and x.is_integer():
+        raise ValueError("gamma pole at %s" % x)
     if not math.isfinite(x):
         return x, 1.0 if x > 0 else math.nan
     sign = 1.0 if x > 0 or math.floor(x) % 2 == 0 else -1.0

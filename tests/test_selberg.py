@@ -121,6 +121,25 @@ def test_only_the_quadrature_loads_scipy(argv, loads):
     assert proc.stdout.splitlines()[-1] == "%s 0" % loads
 
 
+def test_reproduce_runs_the_montecarlo_before_scipy_loads():
+    # reproduce-paper's peak is its Monte Carlo array; scipy.special,
+    # loaded by the quadrature, must not sit under it
+    code = ("import sys\n"
+            "from svjack import reproduce\n"
+            "mc, seen = reproduce.selberg_montecarlo, []\n"
+            "def spy(*args, **kwargs):\n"
+            "    seen.append('scipy' in sys.modules)\n"
+            "    return mc(*args, **kwargs)\n"
+            "reproduce.selberg_montecarlo = spy\n"
+            "reproduce.run_selberg(mc_samples=1000)\n"
+            "print(seen, 'scipy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False] True"
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_parameters_are_bad_input(bad):
     # each entry point, before a gamma value or a sample is computed
