@@ -133,7 +133,8 @@ def _log_gamma_signed(x):
         z = q - p
         if z > 0.5:
             z = p + 1.0 - q
-        return _LOGPI - math.log(q * math.sin(math.pi * z)) - _log_gamma_signed(q)[0], sign
+        lg = _LOGPI - math.log(q * math.sin(math.pi * z)) - _log_gamma_signed(q)[0]
+        return lg, sign
     if x < 13.0:
         # shift into [2, 3), collecting the factors in z
         z, p, u = 1.0, 0.0, x

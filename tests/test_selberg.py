@@ -32,6 +32,15 @@ from oracles import (i0_closed, montecarlo_symmetrized_moment,
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
+def _run_fresh(code):
+    """The stdout of `code` run in a fresh interpreter on src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_selberg_n1_is_beta():
     # S_1(a, b, g) = B(a, b); gamma drops out
     for a, b in [(1.0, 1.0), (2.0, 2.0), (0.5, 1.5)]:
@@ -114,11 +123,7 @@ def test_only_the_quadrature_loads_scipy(argv, loads):
             "from svjack.cli import main\n"
             "code = main(['--json', 'selberg'] + %r)\n"
             "print('scipy' in sys.modules, code)\n" % argv.split())
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "%s 0" % loads
+    assert _run_fresh(code).splitlines()[-1] == "%s 0" % loads
 
 
 def test_reproduce_runs_the_montecarlo_before_scipy_loads():
@@ -133,11 +138,7 @@ def test_reproduce_runs_the_montecarlo_before_scipy_loads():
             "reproduce.selberg_montecarlo = spy\n"
             "reproduce.run_selberg(mc_samples=1000)\n"
             "print(seen, 'scipy' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False] True"
+    assert _run_fresh(code).strip() == "[False] True"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -375,11 +376,7 @@ def test_montecarlo_memory_is_about_eight_bytes_a_sample():
             "selberg_montecarlo(3, 1, 1, 1, samples=10 ** 6, seed=42)\n"
             "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "print(after - before)\n")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    growth_kb = int(proc.stdout)  # ru_maxrss is in kilobytes on Linux
+    growth_kb = int(_run_fresh(code))  # ru_maxrss is in kilobytes on Linux
     assert growth_kb < 20 * 1024
 
 
