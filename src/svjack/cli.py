@@ -120,7 +120,7 @@ def _human_result(value, indent=""):
 # ---------------------------------------------------------------------------
 # subcommand handlers; those of finiten, selberg and reproduce import them,
 # because `import svjack` does not load them (selberg and reproduce bring in
-# numpy, and the quadrature scipy)
+# numpy, and the quadrature away from alpha = beta = 1 scipy)
 # ---------------------------------------------------------------------------
 
 def cmd_uglov(args):

@@ -225,8 +225,8 @@ def run_annihilation():
 
 def run_selberg(mc_samples=10 ** 7):
     """Quadrature, Monte Carlo and exact checks of the integral identities."""
-    # the Monte Carlo first: its array of values is freed before the
-    # quadrature loads scipy.special, so the two never add to the peak
+    # any order would do: at alpha = beta = 1 neither integration loads
+    # scipy, and the Monte Carlo frees its array of values before it returns
     closed3 = selberg_closed(3, 1, 1, 1)
     mc_val, mc_err = selberg_montecarlo(3, 1, 1, 1, samples=mc_samples, seed=42)
     mc_ok = abs(mc_val - closed3) < 3 * mc_err

@@ -226,14 +226,57 @@ def aomoto_ratio_exact(r, t, k):
 # numeric integration of the cube integrals
 # ---------------------------------------------------------------------------
 
+def _legendre_pair(n, x):
+    """(P_{n-1}(x), P_n(x)) for n >= 2 by the recurrence of scipy's
+    eval_legendre, whose doubles it gives wherever that routine recurses
+    (|x| >= 1e-5)."""
+    d, p = x - 1, x
+    for k in range(1, n):
+        prev = p
+        d = ((2 * k + 1) / (k + 1)) * (x - 1) * p + (k / (k + 1)) * d
+        p = d + p
+    return prev, p
+
+
+def _gauss_legendre(deg):
+    """Gauss-Legendre nodes and weights on [-1, 1], step for step as
+    scipy's roots_legendre computes them (Golub & Welsch, Math. Comp. 23,
+    1969): the eigenvalues of the Jacobi matrix, one Newton step, weights
+    from log-normalised P_{n-1} and P_n', then symmetrised and scaled to
+    sum 2.  At even deg these are scipy's doubles bit for bit; at odd deg
+    scipy evaluates the Legendre polynomials at the zero node by a power
+    series, and the weights differ from its own by a few ulps."""
+    k = np.arange(1.0, deg)
+    x = np.linalg.eigvalsh(np.diag(k * np.sqrt(1.0 / (4 * k * k - 1)), -1))
+    prev, y = _legendre_pair(deg, x)
+    dy = (-deg * x * y + deg * prev) / (1 - x ** 2)
+    x = x - y / dy
+    # P_{n-1} and P_n' span many decades: scale each by the geometric
+    # middle of its range before the product
+    fm, _ = _legendre_pair(deg, x)
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm = fm / np.exp((log_fm.max() + log_fm.min()) / 2.)
+    dy = dy / np.exp((log_dy.max() + log_dy.min()) / 2.)
+    w = 1.0 / (fm * dy)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 def _jacobi_nodes_01(deg, alpha, beta):
     """Nodes/weights for int_0^1 x^{alpha-1} (1-x)^{beta-1} f(x) dx."""
-    # deferred: the nodes are the one use of the special-function library,
-    # so the other Selberg checks start without it
-    from scipy.special import roots_jacobi
-
-    # map to the Jacobi weight (1-u)^{beta-1} (1+u)^{alpha-1} on [-1, 1]
-    x, w = roots_jacobi(deg, beta - 1, alpha - 1)
+    # map to the Jacobi weight (1-u)^{beta-1} (1+u)^{alpha-1} on [-1, 1];
+    # at alpha = beta = 1 that is the Legendre weight, which scipy's
+    # roots_jacobi sends to roots_legendre
+    if alpha == beta == 1:
+        x, w = _gauss_legendre(deg)
+    else:
+        # deferred: these nodes are the one use of the special-function
+        # library, so every check at alpha = beta = 1 starts without it
+        from scipy.special import roots_jacobi
+        x, w = roots_jacobi(deg, beta - 1, alpha - 1)
     nodes = (x + 1) / 2
     weights = w * 0.5 ** (alpha + beta - 1)
     return nodes, weights

@@ -280,10 +280,12 @@ MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 def test_only_cli_imports_inside_a_function():
     """Imports sit at the top of every module but cli, which defers only the
     modules that `import svjack` does not load, and one in selberg: its
-    Gauss-Jacobi nodes are all it takes from scipy.special, so only
-    selberg_quadrature loads it and the Monte Carlo, closed form, recursion
-    and vanishing checks start without its 25 MB.  The quadrature stays in
-    selberg, where the tracer finds selberg.selberg_quadrature."""
+    Gauss-Jacobi nodes at (alpha, beta) != (1, 1) are all it takes from
+    scipy.special, so only selberg_quadrature away from alpha = beta = 1
+    loads it, and the Monte Carlo, closed form, recursion, vanishing checks
+    and the Gauss-Legendre quadrature start without its 25 MB.  The
+    quadrature stays in selberg, where the tracer finds
+    selberg.selberg_quadrature."""
     nested = {(module, name) for module in MODULES
               for name, inside in _imports(module) if inside}
     assert nested == {("cli", "svjack.finiten"), ("cli", "svjack.selberg"),

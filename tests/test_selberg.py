@@ -13,6 +13,8 @@ from svjack.selberg import (
     _CHUNK_ROWS,
     _MAXLGM,
     MAX_SAMPLES,
+    QUADRATURE_DEGREE,
+    _gauss_legendre,
     _log_gamma_signed,
     _uniform_beta,
     aomoto_closed,
@@ -114,11 +116,13 @@ def test_log_gamma_sign_below_the_int_range():
     ("integral --n 3 --alpha 1 --beta 1 --gamma 1 --method closed", False),
     ("recursion --n 3 --alpha 1 --beta 1 --gamma 1", False),
     ("vanish --r 2 --t 1 --m 1,0 --samples 1000", False),
-    ("integral --n 2 --alpha 1 --beta 1 --gamma 1 --method quadrature", True),
+    ("integral --n 2 --alpha 1 --beta 1 --gamma 1 --method quadrature", False),
+    ("integral --n 2 --alpha 2 --beta 3 --gamma 1 --method quadrature", True),
 ])
 def test_only_the_quadrature_loads_scipy(argv, loads):
     # in a fresh process: scipy.special costs about 25 MB and 0.2 s of
-    # start-up, so the Monte Carlo process of reproduce-paper leaves it out
+    # start-up, and only the Gauss-Jacobi nodes away from alpha = beta = 1
+    # take it
     code = ("import sys\n"
             "from svjack.cli import main\n"
             "code = main(['--json', 'selberg'] + %r)\n"
@@ -126,19 +130,26 @@ def test_only_the_quadrature_loads_scipy(argv, loads):
     assert _run_fresh(code).splitlines()[-1] == "%s 0" % loads
 
 
-def test_reproduce_runs_the_montecarlo_before_scipy_loads():
-    # reproduce-paper's peak is its Monte Carlo array; scipy.special,
-    # loaded by the quadrature, must not sit under it
+def test_reproduce_selberg_never_loads_scipy():
+    # reproduce-paper's integrals are all at alpha = beta = 1: its Monte
+    # Carlo and its quadrature both start without scipy.special
     code = ("import sys\n"
             "from svjack import reproduce\n"
-            "mc, seen = reproduce.selberg_montecarlo, []\n"
-            "def spy(*args, **kwargs):\n"
-            "    seen.append('scipy' in sys.modules)\n"
-            "    return mc(*args, **kwargs)\n"
-            "reproduce.selberg_montecarlo = spy\n"
-            "reproduce.run_selberg(mc_samples=1000)\n"
-            "print(seen, 'scipy' in sys.modules)\n")
-    assert _run_fresh(code).strip() == "[False] True"
+            "report = reproduce.run_selberg(mc_samples=1000)\n"
+            "print(report['quadrature_s2'], 'scipy' in sys.modules)\n")
+    assert _run_fresh(code).strip() == "True False"
+
+
+def test_legendre_nodes_are_scipy_bit_for_bit():
+    # the port against roots_jacobi(n, 0, 0), which is roots_legendre; the
+    # doubles agree at even degree only, which both quadrature degrees are
+    from scipy.special import roots_jacobi
+    assert QUADRATURE_DEGREE % 2 == 0 and QUADRATURE_DEGREE // 2 % 2 == 0
+    for n in range(2, 129, 2):
+        x, w = _gauss_legendre(n)
+        ref_x, ref_w = roots_jacobi(n, 0.0, 0.0)
+        assert x.tobytes() == ref_x.tobytes(), n
+        assert w.tobytes() == ref_w.tobytes(), n
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
