@@ -230,30 +230,31 @@ def _legendre_pair(n, x):
     """(P_{n-1}(x), P_n(x)) for n >= 2 by the recurrence of scipy's
     eval_legendre, whose doubles it gives wherever that routine recurses
     (|x| >= 1e-5)."""
-    d, p = x - 1, x
+    xm1 = x - 1
+    d, p = xm1, x
     for k in range(1, n):
         prev = p
-        d = ((2 * k + 1) / (k + 1)) * (x - 1) * p + (k / (k + 1)) * d
+        d = ((2 * k + 1) / (k + 1)) * xm1 * p + (k / (k + 1)) * d
         p = d + p
     return prev, p
 
 
-def _gauss_legendre(deg):
-    """Gauss-Legendre nodes and weights on [-1, 1], step for step as
-    scipy's roots_legendre computes them (Golub & Welsch, Math. Comp. 23,
-    1969): the eigenvalues of the Jacobi matrix, one Newton step, weights
-    from log-normalised P_{n-1} and P_n', then symmetrised and scaled to
-    sum 2.  At even deg these are scipy's doubles bit for bit; at odd deg
-    scipy evaluates the Legendre polynomials at the zero node by a power
-    series, and the weights differ from its own by a few ulps."""
-    k = np.arange(1.0, deg)
+def _gauss_legendre(n):
+    """Gauss-Legendre nodes and weights of degree n on [-1, 1], step for
+    step as scipy's roots_legendre computes them (Golub & Welsch, Math.
+    Comp. 23, 1969): the eigenvalues of the Jacobi matrix, one Newton step,
+    weights from log-normalised P_{n-1} and P_n', then symmetrised and
+    scaled to sum 2.  At even n these are scipy's doubles bit for bit; at
+    odd n scipy evaluates the Legendre polynomials at the zero node by a
+    power series, and the weights differ from its own by a few ulps."""
+    k = np.arange(1.0, n)
     x = np.linalg.eigvalsh(np.diag(k * np.sqrt(1.0 / (4 * k * k - 1)), -1))
-    prev, y = _legendre_pair(deg, x)
-    dy = (-deg * x * y + deg * prev) / (1 - x ** 2)
+    prev, y = _legendre_pair(n, x)
+    dy = (-n * x * y + n * prev) / (1 - x ** 2)
     x = x - y / dy
     # P_{n-1} and P_n' span many decades: scale each by the geometric
     # middle of its range before the product
-    fm, _ = _legendre_pair(deg, x)
+    fm, _ = _legendre_pair(n, x)
     log_fm = np.log(np.abs(fm))
     log_dy = np.log(np.abs(dy))
     fm = fm / np.exp((log_fm.max() + log_fm.min()) / 2.)
