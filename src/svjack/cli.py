@@ -12,6 +12,7 @@ encodings are canonical, and all stochastic subcommands take explicit seeds.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -362,6 +363,10 @@ def build_parser():
 
 
 def main(argv=None):
+    # the objects alive now (interpreter, stdlib, svjack modules) go to the
+    # permanent generation, which no later collection, nor those at exit,
+    # walks; what the command creates is collected as before
+    gc.freeze()
     # the namespace names a command, and says whether to print JSON, even
     # when parsing stops at a bad argument
     args = argparse.Namespace(json=False, command="svjack")

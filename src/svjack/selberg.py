@@ -406,15 +406,14 @@ def selberg_montecarlo(n, alpha, beta, gamma, samples=10 ** 6, seed=0):
                 tmp **= 2 * gamma_f
                 part *= tmp
     # vals stays whole: the pairwise sums over all of it fix the bits of
-    # the mean and of the standard error, which follows np.std's own steps
-    # in place rather than in a full-length temporary
-    mean = float(np.mean(vals))
+    # the mean (np.mean's, reused as the centre) and of the standard error,
+    # which follows np.std's own steps in place, with no full-length temporary
     centre = np.add.reduce(vals, keepdims=True)
     np.true_divide(centre, samples, out=centre)
     vals -= centre
     np.square(vals, out=vals)
     err = float(np.sqrt(np.add.reduce(vals) / samples) / math.sqrt(samples))
-    return mean, err
+    return float(centre[0]), err
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,15 @@
 import hashlib
 import json
-import os
 import pathlib
 import re
 import shlex
-import subprocess
-import sys
 
 import pytest
 
 from svjack import fock
 from svjack.cli import build_parser, main
+
+from fresh import run_fresh
 
 try:
     import jsonschema
@@ -155,12 +154,27 @@ def test_readme_examples_parse(capsys):
 def test_benchmark_tracer_installs():
     """perfbench/tracer.py wraps svjack functions by name and refuses to
     install when one is missing, so renaming a traced name fails here."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = ("import sys; sys.path.insert(0, 'perfbench'); "
-            "import tracer; tracer.install()")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_fresh("import sys; sys.path.insert(0, 'perfbench'); "
+              "import tracer; tracer.install()")
+
+
+def test_main_freezes_start_up_heap_and_keeps_collecting():
+    """main moves the objects alive at start-up out of the collector's reach
+    but leaves it on, so a cycle made after a command is still freed and
+    memory stays bounded in a process that runs many."""
+    code = ("import gc, weakref\n"
+            "import svjack.cli\n"
+            "code = svjack.cli.main(%r)\n"
+            "class Node:\n"
+            "    pass\n"
+            "node = Node()\n"
+            "node.cycle = node\n"
+            "ref = weakref.ref(node)\n"
+            "del node\n"
+            "gc.collect()\n"
+            "print(code, gc.get_freeze_count() > 0, gc.isenabled(), ref() is None)\n"
+            % ["--json", "verify", "--r", "1", "--s", "1", "--t", "sym"])
+    assert run_fresh(code).splitlines()[-1] == "0 True True True"
 
 
 def test_verify_rejects_removed_max_degree_flag(capsys):

@@ -4,10 +4,9 @@ an entry point: a command-line handler, a reproduce-paper section or a name
 kept on purpose.  Helpers only the tests call live in tests/oracles.py."""
 
 import ast
-import os
 import pathlib
-import subprocess
-import sys
+
+from fresh import run_fresh
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "svjack"
@@ -292,6 +291,15 @@ def test_only_cli_imports_inside_a_function():
                       ("cli", "svjack.reproduce"), ("selberg", "scipy.special")}
 
 
+def test_only_cli_touches_the_collector():
+    """Only the process entry, cli, imports gc: library functions leave the
+    collector's global state (on or off, thresholds, frozen objects) to the
+    process that calls them."""
+    importers = {module for module in MODULES
+                 for name, _ in _imports(module) if name == "gc"}
+    assert importers == {"cli"}
+
+
 def test_svjack_import_graph_has_no_cycle():
     """The svjack modules, nested imports included, import each other along
     a DAG."""
@@ -319,8 +327,4 @@ def test_cli_start_up_loads_no_numeric_or_deferred_module():
                 "svjack.finiten", "svjack.selberg", "svjack.reproduce"]
     code = ("import sys, svjack.cli; print([m for m in %r if m in sys.modules])"
             % deferred)
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_fresh(code).strip() == "[]"

@@ -1,7 +1,4 @@
 import math
-import os
-import pathlib
-import subprocess
 import sys
 from fractions import Fraction
 
@@ -28,19 +25,9 @@ from svjack.selberg import (
     vanishing_moment_exact,
 )
 
+from fresh import run_fresh
 from oracles import (i0_closed, montecarlo_symmetrized_moment,
                      selberg_montecarlo_reference, uniform_beta_reference)
-
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-
-
-def _run_fresh(code):
-    """The stdout of `code` run in a fresh interpreter on src/."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 def test_selberg_n1_is_beta():
@@ -127,7 +114,7 @@ def test_only_the_quadrature_loads_scipy(argv, loads):
             "from svjack.cli import main\n"
             "code = main(['--json', 'selberg'] + %r)\n"
             "print('scipy' in sys.modules, code)\n" % argv.split())
-    assert _run_fresh(code).splitlines()[-1] == "%s 0" % loads
+    assert run_fresh(code).splitlines()[-1] == "%s 0" % loads
 
 
 def test_reproduce_selberg_never_loads_scipy():
@@ -137,7 +124,7 @@ def test_reproduce_selberg_never_loads_scipy():
             "from svjack import reproduce\n"
             "report = reproduce.run_selberg(mc_samples=1000)\n"
             "print(report['quadrature_s2'], 'scipy' in sys.modules)\n")
-    assert _run_fresh(code).strip() == "True False"
+    assert run_fresh(code).strip() == "True False"
 
 
 def test_legendre_nodes_are_scipy_bit_for_bit():
@@ -387,7 +374,7 @@ def test_montecarlo_memory_is_about_eight_bytes_a_sample():
             "selberg_montecarlo(3, 1, 1, 1, samples=10 ** 6, seed=42)\n"
             "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "print(after - before)\n")
-    growth_kb = int(_run_fresh(code))  # ru_maxrss is in kilobytes on Linux
+    growth_kb = int(run_fresh(code))  # ru_maxrss is in kilobytes on Linux
     assert growth_kb < 20 * 1024
 
 
