@@ -160,8 +160,7 @@ def test_benchmark_tracer_installs():
 
 def test_main_freezes_start_up_heap_and_keeps_collecting():
     """main moves the objects alive at start-up out of the collector's reach
-    but leaves it on, so a cycle made after a command is still freed and
-    memory stays bounded in a process that runs many."""
+    but leaves it on, so a cycle made after a command is still freed."""
     code = ("import gc, weakref\n"
             "import svjack.cli\n"
             "code = svjack.cli.main(%r)\n"
