@@ -181,12 +181,7 @@ def cmd_kacdet(args):
 def cmd_verify(args):
     t = _parse_symbolic(args.t, "t")
     rep = verify_conjecture(args.r, args.s, t)
-    ok = rep["proportional"] and rep["eigencheck"] and rep["triangular"]
-    return _emit(args, {"r": args.r, "s": args.s, "t": args.t},
-                 {"rs": rep["rs"], "proportional": rep["proportional"],
-                  "scalar": rep["scalar"], "eigencheck": rep["eigencheck"],
-                  "triangular": rep["triangular"]},
-                 ok=ok)
+    return _emit(args, {"r": args.r, "s": args.s, "t": args.t}, rep, ok=rep["eigencheck"])
 
 
 def cmd_screening(args):

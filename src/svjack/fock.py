@@ -62,6 +62,7 @@ from .kernel import RatFun, Sqrt2Ext, VerificationFailure, as_scalar, is_zero, s
 from .svir import _word_of, singular_vector
 from .symfunc import (
     SymFunc,
+    _p_to_m_row,
     convert,
     dominance_leq,
     merge_partitions,
@@ -316,22 +317,28 @@ def screening_r1(s, t="sym"):
 
 def _first_unorthogonal(image_p, lam, gamma):
     """The first mu strictly below lam in dominance, in partitions() order,
-    with <image, m_mu>_gamma != 0 under uglov_inner, or None.  The image is
-    weighed by <p_nu, p_nu> = z_nu gamma^(-# even parts) once, term by term,
-    and each m_mu's p-expansion is paired with the weighed coefficients."""
-    weighed = {nu: uglov_inner(SymFunc("p", {nu: c}), SymFunc("p", {nu: Fraction(1)}), gamma)
-               for nu, c in image_p.terms.items()}
+    with x_mu = <image, m_mu>_gamma != 0 under uglov_inner, or None.
+
+    p_nu = sum_rho L[nu][rho] m_rho over the integer rows _p_to_m_row, so
+    w_nu = <image, p_nu>_gamma = (L x)_nu.  Every rho != nu in row nu comes
+    earlier in partitions() order, so one forward pass solves
+    x_nu = (w_nu - sum_{rho != nu} L[nu][rho] x_rho) / L[nu][nu]."""
+    order = partitions(sum(lam))
+    if lam == order[-1]:  # nothing lies below (1^n)
+        return None
     zero = gamma * 0
-    for mu in partitions(sum(lam)):
-        if mu == lam or not dominance_leq(mu, lam):
-            continue
-        acc = zero
-        for nu, x in to_p(SymFunc("m", {mu: Fraction(1)})).terms.items():
-            w = weighed.get(nu)
-            if w is not None:
-                acc = acc + w * x
-        if not is_zero(acc):
-            return mu
+    x = {}
+    for nu in order:
+        c = image_p.terms.get(nu)
+        acc = zero if c is None else uglov_inner(
+            SymFunc("p", {nu: c}), SymFunc("p", {nu: Fraction(1)}), gamma)
+        row = _p_to_m_row(nu)
+        for rho, a in row.items():
+            if rho != nu:
+                acc = acc - x[rho] * a
+        x[nu] = acc / row[nu]
+        if nu != lam and not is_zero(x[nu]) and dominance_leq(nu, lam):
+            return nu
     return None
 
 

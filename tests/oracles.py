@@ -16,8 +16,9 @@ Bareiss loop over the fields (the reference for the integer one), the
 superpartition generating function, the corrected finite-N operators and
 the Selberg-side closed forms and estimators.  The last section holds the
 constructors, restrictions and independent solvers the tests cross-check
-the package against, among them the Macdonald (q,t) inner product and the
-eigen route to the gamma-family.
+the package against, among them the Macdonald (q,t) inner product, the
+eigen route to the gamma-family and the verify certificate by expansion
+of each m_mu in power sums.
 """
 
 import math
@@ -1017,6 +1018,27 @@ def uglov2_gram_schmidt(lam, gamma="sym"):
 def _uglov_ladder(lam, g):
     return gram_schmidt_reference(lam, lambda mu: _uglov_ladder(mu, g),
                                   lambda f, h: uglov_inner(f, h, g))
+
+
+def first_unorthogonal_reference(image_p, lam, gamma):
+    """The certificate fock._first_unorthogonal solves for, by expansion:
+    the first mu strictly below lam in dominance, in partitions() order,
+    with <image, m_mu>_gamma != 0, pairing the image weighed by
+    <p_nu, p_nu>_gamma with the p-expansion of each m_mu, or None."""
+    weighed = {nu: uglov_inner(SymFunc("p", {nu: c}), SymFunc("p", {nu: Fraction(1)}), gamma)
+               for nu, c in image_p.terms.items()}
+    zero = gamma * 0
+    for mu in partitions(sum(lam)):
+        if mu == lam or not dominance_leq(mu, lam):
+            continue
+        acc = zero
+        for nu, x in to_p(SymFunc("m", {mu: Fraction(1)})).terms.items():
+            w = weighed.get(nu)
+            if w is not None:
+                acc = acc + w * x
+        if not is_zero(acc):
+            return mu
+    return None
 
 
 def uglov2_kernel_dimension(lam, gamma="sym"):

@@ -319,6 +319,19 @@ def test_verify_reports_a_vanishing_image(capsys, argv):
                             "vector vanishes" % (words[2], words[4]))
 
 
+def test_a_failed_eigencheck_fails_verify_and_reproduce(capsys, monkeypatch):
+    """The eigencheck is the verdict flag that can come out false without a
+    raise: with the eigenvalue shifted, verify exits 1 with ok and eigencheck
+    false, and the conjecture section of reproduce-paper fails."""
+    from svjack import reproduce
+    real = fock.eps1
+    monkeypatch.setattr(fock, "eps1", lambda lam, gamma: real(lam, gamma) + 1)
+    code, out = run_cli(capsys, "--json", "verify", "--r", "2", "--s", "2")
+    assert code == 1
+    assert '"ok":false' in out and '"eigencheck":false' in out
+    assert reproduce.run_conjecture(4)["status"] == "fail"
+
+
 def test_kacdet_subcommand(capsys):
     code, doc = run_json(capsys, "kacdet", "--level", "3/2")
     assert code == 0

@@ -3,6 +3,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svjack.fock import (
     HALF,
@@ -26,10 +28,12 @@ from svjack.symfunc import (SymFunc, convert, dominance_leq, e_gen, merge_partit
                              partitions, to_p)
 from svjack.uglov import uglov2_orth, uglov_inner
 
+from fresh import run_fresh
 from oracles import (
     boson_act,
     fermion_act_reference,
     ff_act_reference,
+    first_unorthogonal_reference,
     homogeneous_degree,
     p_gen,
     verma_to_lambda_reference,
@@ -529,20 +533,58 @@ def test_certificate_agrees_with_the_ladder(rs, t):
 
 
 @pytest.mark.parametrize("rs, t", [((2, 2), "sym"), ((2, 4), "sym"), ((3, 3), "sym"),
-                                   ((3, 3), Fraction(3, 2)), ((5, 1), Fraction(3, 2))])
+                                   ((3, 3), Fraction(3, 2)), ((5, 1), Fraction(3, 2)),
+                                   ((4, 2), "sym"), ((2, 4), Fraction(3, 2))])
 def test_certificate_catches_every_lower_perturbation(rs, t):
     """Adding eps m_mu for any mu < lam makes <f, m_nu> = eps <m_mu, m_nu>, so
     the certificate names the first nu below lam, in partitions() order, that
-    m_mu is not orthogonal to; for the first mu below lam that is mu."""
+    m_mu is not orthogonal to; for the first mu below lam that is mu.  The
+    forward solve names the same nu as the expansion of each m_nu in power
+    sums."""
     lam, gamma, raw_p, _ = _certificate_case(rs, t)
     lower = _lower(lam)
     assert lower
     for mu in lower:
         first = next(nu for nu in lower
                      if not is_zero(uglov_inner(_m(mu), _m(nu), gamma)))
-        assert _first_unorthogonal(raw_p + to_p(_m(mu, gamma / 1000)), lam, gamma) == first
+        perturbed = raw_p + to_p(_m(mu, gamma / 1000))
+        assert _first_unorthogonal(perturbed, lam, gamma) == first
+        assert first_unorthogonal_reference(perturbed, lam, gamma) == first
     top = lower[0]
     assert _first_unorthogonal(raw_p + to_p(_m(top, gamma / 1000)), lam, gamma) == top
+
+
+def test_verify_builds_no_m_to_p_table():
+    """A fresh verify at symbolic t certifies from the p -> m rows alone:
+    the m -> p table cache stays empty."""
+    code = ("from svjack import fock, symfunc\n"
+            "fock.verify_conjecture(2, 6, 'sym')\n"
+            "print(list(symfunc._M_TO_P_CACHE))\n")
+    assert run_fresh(code).strip() == "[]"
+
+
+_coeffs = st.one_of(st.just(Fraction(0)),
+                    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+
+
+@st.composite
+def _certificate_inputs(draw):
+    """A p-expansion over Q of degree <= 7, a partition lam of its degree
+    and a nonzero rational gamma."""
+    parts = partitions(draw(st.integers(0, 7)))
+    coeffs = draw(st.lists(_coeffs, min_size=len(parts), max_size=len(parts)))
+    gamma = draw(_coeffs.filter(bool))
+    return SymFunc("p", dict(zip(parts, coeffs))), draw(st.sampled_from(parts)), gamma
+
+
+@given(_certificate_inputs())
+@settings(max_examples=200, deadline=None)
+def test_certificate_solve_matches_the_expansion(case):
+    """On any p-expansion, where several <f, m_mu>_gamma are nonzero at once,
+    the forward solve names the mu the expansion of each m_mu does."""
+    image_p, lam, gamma = case
+    assert (_first_unorthogonal(image_p, lam, gamma)
+            == first_unorthogonal_reference(image_p, lam, gamma))
 
 
 def _perturb_image(monkeypatch, extra):

@@ -207,6 +207,14 @@ def test_verify_certifies_without_the_ladder():
     assert "uglov2_orth" not in (SRC / "fock.py").read_text()
 
 
+def test_certificate_solves_against_the_p_to_m_rows():
+    """_first_unorthogonal solves L x = w over the cached p -> m rows: it
+    expands no m_mu in power sums, so it builds no m -> p inverse."""
+    called = _called(_function("fock", "_first_unorthogonal"))
+    assert "_p_to_m_row" in called
+    assert not {"to_p", "convert"} & set(called)
+
+
 def test_c1_shares_the_vertex_weight_rule():
     """C^1 = gamma A + B is priced by the strip, weigh and create steps of
     apply_vertex_mode, not assembled from whole C^0 modes."""
