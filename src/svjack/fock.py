@@ -32,25 +32,29 @@ only on the odd ones, and the b~ generate a Clifford module from the
 vacuum, so the Fock module is Q[p_2, p_4, ...] (x) Lambda(b~_{-1/2},
 b~_{-3/2}, ...).  The image is computed there: a state is a dict from
 (even, ferm) to coefficients, where even is a partition into even parts
-(the monomial p_even) and ferm = (k_1 > ... > k_l) a strictly decreasing
-tuple of positive half-odd indices, standing for
+(the monomial p_even) and ferm = (2k_1 > ... > 2k_l) a strictly decreasing
+tuple of positive odd integers, twice the half-odd indices k_i, standing for
 
     p_even b~_{-k_1} ... b~_{-k_l} 1.
 
-The sign rule: b~_{-k} inserts k with (-1)^(number of larger indices), or
-gives 0 if k is there; b~_k (k > 0) removes k with 2 (-1)^(number of
-larger indices), or gives 0 if k is absent.  a_n acts on even alone:
--2 t n m_{2n}(even) on removing a part 2n, -1/(2t) on inserting one, alpha
-at n = 0.  The degree rule: a state has degree |even| + 2 (k_1 + ... + k_l),
-the degree of the symmetric function it stands for.  Only at the end of
-verma_to_lambda is each fermion monomial b~_{-k_1} ... b~_{-k_l} 1 taken to
-the odd power sums by fermion_act, once per tuple and over Q, so the
-fermion keeps its one definition.
+Inside this module a fermion index k is always carried as the odd integer
+2k, so states hash and compare plain ints; fermion_act keeps its half-odd
+Fraction argument.  The sign rule: b~_{-k} inserts 2k with (-1)^(number of
+larger indices), or gives 0 if 2k is there; b~_k (k > 0) removes 2k with
+2 (-1)^(number of larger indices), or gives 0 if 2k is absent.  a_n acts on
+even alone: -2 t n m_{2n}(even) on removing a part 2n, -1/(2t) on inserting
+one, alpha at n = 0.  The degree rule: a state has degree |even| + 2k_1 +
+... + 2k_l = sum(even) + sum(ferm), the degree of the symmetric function it
+stands for.  Only at the end of verma_to_lambda is each fermion monomial
+b~_{-k_1} ... b~_{-k_l} 1 taken to the odd power sums by fermion_act, once
+per tuple and over Q, so the fermion keeps its one definition.
 
 A generator is data: _ff_terms lists its normal-ordered terms as
 (coefficient, mode, mode) triples, and ff_act applies them to exterior
 states through one mode dispatch (b~_k -> _fermion_mode, a_m ->
-_boson_mode, a_0 included).
+_boson_mode, a_0 included).  verma_to_lambda evaluates a Verma vector by
+Horner's rule over the trie of its PBW words: words that share a left
+factor share its ff_act, so ff_act runs once per distinct word prefix.
 """
 
 from __future__ import annotations
@@ -109,14 +113,16 @@ def fermion_act(k, f):
 
 
 def _degree(key):
-    """The degree of the exterior basis state (even, ferm): |even| + 2 sum(ferm)."""
+    """The degree of the exterior basis state (even, ferm): |even| + sum(ferm),
+    as ferm holds the doubled indices 2k."""
     even, ferm = key
-    return sum(even) + int(2 * sum(ferm))
+    return sum(even) + sum(ferm)
 
 
 def _fermion_mode(k, state):
-    """b~_k on an exterior state by the sign rule of the module docstring.
-    Distinct states go to distinct states, so no two terms are summed."""
+    """b~_{k/2} on an exterior state, k the odd integer twice the half-odd
+    mode index, by the sign rule of the module docstring.  Distinct states
+    go to distinct states, so no two terms are summed."""
     out = {}
     if k < 0:
         k = -k
@@ -156,7 +162,8 @@ def _boson_mode(n, state, alpha, t):
 def _ff_terms(gen, d, rho):
     """The terms of ff_act's formulas that can act on states of degree <= d,
     as (coefficient, left mode, right mode): the right mode acts first, None
-    is the identity, and a mode is ("a", m) or ("b", k) for b~_k."""
+    is the identity, and a mode is ("a", m) or ("b", 2k) for b~_k, its
+    half-odd index doubled to an odd integer."""
     hi = d // 2 + 2
     if gen[0] == "L":
         n = int(gen[1])
@@ -165,14 +172,16 @@ def _ff_terms(gen, d, rho):
             yield HALF, ("a", min(m, n - m)), ("a", max(m, n - m))
         yield -rho * Fraction(n + 1), ("a", n), None
         for m in range(lo, hi + 1):
-            k = m + HALF  # -1/4 (k+1/2), signed when b~_k is swapped to the right
-            yield (Fraction(-1 if k <= n - k else 1, 4) * (k + HALF),
-                   ("b", min(k, n - k)), ("b", max(k, n - k)))
+            k, l = 2 * m + 1, 2 * (n - m) - 1  # 2k and 2(n-k) for k = m + 1/2
+            # -1/4 (k+1/2) = -(2k+1)/8, signed when b~_k is swapped to the right
+            yield (Fraction(-(k + 1) if k <= l else k + 1, 8),
+                   ("b", min(k, l)), ("b", max(k, l)))
     elif gen[0] == "G":
         k = Fraction(gen[1])
+        k2 = int(2 * k)
         for m in range(int(k - Fraction(d, 2)) - 2, hi + 1):
-            yield 1, ("b", k - m), ("a", m)
-        yield -2 * rho * (k + HALF), ("b", k), None
+            yield 1, ("b", k2 - 2 * m), ("a", m)
+        yield -rho * (k2 + 1), ("b", k2), None
     else:
         raise ValueError("unsupported generator %r" % (gen,))
 
@@ -207,12 +216,12 @@ def ff_act(gen, state, alpha, rho, t):
 
 @lru_cache(maxsize=None)
 def _fermion_monomial(ferm):
-    """b~_{-k_1} ... b~_{-k_l} 1 for ferm = (k_1 > ... > k_l), in the odd
+    """b~_{-k_1} ... b~_{-k_l} 1 for ferm = (2k_1 > ... > 2k_l), in the odd
     power sums and over Q: built from Fraction(1) whatever field the caller
     works in, so one cache serves every t."""
     f = SymFunc.one("p")
-    for k in reversed(ferm):
-        f = fermion_act(-k, f)
+    for k2 in reversed(ferm):
+        f = fermion_act(Fraction(-k2, 2), f)
     return f
 
 
@@ -223,25 +232,40 @@ def verma_to_lambda(v):
     2^(-floor(m/2)); as m = 2*level (mod 2), the sum is sqrt2^(2*level mod 2)
     times the true image and lies in the base field of t.
 
-    The words act on exterior states; each fermion monomial goes to the
-    odd power sums once, at the end, and multiplies its even part.
+    The words are evaluated by Horner's rule over their trie, outermost
+    generator at the root: a node applies its generator once, by ff_act, to
+    the sum of the states below it, and a word's weighted vacuum sits at the
+    node where it ends.  The words of a singular vector have one level, so
+    the states at a node are homogeneous; ff_act's terms cover every degree
+    up to the largest, so a vector mixing levels maps correctly too.  Each
+    fermion monomial goes to the odd power sums once, at the end, and
+    multiplies its even part.
     """
     if v.weight is None:
         raise ValueError("verma_to_lambda needs weight data on the vector")
     hw = v.weight
     alpha, rho, t = hw.alpha_plus, hw.rho, hw.t
     one = t * 0 + 1
-    total = {}
+    trie = {}  # generator -> subtrie; the key None holds the weighted vacuum
     for sp, coeff in v.terms.items():
-        state = {((), ()): one}
-        for gen in reversed(_word_of(sp)):
-            state = ff_act(gen, state, alpha, rho, t)
-        scale = coeff * Fraction(1, 2 ** (len(sp.fermionic) // 2))
-        for key, x in state.items():
-            x = x * scale
-            total[key] = total[key] + x if key in total else x
+        node = trie
+        for gen in _word_of(sp):
+            node = node.setdefault(gen, {})
+        node[None] = one * coeff * Fraction(1, 2 ** (len(sp.fermionic) // 2))
+
+    def evaluate(node):
+        state = {}
+        for gen, below in node.items():
+            if gen is None:
+                part = {((), ()): below}
+            else:
+                part = ff_act(gen, evaluate(below), alpha, rho, t)
+            for key, x in part.items():
+                state[key] = state[key] + x if key in state else x
+        return state
+
     out = {}
-    for (even, ferm), c in total.items():
+    for (even, ferm), c in evaluate(trie).items():
         for mu, a in _fermion_monomial(ferm).terms.items():
             key = merge_partitions(even, mu)
             term = c * a

@@ -630,8 +630,8 @@ def ff_act_reference(gen, f, alpha, rho, t):
     for c, left, right in _ff_terms(gen, max(sum(lam) for lam in fp.terms), rho):
         g = fp
         for kind, idx in filter(None, (right, left)):
-            if kind == "b":
-                g = fermion_act(idx, g)
+            if kind == "b":  # idx is the doubled index 2k
+                g = fermion_act(Fraction(idx, 2), g)
             else:
                 g = boson_act(idx, g, t) if idx else g.scale(alpha)
             if g.is_zero():

@@ -42,7 +42,7 @@ from oracles import (
 T = RatFun.variable("t")
 ONE = RatFun.const("t", 1)
 VACUUM = {((), ()): ONE}
-MODES = [Fraction(2 * j + 1, 2) for j in range(-4, 4)]  # -7/2 .. 7/2
+MODES = [2 * j + 1 for j in range(-4, 4)]  # b~_{-7/2} .. b~_{7/2}, as the keys 2k
 
 
 def graded_basis(dmax):
@@ -53,8 +53,8 @@ def graded_basis(dmax):
 
 
 def random_exterior_state(rng, size=4):
-    """A few exterior basis states (even partition, decreasing half-odd
-    indices) of degree <= 12, with small Q(t) coefficients."""
+    """A few exterior basis states (even partition, decreasing doubled
+    half-odd indices 2k) of degree <= 12, with small Q(t) coefficients."""
     state = {}
     for _ in range(size):
         even = tuple(2 * p for p in rng.choice(graded_basis(3)))
@@ -193,13 +193,13 @@ def test_exterior_fermion_sign_rule():
     """b~_{-k} inserts k with (-1)^(number of larger indices); b~_k removes
     it with 2 (-1)^(number of larger indices); a repeat or a missing index
     gives 0."""
-    f = {((2,), (Fraction(5, 2), HALF)): ONE}
-    assert _fermion_mode(Fraction(-3, 2), f) == {((2,), (Fraction(5, 2), Fraction(3, 2), HALF)): -ONE}
-    assert _fermion_mode(Fraction(-7, 2), f) == {((2,), (Fraction(7, 2), Fraction(5, 2), HALF)): ONE}
-    assert _fermion_mode(-HALF, f) == {}
-    assert _fermion_mode(HALF, f) == {((2,), (Fraction(5, 2),)): -2 * ONE}
-    assert _fermion_mode(Fraction(5, 2), f) == {((2,), (HALF,)): 2 * ONE}
-    assert _fermion_mode(Fraction(3, 2), f) == {}
+    f = {((2,), (5, 1)): ONE}  # p_2 b~_{-5/2} b~_{-1/2} 1, indices held as 2k
+    assert _fermion_mode(-3, f) == {((2,), (5, 3, 1)): -ONE}
+    assert _fermion_mode(-7, f) == {((2,), (7, 5, 1)): ONE}
+    assert _fermion_mode(-1, f) == {}
+    assert _fermion_mode(1, f) == {((2,), (5,)): -2 * ONE}
+    assert _fermion_mode(5, f) == {((2,), (1,)): 2 * ONE}
+    assert _fermion_mode(3, f) == {}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -224,7 +224,7 @@ def test_exterior_fermion_is_the_vertex_fermion():
         f = random_exterior_state(rng)
         for k in MODES:
             got = exterior_image(_fermion_mode(k, f))
-            assert got == fermion_act(k, exterior_image(f)), (k, f)
+            assert got == fermion_act(Fraction(k, 2), exterior_image(f)), (k, f)
 
 
 def test_exterior_degree_rule():
@@ -235,7 +235,7 @@ def test_exterior_degree_rule():
     for _ in range(20):
         f = random_exterior_state(rng, size=1)
         (key,) = f
-        assert _degree(key) == sum(key[0]) + 2 * sum(key[1])
+        assert _degree(key) == sum(key[0]) + 2 * sum(Fraction(k, 2) for k in key[1])
         assert homogeneous_degree(exterior_image(f)) == _degree(key)
         for gen in (("L", -1), ("L", 1), ("G", -HALF), ("G", Fraction(3, 2))):
             out = ff_act(gen, f, alpha, rho, t)
@@ -246,9 +246,9 @@ def test_fermion_monomials_are_cached_over_q():
     """The cached fermion monomials hold rationals, whatever field the image
     that first asked for them was computed in."""
     verma_to_lambda(singular_vector(2, 2, "sym"))
-    for ferm in ((HALF,), (Fraction(3, 2), HALF), (Fraction(5, 2), Fraction(3, 2), HALF)):
+    for ferm in ((1,), (3, 1), (5, 3, 1)):  # (1/2,), (3/2, 1/2), (5/2, 3/2, 1/2)
         assert {type(c) for c in _fermion_monomial(ferm).terms.values()} == {Fraction}
-    assert _fermion_monomial((HALF,)) == SymFunc("p", {(1,): Fraction(-1)})
+    assert _fermion_monomial((1,)) == SymFunc("p", {(1,): Fraction(-1)})
 
 
 def test_odd_sign_involution_is_algebra_involution():
@@ -279,7 +279,7 @@ def test_ff_l0_weight_on_vacuum():
 def test_ff_g_minus_half_on_vacuum():
     hw, alpha, rho, t = _weights(1, 1)
     f = ff_act(("G", -HALF), VACUUM, alpha, rho, t)
-    assert same_state(f, {((), (HALF,)): alpha})
+    assert same_state(f, {((), (1,)): alpha})
     assert exterior_image(f) == fermion_act(-HALF, SymFunc.one("p")).scale(alpha)
 
 
@@ -288,8 +288,8 @@ def test_ff_fock_image_display_level_three_halves():
     applied to the vacuum."""
     hw, alpha, rho, t = _weights(3, 1)
     lhs = ff_act(("L", -1), ff_act(("G", -HALF), VACUUM, alpha, rho, t), alpha, rho, t)
-    rhs = {((2,), (HALF,)): alpha * alpha * (-1 / (2 * t)),
-           ((), (Fraction(3, 2),)): alpha}
+    rhs = {((2,), (1,)): alpha * alpha * (-1 / (2 * t)),
+           ((), (3,)): alpha}
     assert same_state(lhs, rhs)
 
 
@@ -297,7 +297,7 @@ def test_ff_g_minus_three_halves_display():
     """G_{-3/2}|hw> maps to a_{-1} b_{-1/2} + (2 rho + alpha) b_{-3/2}."""
     hw, alpha, rho, t = _weights(1, 3)
     lhs = ff_act(("G", Fraction(-3, 2)), VACUUM, alpha, rho, t)
-    rhs = {((2,), (HALF,)): -1 / (2 * t), ((), (Fraction(3, 2),)): alpha + 2 * rho}
+    rhs = {((2,), (1,)): -1 / (2 * t), ((), (3,)): alpha + 2 * rho}
     assert same_state(lhs, rhs)
 
 
@@ -385,6 +385,65 @@ def test_exterior_image_matches_the_vertex_path(rs, t):
     got, want = verma_to_lambda(chi).terms, verma_to_lambda_reference(chi).terms
     assert got == want
     assert {mu: type(c) for mu, c in got.items()} == {mu: type(c) for mu, c in want.items()}
+
+
+_coeffs = st.one_of(st.just(Fraction(0)),
+                    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+
+
+# every PBW word up to level 7/2, the empty word and words that are prefixes
+# of others (L_{-1} and L_{-1} L_{-1}, G_{-1/2} and L_{-1} G_{-1/2}) included
+_PBW_TO_7_HALVES = [sp for level2 in range(8) for sp in superpartitions(level2)]
+
+
+@st.composite
+def _pbw_vectors(draw):
+    """Rational coefficients, zeros included, on a random set of PBW words
+    of levels 0 to 7/2: one vector may mix levels, so its word trie has
+    words ending at inner nodes."""
+    coeffs = draw(st.lists(st.one_of(st.none(), _coeffs), min_size=len(_PBW_TO_7_HALVES),
+                           max_size=len(_PBW_TO_7_HALVES)))
+    return {sp: c for sp, c in zip(_PBW_TO_7_HALVES, coeffs) if c is not None}
+
+
+@pytest.mark.parametrize("t", ["sym", Fraction(3, 2)])
+@given(terms=_pbw_vectors())
+@settings(max_examples=60, deadline=None)
+def test_word_trie_image_matches_the_word_by_word_reference(t, terms):
+    """The image evaluated over the word trie equals, coefficient types
+    included, the reference that applies each word on its own to
+    symmetric functions."""
+    from svjack.svir import VermaVector
+    hw = hw_data(t, 2, 2)
+    v = VermaVector(Fraction(7, 2), terms, hw, hw.h, hw.c)
+    got, want = verma_to_lambda(v).terms, verma_to_lambda_reference(v).terms
+    assert got == want
+    assert {mu: type(c) for mu, c in got.items()} == {mu: type(c) for mu, c in want.items()}
+
+
+def test_image_applies_each_word_prefix_once(monkeypatch):
+    """For the (3, 5) singular vector at t = 3/2, verma_to_lambda calls ff_act
+    once per distinct nonempty word prefix (117; its 55 words have 217
+    letters), and every exterior state it passes holds its fermion indices
+    as the integers 2k."""
+    import svjack.fock as fock
+    from svjack.svir import _word_of
+    chi = singular_vector(3, 5, Fraction(3, 2))
+    real = fock.ff_act
+    states = []
+
+    def counting(gen, state, *rest):
+        states.append(state)
+        return real(gen, state, *rest)
+
+    monkeypatch.setattr(fock, "ff_act", counting)
+    verma_to_lambda(chi)
+    words = [_word_of(sp) for sp in chi.terms]
+    prefixes = {w[:i] for w in words for i in range(1, len(w) + 1)}
+    assert (len(words), sum(map(len, words)), len(prefixes)) == (55, 217, 117)
+    assert len(states) == len(prefixes)
+    assert all(type(k) is int for state in states for _, ferm in state for k in ferm)
+
 
 def _image_proportional_to(r, s, expected_p):
     chi = singular_vector(r, s, "sym")
@@ -561,10 +620,6 @@ def test_verify_builds_no_m_to_p_table():
             "fock.verify_conjecture(2, 6, 'sym')\n"
             "print(list(symfunc._M_TO_P_CACHE))\n")
     assert run_fresh(code).strip() == "[]"
-
-
-_coeffs = st.one_of(st.just(Fraction(0)),
-                    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
 
 
 @st.composite
