@@ -59,10 +59,12 @@ factor share its ff_act, so ff_act runs once per distinct word prefix.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .kernel import RatFun, Sqrt2Ext, VerificationFailure, as_scalar, is_zero, scalar_to_json
+from .kernel import (Poly, RatFun, Sqrt2Ext, VerificationFailure, _one_denominator, _zz_combine,
+                     _zz_mul, as_scalar, is_zero, scalar_to_json)
 from .svir import _word_of, singular_vector
 from .symfunc import (
     SymFunc,
@@ -76,7 +78,7 @@ from .symfunc import (
     to_p,
 )
 from .uglov import uglov_inner
-from .vertexops import VertexOperator, _jet_part, apply_vertex_mode, c1_apply, dvir_jet, eps1
+from .vertexops import VertexOperator, _c1_rows, _jet_part, apply_vertex_mode, dvir_jet, eps1
 
 
 HALF = Fraction(1, 2)
@@ -273,13 +275,16 @@ def verma_to_lambda(v):
     return SymFunc("p", out)
 
 
+_NO_LEAD = "image lacks the leading monomial m_%s"
+
+
 def monic_image(image_p, image_m, lam):
     """(c, image_p / c) for the coefficient c of m_lam in image_m, the m-basis
     expansion of the p-basis image image_p of a singular vector.  A missing
     m_lam is a failed identity."""
     lead = image_m.terms.get(lam)
     if lead is None or is_zero(lead):
-        raise VerificationFailure("image lacks the leading monomial m_%s" % (list(lam),))
+        raise VerificationFailure(_NO_LEAD % (list(lam),))
     return lead, image_p.scale(1 / lead)
 
 
@@ -339,31 +344,74 @@ def screening_r1(s, t="sym"):
 # the main identification
 # ---------------------------------------------------------------------------
 
-def _first_unorthogonal(image_p, lam, gamma):
-    """The first mu strictly below lam in dominance, in partitions() order,
-    with x_mu = <image, m_mu>_gamma != 0 under uglov_inner, or None.
+def _apply_rows(nums, row_of):
+    """sum_nu nums[nu] row_of(nu) for integer polynomial coefficients nums
+    and int rows row_of(nu) = {key: int}; zero sums are dropped."""
+    out = {}
+    for nu, f in nums.items():
+        for key, c in row_of(nu).items():
+            out[key] = _zz_combine(1, out[key], c, f) if key in out else _zz_mul((c,), f)
+    return {key: x for key, x in out.items() if x}
 
-    p_nu = sum_rho L[nu][rho] m_rho over the integer rows _p_to_m_row, so
-    w_nu = <image, p_nu>_gamma = (L x)_nu.  Every rho != nu in row nu comes
+
+def _first_unorthogonal(nums, lam, gamma):
+    """The first mu strictly below lam in dominance, in partitions() order,
+    with x_mu = <f, m_mu>_gamma != 0 under uglov_inner, or None; nums holds
+    f's p-coefficients times one nonzero scalar, as integer polynomials.
+
+    p_nu = sum_rho L[nu][rho] m_rho over the int rows _p_to_m_row, so
+    w_nu = <f, p_nu>_gamma = (L x)_nu.  Every rho != nu in row nu comes
     earlier in partitions() order, so one forward pass solves
-    x_nu = (w_nu - sum_{rho != nu} L[nu][rho] x_rho) / L[nu][nu]."""
+    x_nu = (w_nu - sum_{rho != nu} L[nu][rho] x_rho) / L[nu][nu].  The norms
+    <p_nu, p_nu>_gamma are put on one denominator as well, so each w_nu is
+    an integer polynomial and each x_nu is the true value times one nonzero
+    scalar, held as an integer polynomial over a positive int: only the
+    int diagonal L[nu][nu] divides."""
     order = partitions(sum(lam))
     if lam == order[-1]:  # nothing lies below (1^n)
         return None
-    zero = gamma * 0
+    units = {nu: SymFunc("p", {nu: Fraction(1)}) for nu in nums}
+    norms = _one_denominator({nu: uglov_inner(p, p, gamma) for nu, p in units.items()})[1]
     x = {}
     for nu in order:
-        c = image_p.terms.get(nu)
-        acc = zero if c is None else uglov_inner(
-            SymFunc("p", {nu: c}), SymFunc("p", {nu: Fraction(1)}), gamma)
+        acc, den = (_zz_mul(nums[nu], norms[nu]) if nu in nums else ()), 1
         row = _p_to_m_row(nu)
         for rho, a in row.items():
             if rho != nu:
-                acc = acc - x[rho] * a
-        x[nu] = acc / row[nu]
-        if nu != lam and not is_zero(x[nu]) and dominance_leq(nu, lam):
+                y, e = x[rho]
+                if y:
+                    l = den * e // math.gcd(den, e)
+                    acc, den = _zz_combine(l // den, acc, -a * (l // e), y), l
+        den *= row[nu]
+        g = math.gcd(den, *acc)
+        x[nu] = tuple(c // g for c in acc), den // g
+        if nu != lam and acc and dominance_leq(nu, lam):
             return nu
     return None
+
+
+def _is_c1_eigenfunction(nums, lam, t):
+    """Whether f, whose p-coefficients times one nonzero scalar are the
+    integer polynomials nums, has C^1_0(gamma) f = eps1(lam, gamma) f at
+    gamma = 1/t^2.
+
+    With C^1_0 = gamma A + B and eps1 = a + b gamma, a and b integers, t^2
+    times the equation is (A + t^2 B) f = (a t^2 + b) f.  Over one
+    denominator t^2 = v / u, and _c1_rows(0, nu) holds A p_nu and B p_nu
+    times n! = |lam|!, so the test is (u A + v B) n! f = n! (a v + b u) f in
+    Z[t], on each p-coefficient."""
+    u, v = _one_denominator({0: t * 0 + 1, 1: t * t})[1].values()
+    a = int(eps1(lam, 0))
+    b = int(eps1(lam, 1)) - a
+    scale = math.factorial(sum(lam))
+    eigen = _zz_combine(a * scale, v, b * scale, u)
+    a_part = _apply_rows(nums, lambda nu: _c1_rows(0, nu)[0])
+    b_part = _apply_rows(nums, lambda nu: _c1_rows(0, nu)[1])
+    for key in a_part.keys() | b_part.keys() | nums.keys():
+        lhs = _zz_combine(1, _zz_mul(u, a_part.get(key, ())), 1, _zz_mul(v, b_part.get(key, ())))
+        if _zz_combine(1, lhs, -1, _zz_mul(eigen, nums.get(key, ()))):
+            return False
+    return True
 
 
 def verify_conjecture(r, s, t="sym"):
@@ -386,31 +434,39 @@ def verify_conjecture(r, s, t="sym"):
     Symmetric Functions and Hall Polynomials, 2nd ed., VI.4; ROADMAP
     direction 2 spells the proof out).  A failure names the first monomial,
     in partitions() order, that breaks check 1 or 3.
+
+    Every check is linear and homogeneous in f, so all three run on
+    f = F / (k D) put on one denominator once: F in Z[t] (in Z at rational
+    t), k an int and D an integer polynomial.  Only c is lifted back, as
+    [m_lam] F / (k D).
     """
     chi = singular_vector(r, s, t)
     hw = chi.weight
     lam = (r,) * s
-    raw_p = verma_to_lambda(chi)
-    raw_m = convert(raw_p, "m")
-    if raw_m.is_zero():
+    var, nums, k, den = _one_denominator(verma_to_lambda(chi).terms)
+    image_m = _apply_rows(nums, _p_to_m_row)
+    if not image_m:
         raise VerificationFailure(
             "the image of the (%d, %d) singular vector vanishes" % (r, s))
-    above = [mu for mu in sorted_partitions(raw_m.terms) if not dominance_leq(mu, lam)]
+    above = [mu for mu in sorted_partitions(image_m) if not dominance_leq(mu, lam)]
     if above:
         raise VerificationFailure(
             "image is not dominance-triangular below m_%s; first monomial outside "
             "at m_%s" % (list(lam), list(above[0])))
+    if lam not in image_m:
+        raise VerificationFailure(_NO_LEAD % (list(lam),))
     one = hw.t * 0 + 1
     gamma = one / (hw.t * hw.t)
-    lead, monic = monic_image(raw_p, raw_m, lam)
-    mismatch = _first_unorthogonal(raw_p, lam, gamma)
+    mismatch = _first_unorthogonal(nums, lam, gamma)
     if mismatch is not None:
         raise VerificationFailure(
             "image is not proportional to the shape-%s family member; first "
             "mismatch at m_%s" % (list(lam), list(mismatch)))
-    image = c1_apply(gamma, 0, monic)
-    eigencheck = (image - monic.scale(eps1(lam, gamma))).is_zero()
-    # at odd rs, raw_m is sqrt2 times the image: its scalar is (lead / 2) sqrt2
+    eigencheck = _is_c1_eigenfunction(nums, lam, hw.t)
+    lead = image_m[lam]
+    lead = (Fraction(lead[0], k) if var is None else
+            RatFun(var, Poly(var, lead), Poly(var, [k * c for c in den])))
+    # at odd rs, the image is sqrt2 times the true one: its scalar is (lead / 2) sqrt2
     scalar = Sqrt2Ext(lead, lead * 0) if r * s % 2 == 0 else Sqrt2Ext(lead * 0, lead / 2)
     return {
         "rs": [r, s],

@@ -368,6 +368,34 @@ def _zz_gcd(f, g):
     return h, _zz_exact_quotient(f, h), _zz_exact_quotient(g, h)
 
 
+def _one_denominator(terms):
+    """(var, nums, s, D) with terms[key] = nums[key] / (s D), for a dict of
+    rationals and RatFuns in one variable var (None when there is no RatFun):
+    D is the lcm of the RatFun denominators, a primitive integer polynomial,
+    and s the lcm of the denominators of the rational contents.  Each
+    nums[key] is an integer polynomial, a constant one when var is None: a
+    RatFun c N / d becomes c s N (D / d).  The lcm is the only gcd work."""
+    var, D, seen, split = None, (1,), {(1,)}, {}
+    for key, x in terms.items():
+        if isinstance(x, RatFun):
+            if var is not None and x.var != var:
+                raise KernelError("rational functions in %r and %r cannot be combined"
+                                  % (var, x.var))
+            var = x.var
+            if x.D not in seen:
+                seen.add(x.D)
+                D = _zz_mul(D, _zz_gcd(D, x.D)[2])
+            split[key] = x.c, x.N, x.D
+        else:
+            x = Fraction(x)
+            split[key] = x, (1,) if x else (), (1,)
+    s = math.lcm(*(c.denominator for c, _, _ in split.values()))
+    cofactor = {d: _zz_exact_quotient(D, d) for d in seen}
+    nums = {key: _zz_mul((c.numerator * (s // c.denominator),), _zz_mul(N, cofactor[d]))
+            if N else () for key, (c, N, d) in split.items()}
+    return var, nums, s, D
+
+
 # ---------------------------------------------------------------------------
 # univariate rational functions
 # ---------------------------------------------------------------------------

@@ -466,6 +466,8 @@ def aomoto_recursion_check(n, alpha, beta, gamma):
 # ---------------------------------------------------------------------------
 
 def _require_torus_exponents(r, t):
+    if r < 1:
+        raise ValueError("r must be at least 1, got %d" % r)
     t = Fraction(t)
     two_t = 2 * t
     if two_t.denominator != 1 or two_t < 0:

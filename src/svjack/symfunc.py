@@ -165,23 +165,23 @@ def sorted_partitions(terms):
 
 @lru_cache(maxsize=None)
 def _p_to_m_row(lam):
-    """m-expansion of p_lam as a dict partition -> Fraction."""
-    out = {(): Fraction(1)}
+    """m-expansion of p_lam as a dict partition -> int: multiplying by p_r
+    adds r to a part of each m_mu or appends it, and the coefficient of the
+    m_nu reached is the multiplicity in nu of the part that was made."""
+    out = {(): 1}
     for r in lam:
         nxt = {}
         for mu, c in out.items():
             # new part r
             nu = merge_partitions(mu, (r,))
-            coeff = Fraction(multiplicities(nu)[r])
-            nxt[nu] = nxt.get(nu, Fraction(0)) + c * coeff
+            nxt[nu] = nxt.get(nu, 0) + c * nu.count(r)
             # add r to one existing distinct part value k
             for k in set(mu):
                 nu2 = list(mu)
                 nu2.remove(k)
                 nu2 = merge_partitions(tuple(nu2), (k + r,))
-                coeff2 = Fraction(multiplicities(nu2)[k + r])
-                nxt[nu2] = nxt.get(nu2, Fraction(0)) + c * coeff2
-        out = {mu: c for mu, c in nxt.items() if c != 0}
+                nxt[nu2] = nxt.get(nu2, 0) + c * nu2.count(k + r)
+        out = nxt
     return out
 
 
@@ -248,12 +248,17 @@ def _p_to_e_row(lam):
     return _back_substitute(_e_lam_to_p(lam), lam, _p_to_e_row)
 
 
+_ZERO = Fraction(0)
+
+
 def _change_basis(f, basis, row_of):
-    """Expand every term f_lam * b_lam through row_of(lam) = {mu: coeff}."""
+    """Expand every term f_lam * b_lam through row_of(lam) = {mu: coeff}.
+    The sums start from Fraction(0), so int coefficients over the int
+    p -> m rows still give rationals."""
     out = {}
     for lam, c in f.terms.items():
         for mu, r in row_of(lam).items():
-            out[mu] = out.get(mu, 0) + c * r
+            out[mu] = out.get(mu, _ZERO) + c * r
     return SymFunc(basis, out)
 
 

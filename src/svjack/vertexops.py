@@ -141,10 +141,10 @@ def _annihilations(op, mult, least):
                    size, w)
 
 
-def _create(op, stripped, a, w, out):
-    """Add w p_stripped times the [z^a] creation series of op into the
-    p-coefficient dict out."""
-    for kappa, wk in op.series(a).items():
+def _create(series, stripped, w, out):
+    """Add w p_stripped times the creation series {kappa: weight} of one
+    degree into the p-coefficient dict out."""
+    for kappa, wk in series.items():
         key = merge_partitions(stripped, kappa)
         term = w * wk
         out[key] = out[key] + term if key in out else term
@@ -161,7 +161,7 @@ def apply_vertex_mode(op, n, f):
     out = {}
     for lam, coeff in to_p(f).terms.items():
         for stripped, size, w in _annihilations(op, multiplicities(lam), n):
-            _create(op, stripped, size - n, coeff * w, out)
+            _create(op.series(size - n), stripped, coeff * w, out)
     return SymFunc("p", out)
 
 
@@ -185,27 +185,43 @@ def eta_operator(q, t):
 
 
 # the odd-sector operator, over Q whatever field it acts on
-_C0 = VertexOperator(lambda a: Fraction(2, a), lambda b: Fraction(-2), "odd")
+_C0 = VertexOperator(lambda a: Fraction(2, a), lambda b: -2, "odd")
 
 
 def c0_apply(n, f):
     return apply_vertex_mode(_C0, n, f)
 
 
+@lru_cache(maxsize=None)
+def _c0_series_times(a, scale):
+    """The [z^a] creation series of C^0 times scale, as ints: its weights are
+    2^l(kappa) / z_kappa, and z_kappa divides a!, which divides scale."""
+    return {kappa: int(w * scale) for kappa, w in _C0.series(a).items()}
+
+
+@lru_cache(maxsize=None)
 def _c1_rows(n, lam):
-    """(A_n p_lam, B_n p_lam) over Q as p-coefficient dicts; see c1_apply."""
+    """(A_n p_lam, B_n p_lam) times N! = (|lam| - n)!, as int p-coefficient
+    dicts; see c1_apply.  The annihilation weights of C^0 are ints and every
+    creation series it reads has degree at most N, so the rows are built in
+    ints.  Both rows are empty when n > |lam|."""
+    if n > sum(lam):
+        return {}, {}
+    scale = math.factorial(sum(lam) - n)
     mult = multiplicities(lam)
     a_row, b_row = {}, {}
     for stripped, size, w in _annihilations(_C0, mult, n + 1):
         for j in range(1, size - n + 1):
-            _create(_C0, stripped + (j,), size - n - j, -w if j % 2 else w, a_row)
+            series = _c0_series_times(size - n - j, scale)
+            _create(series, stripped + (j,), -w if j % 2 else w, a_row)
     for j, m in mult.items():
         rest = dict(mult)
         rest[j] -= 1
         w_j = -j * m if j % 2 else j * m
         for stripped, size, w in _annihilations(_C0, rest, n - j):
-            _create(_C0, stripped, size - n + j, w_j * w, b_row)
-    return a_row, b_row
+            _create(_c0_series_times(size - n + j, scale), stripped, w_j * w, b_row)
+    return ({key: x for key, x in a_row.items() if x},
+            {key: x for key, x in b_row.items() if x})
 
 
 def c1_apply(gamma, n, f):
@@ -216,22 +232,23 @@ def c1_apply(gamma, n, f):
       B_n = sum_{j >= 1} -+ j C^0_{n-j} dp_j
 
     One walk over f's p-terms accumulates A and B: _c1_rows builds A_n p_lam
-    and B_n p_lam over Q through the strip, weigh and create steps of
-    apply_vertex_mode, pricing each removable nu of lam once for every j, and
-    f's coefficient multiplies each row entry once.  gamma multiplies A once,
-    at the end.
+    and B_n p_lam in integers, times (|lam| - n)!, through the strip, weigh
+    and create steps of apply_vertex_mode, pricing each removable nu of lam
+    once for every j, and f's coefficient multiplies each row entry once.
+    gamma multiplies A once, and each output entry p_kappa, |kappa| =
+    |lam| - n, is divided by |kappa|! once, at the end.
     """
     a_part, b_part = {}, {}
     for lam, coeff in to_p(f).terms.items():
         for part, row in zip((a_part, b_part), _c1_rows(n, lam)):
             for key, x in row.items():
-                if x:
-                    term = coeff * x
-                    part[key] = part[key] + term if key in part else term
+                term = coeff * x
+                part[key] = part[key] + term if key in part else term
     out = {key: gamma * a for key, a in a_part.items() if not is_zero(a)}
     for key, b in b_part.items():
         out[key] = out[key] + b if key in out else b
-    return SymFunc("p", out)
+    return SymFunc("p", {key: x * Fraction(1, math.factorial(sum(key)))
+                         for key, x in out.items()})
 
 
 def eps_macdonald(lam, q, t):

@@ -14,11 +14,13 @@ The helpers after the finite-N oracles are reference forms that only the
 tests call: generic field operations, a matrix-vector product, the
 Bareiss loop over the fields (the reference for the integer one), the
 superpartition generating function, the corrected finite-N operators and
-the Selberg-side closed forms and estimators.  The last section holds the
+the Selberg-side closed forms and estimators.  The next section holds the
 constructors, restrictions and independent solvers the tests cross-check
 the package against, among them the Macdonald (q,t) inner product, the
 eigen route to the gamma-family and the verify certificate by expansion
-of each m_mu in power sums.
+of each m_mu in power sums.  The last one keeps the checks verify runs
+after the image as they ran over Q or Q(t), on Fraction p -> m and C^1
+rows: the reference for their one-denominator form.
 """
 
 import math
@@ -38,11 +40,13 @@ from svjack.finiten import (
     mp_mul,
     mp_to_orbits,
 )
-from svjack.fock import _ff_terms, fermion_act, odd_sign_involution
+from svjack import fock
+from svjack.fock import _ff_terms, fermion_act, monic_image, odd_sign_involution
 from svjack.kernel import (
     KernelError,
     Poly,
     RatFun,
+    Sqrt2Ext,
     VerificationFailure,
     as_scalar,
     is_zero,
@@ -54,12 +58,15 @@ from svjack.selberg import _log_gamma_signed
 from svjack.svir import SuperPartition, _word_of, monomial_vector
 from svjack.symfunc import (
     SymFunc,
+    _back_substitute,
     convert,
     diagonal_form,
     dominance_leq,
+    merge_partitions,
     multiplicities,
     multiply,
     partitions,
+    sorted_partitions,
     to_p,
 )
 from svjack.uglov import (
@@ -69,7 +76,10 @@ from svjack.uglov import (
     uglov_inner,
 )
 from svjack.vertexops import (
+    _C0,
     VertexOperator,
+    _annihilations,
+    _create,
     _jet_coeff,
     _submultisets,
     apply_vertex_mode,
@@ -1082,3 +1092,151 @@ def uglov2(lam, gamma="sym"):
         raise VerificationFailure("C0_0 eigenrelation fails for %r" % (lam,))
     return UglovFunction(lam=lam, gamma=g, expansion=vec,
                          eigenvalue0=e0, eigenvalue1=eps1(lam, g))
+
+
+# ---------------------------------------------------------------------------
+# the verify path over the fields, before its one-denominator form
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def p_to_m_row_reference(lam):
+    """m-expansion of p_lam as a dict partition -> Fraction, with a
+    multiplicities dict per term: the rows symfunc._p_to_m_row builds in
+    ints."""
+    out = {(): Fraction(1)}
+    for r in lam:
+        nxt = {}
+        for mu, c in out.items():
+            # new part r
+            nu = merge_partitions(mu, (r,))
+            coeff = Fraction(multiplicities(nu)[r])
+            nxt[nu] = nxt.get(nu, Fraction(0)) + c * coeff
+            # add r to one existing distinct part value k
+            for k in set(mu):
+                nu2 = list(mu)
+                nu2.remove(k)
+                nu2 = merge_partitions(tuple(nu2), (k + r,))
+                coeff2 = Fraction(multiplicities(nu2)[k + r])
+                nxt[nu2] = nxt.get(nu2, Fraction(0)) + c * coeff2
+        out = {mu: c for mu, c in nxt.items() if c != 0}
+    return out
+
+
+def to_m_reference(f):
+    """f in the m basis through the Fraction rows p_to_m_row_reference."""
+    out = {}
+    for lam, c in to_p(f).terms.items():
+        for mu, r in p_to_m_row_reference(lam).items():
+            out[mu] = out.get(mu, 0) + c * r
+    return SymFunc("m", out)
+
+
+@lru_cache(maxsize=None)
+def m_to_p_reference(mu):
+    """m_mu in the p basis by back-substitution over the Fraction rows."""
+    return _back_substitute(p_to_m_row_reference(mu), mu, m_to_p_reference)
+
+
+def to_p_reference(f):
+    """An m-basis f in the p basis over the Fraction m -> p rows."""
+    out = {}
+    for lam, c in f.terms.items():
+        for mu, r in m_to_p_reference(lam).items():
+            out[mu] = out.get(mu, 0) + c * r
+    return SymFunc("p", out)
+
+
+def c1_rows_reference(n, lam):
+    """(A_n p_lam, B_n p_lam) over Q as p-coefficient dicts, with the C^0
+    creation series in Fractions: the rows vertexops._c1_rows builds in ints
+    times (|lam| - n)!."""
+    mult = multiplicities(lam)
+    a_row, b_row = {}, {}
+    for stripped, size, w in _annihilations(_C0, mult, n + 1):
+        for j in range(1, size - n + 1):
+            _create(_C0.series(size - n - j), stripped + (j,), -w if j % 2 else w, a_row)
+    for j, m in mult.items():
+        rest = dict(mult)
+        rest[j] -= 1
+        w_j = -j * m if j % 2 else j * m
+        for stripped, size, w in _annihilations(_C0, rest, n - j):
+            _create(_C0.series(size - n + j), stripped, w_j * w, b_row)
+    return a_row, b_row
+
+
+def c1_apply_rows_reference(gamma, n, f):
+    """C^1_n(gamma) = gamma A_n + B_n in one pass over the Fraction rows
+    c1_rows_reference: vertexops.c1_apply before its rows were ints."""
+    a_part, b_part = {}, {}
+    for lam, coeff in to_p(f).terms.items():
+        for part, row in zip((a_part, b_part), c1_rows_reference(n, lam)):
+            for key, x in row.items():
+                if x:
+                    term = coeff * x
+                    part[key] = part[key] + term if key in part else term
+    out = {key: gamma * a for key, a in a_part.items() if not is_zero(a)}
+    for key, b in b_part.items():
+        out[key] = out[key] + b if key in out else b
+    return SymFunc("p", out)
+
+
+def first_unorthogonal_solve_reference(image_p, lam, gamma):
+    """fock._first_unorthogonal's forward solve L x = w over the fields of
+    the image and gamma, on the Fraction rows p_to_m_row_reference."""
+    order = partitions(sum(lam))
+    if lam == order[-1]:
+        return None
+    zero = gamma * 0
+    x = {}
+    for nu in order:
+        c = image_p.terms.get(nu)
+        acc = zero if c is None else uglov_inner(
+            SymFunc("p", {nu: c}), SymFunc("p", {nu: Fraction(1)}), gamma)
+        row = p_to_m_row_reference(nu)
+        for rho, a in row.items():
+            if rho != nu:
+                acc = acc - x[rho] * a
+        x[nu] = acc / row[nu]
+        if nu != lam and not is_zero(x[nu]) and dominance_leq(nu, lam):
+            return nu
+    return None
+
+
+def verify_conjecture_reference(r, s, t="sym"):
+    """fock.verify_conjecture with its checks after the image run over the
+    fields of t: the m-expansion through p_to_m_row_reference, the forward
+    solve of the certificate, and the eigencheck on image / lead through
+    c1_apply_rows_reference.  The singular vector, the image and eps1 are
+    looked up in fock at each call, so a test that replaces one there
+    changes both paths alike."""
+    chi = fock.singular_vector(r, s, t)
+    hw = chi.weight
+    lam = (r,) * s
+    raw_p = fock.verma_to_lambda(chi)
+    raw_m = to_m_reference(raw_p)
+    if raw_m.is_zero():
+        raise VerificationFailure(
+            "the image of the (%d, %d) singular vector vanishes" % (r, s))
+    above = [mu for mu in sorted_partitions(raw_m.terms) if not dominance_leq(mu, lam)]
+    if above:
+        raise VerificationFailure(
+            "image is not dominance-triangular below m_%s; first monomial outside "
+            "at m_%s" % (list(lam), list(above[0])))
+    one = hw.t * 0 + 1
+    gamma = one / (hw.t * hw.t)
+    lead, monic = monic_image(raw_p, raw_m, lam)
+    mismatch = first_unorthogonal_solve_reference(raw_p, lam, gamma)
+    if mismatch is not None:
+        raise VerificationFailure(
+            "image is not proportional to the shape-%s family member; first "
+            "mismatch at m_%s" % (list(lam), list(mismatch)))
+    image = c1_apply_rows_reference(gamma, 0, monic)
+    eigencheck = (image - monic.scale(fock.eps1(lam, gamma))).is_zero()
+    scalar = Sqrt2Ext(lead, lead * 0) if r * s % 2 == 0 else Sqrt2Ext(lead * 0, lead / 2)
+    return {
+        "rs": [r, s],
+        "proportional": True,
+        "scalar": scalar_to_json(scalar),
+        "eigencheck": eigencheck,
+        "triangular": True,
+    }

@@ -71,6 +71,17 @@ DIGESTS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "digests.j
     # degree 8: the 22-partition monomial -> power-sum transition
     "verify --r 2 --s 4 --t 3/2",
     "verify --r 4 --s 2 --t 5/3",
+    # the other rational samples of the verify-rational workload
+    "verify --r 2 --s 4 --t 5/3",
+    "verify --r 2 --s 4 --t 4/3",
+    "verify --r 2 --s 4 --t 5/4",
+    "verify --r 2 --s 4 --t 2/3",
+    "verify --r 2 --s 4 --t 3/4",
+    "verify --r 4 --s 2 --t 3/2",
+    "verify --r 4 --s 2 --t 4/3",
+    "verify --r 4 --s 2 --t 5/4",
+    "verify --r 4 --s 2 --t 2/3",
+    "verify --r 4 --s 2 --t 3/4",
     "kacdet --level 5/2",
     "kacdet --level 3",
     # every section, and with them the Bareiss determinant on Q(t)
@@ -205,6 +216,7 @@ def test_verify_parity_usage_error(capsys):
     "selberg vanish --r 2 --t 1 --m 1,0 --samples 60000000",
     "selberg vanish --r 2 --t 1/3 --m 1,0",
     "selberg integral --n 2 --alpha 0 --beta 1 --gamma 1 --method closed",
+    "selberg vanish --r -1 --t 1 --m 1",
 ])
 def test_bad_argument_exits_two_without_traceback(capsys, argv):
     assert main(argv.split()) == 2

@@ -22,12 +22,14 @@ from svjack.fock import (
     verify_conjecture,
     verma_to_lambda,
 )
-from svjack.kernel import RatFun, Sqrt2Ext, VerificationFailure, is_zero
+from svjack.kernel import (RatFun, Sqrt2Ext, VerificationFailure, _one_denominator, as_scalar,
+                           is_zero)
 from svjack.svir import act, hw_data, monomial_vector, singular_vector, superpartitions
 from svjack.symfunc import (SymFunc, convert, dominance_leq, e_gen, merge_partitions,
                              partitions, to_p)
 from svjack.uglov import uglov2_orth, uglov_inner
 
+import svjack.fock as fock
 from fresh import run_fresh
 from oracles import (
     boson_act,
@@ -36,6 +38,8 @@ from oracles import (
     first_unorthogonal_reference,
     homogeneous_degree,
     p_gen,
+    to_m_reference,
+    verify_conjecture_reference,
     verma_to_lambda_reference,
 )
 
@@ -578,6 +582,11 @@ def _m(mu, c=Fraction(1)):
     return SymFunc("m", {mu: c})
 
 
+def _solve(image_p, lam, gamma):
+    """_first_unorthogonal on image_p put on one denominator."""
+    return _first_unorthogonal(_one_denominator(image_p.terms)[1], lam, gamma)
+
+
 @pytest.mark.parametrize("t", ["sym", Fraction(3, 2)])
 @pytest.mark.parametrize("rs", EQUAL_PARITY_RS_TO_9)
 def test_certificate_agrees_with_the_ladder(rs, t):
@@ -586,7 +595,7 @@ def test_certificate_agrees_with_the_ladder(rs, t):
     lam, gamma, raw_p, raw_m = _certificate_case(rs, t)
     lead, monic = monic_image(raw_p, raw_m, lam)
     assert all(dominance_leq(mu, lam) for mu in raw_m.terms)
-    assert _first_unorthogonal(raw_p, lam, gamma) is None
+    assert _solve(raw_p, lam, gamma) is None
     assert raw_m == uglov2_orth(lam, gamma).scale(lead)
     assert monic == to_p(uglov2_orth(lam, gamma))
 
@@ -607,10 +616,10 @@ def test_certificate_catches_every_lower_perturbation(rs, t):
         first = next(nu for nu in lower
                      if not is_zero(uglov_inner(_m(mu), _m(nu), gamma)))
         perturbed = raw_p + to_p(_m(mu, gamma / 1000))
-        assert _first_unorthogonal(perturbed, lam, gamma) == first
+        assert _solve(perturbed, lam, gamma) == first
         assert first_unorthogonal_reference(perturbed, lam, gamma) == first
     top = lower[0]
-    assert _first_unorthogonal(raw_p + to_p(_m(top, gamma / 1000)), lam, gamma) == top
+    assert _solve(raw_p + to_p(_m(top, gamma / 1000)), lam, gamma) == top
 
 
 def test_verify_builds_no_m_to_p_table():
@@ -638,7 +647,7 @@ def test_certificate_solve_matches_the_expansion(case):
     """On any p-expansion, where several <f, m_mu>_gamma are nonzero at once,
     the forward solve names the mu the expansion of each m_mu does."""
     image_p, lam, gamma = case
-    assert (_first_unorthogonal(image_p, lam, gamma)
+    assert (_solve(image_p, lam, gamma)
             == first_unorthogonal_reference(image_p, lam, gamma))
 
 
@@ -674,3 +683,118 @@ def test_verify_conjecture_rejects_a_non_triangular_image(monkeypatch, extra, na
                "outside at m_%s" % (list(named),))
     with pytest.raises(VerificationFailure, match="^%s$" % re.escape(message)):
         verify_conjecture(2, 2, t="sym")
+
+
+# --- verify on one denominator against the path over the fields ---------------
+
+_CASES = {}
+
+
+@pytest.fixture
+def shared_images(monkeypatch):
+    """Serve fock.singular_vector and fock.verma_to_lambda from one cache, so
+    verify_conjecture and verify_conjecture_reference, which both look them
+    up in fock, read the same image, built once per (r, s, t)."""
+    images = {}
+
+    def cached_singular_vector(r, s, t="sym"):
+        if (r, s, t) not in _CASES:
+            chi = singular_vector(r, s, t)
+            _CASES[r, s, t] = chi, verma_to_lambda(chi)
+        chi, image = _CASES[r, s, t]
+        images[id(chi)] = image
+        return chi
+
+    monkeypatch.setattr(fock, "singular_vector", cached_singular_vector)
+    monkeypatch.setattr(fock, "verma_to_lambda", lambda v: images[id(v)])
+
+
+def _outcome(check, rs, t):
+    """The report, or the message of the VerificationFailure raised."""
+    try:
+        return check(*rs, t=t)
+    except VerificationFailure as exc:
+        return "VerificationFailure: %s" % exc
+
+
+def _both(rs, t):
+    """The outcome of verify and of its reference, which must be equal."""
+    got = _outcome(verify_conjecture, rs, t)
+    assert got == _outcome(verify_conjecture_reference, rs, t)
+    return got
+
+
+@pytest.mark.parametrize("t", ["sym", Fraction(3, 2), Fraction(5, 3)])
+@pytest.mark.parametrize("rs", EQUAL_PARITY_RS_TO_9)
+def test_verify_equals_the_path_over_the_fields(shared_images, rs, t):
+    """The report of the one-denominator checks equals the report of the
+    checks over Q or Q(t), scalar included."""
+    rep = _both(rs, t)
+    assert rep["eigencheck"] is True, rep
+
+
+_FAILING = [((2, 2), "sym"), ((2, 4), "sym"), ((4, 2), Fraction(3, 2)), ((3, 3), Fraction(5, 3)),
+            ((1, 5), "sym")]
+
+
+@pytest.mark.parametrize("rs, t", _FAILING)
+def test_verify_fails_above_lam_as_the_path_over_the_fields(shared_images, monkeypatch, rs, t):
+    """(t/1000) m_mu added for each mu that lam does not dominate: both
+    name mu, the first monomial outside, in the triangularity message."""
+    lam = (rs[0],) * rs[1]
+    above = [mu for mu in partitions(sum(lam)) if not dominance_leq(mu, lam)]
+    real = fock.verma_to_lambda
+    for mu in above:
+        monkeypatch.setattr(fock, "verma_to_lambda",
+                            lambda v, mu=mu: real(v) + to_p(_m(mu, v.weight.t / 1000)))
+        assert _both(rs, t) == (
+            "VerificationFailure: image is not dominance-triangular below m_%s; first "
+            "monomial outside at m_%s" % (list(lam), list(mu)))
+
+
+@pytest.mark.parametrize("rs, t", _FAILING)
+def test_verify_fails_below_lam_as_the_path_over_the_fields(shared_images, monkeypatch, rs, t):
+    """(t/1000) m_mu added for each mu below lam: both name the same first
+    mismatch, the first nu below lam, in partitions() order, that m_mu is
+    not orthogonal to."""
+    lam = (rs[0],) * rs[1]
+    tt = as_scalar(t, "t")
+    gamma = (tt * 0 + 1) / (tt * tt)
+    real = fock.verma_to_lambda
+    lower = _lower(lam)
+    for mu in lower:
+        first = next(nu for nu in lower if not is_zero(uglov_inner(_m(mu), _m(nu), gamma)))
+        monkeypatch.setattr(fock, "verma_to_lambda",
+                            lambda v, mu=mu: real(v) + to_p(_m(mu, v.weight.t / 1000)))
+        assert _both(rs, t) == (
+            "VerificationFailure: image is not proportional to the shape-%s family "
+            "member; first mismatch at m_%s" % (list(lam), list(first)))
+
+
+@pytest.mark.parametrize("rs, t", _FAILING)
+def test_verify_fails_to_vanish_or_to_lead_as_the_path_over_the_fields(shared_images,
+                                                                       monkeypatch, rs, t):
+    """An image of 0, or one without its m_lam term, fails alike on both."""
+    lam = (rs[0],) * rs[1]
+    real = fock.verma_to_lambda
+    monkeypatch.setattr(fock, "verma_to_lambda", lambda v: SymFunc("p", {}))
+    assert _both(rs, t) == ("VerificationFailure: the image of the (%d, %d) singular "
+                            "vector vanishes" % rs)
+    if lam == partitions(sum(lam))[-1]:
+        return  # the image is c m_lam alone, and without it it vanishes
+    monkeypatch.setattr(fock, "verma_to_lambda", lambda v: real(v) - to_p(
+        _m(lam, to_m_reference(real(v)).terms[lam])))
+    assert _both(rs, t) == ("VerificationFailure: image lacks the leading monomial m_%s"
+                            % (list(lam),))
+
+
+@pytest.mark.parametrize("rs, t", _FAILING)
+def test_verify_flags_a_failed_eigencheck_as_the_path_over_the_fields(shared_images,
+                                                                      monkeypatch, rs, t):
+    """With eps1 shifted by 1 or by gamma, both reports read eigencheck false
+    and agree in every other key."""
+    real = fock.eps1
+    for shift in (lambda g: 1, lambda g: g):
+        monkeypatch.setattr(fock, "eps1", lambda lam, g, shift=shift: real(lam, g) + shift(g))
+        rep = _both(rs, t)
+        assert rep["eigencheck"] is False and rep["proportional"] is True

@@ -215,6 +215,33 @@ def test_certificate_solves_against_the_p_to_m_rows():
     assert not {"to_p", "convert"} & set(called)
 
 
+def test_verify_checks_the_image_on_one_denominator():
+    """verify_conjecture puts the image on one denominator and runs to m, the
+    certificate and the eigencheck on its integer numerators: neither it nor
+    any fock function it reaches after the image calls convert, to_p,
+    monic_image or c1_apply."""
+    reached = _reached("fock", "verify_conjecture", stop={"verma_to_lambda"})
+    called = {name for fn in reached for name in _called(_function("fock", fn))}
+    assert not called & {"convert", "to_p", "monic_image", "c1_apply"}
+    assert {"_one_denominator", "_p_to_m_row", "_c1_rows"} <= called
+
+
+def test_p_to_m_and_c1_rows_are_built_once_in_ints():
+    """_p_to_m_row and _c1_rows are the only builders of their tables, and
+    neither calls Fraction: src/ keeps no Fraction twin of either.  The p -> m
+    rows count parts without a multiplicities dict per term, and the
+    eigencheck and c1_apply read the one C^1 row builder."""
+    defined = {node.name for path in SRC.glob("*.py")
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    assert {name for name in defined if "p_to_m" in name} == {"_p_to_m_row"}
+    assert {name for name in defined if "c1_row" in name} == {"_c1_rows"}
+    assert not {"Fraction", "multiplicities"} & set(_called(_function("symfunc", "_p_to_m_row")))
+    assert "Fraction" not in _called(_function("vertexops", "_c1_rows"))
+    assert "_c1_rows" in _called(_function("vertexops", "c1_apply"))
+    assert "_c1_rows" in _called(_function("fock", "_is_c1_eigenfunction"))
+
+
 def test_c1_shares_the_vertex_weight_rule():
     """C^1 = gamma A + B is priced by the strip, weigh and create steps of
     apply_vertex_mode, not assembled from whole C^0 modes."""

@@ -441,6 +441,17 @@ def test_exact_constant_term_halfinteger_t():
     assert vanishing_moment_exact(3, 1, (1, 0, 0)) == 0
 
 
+@pytest.mark.parametrize("r", [-1, 0])
+def test_torus_moments_need_a_variable(r):
+    """r < 1 is rejected before the moment's length is read, with its own
+    message, as n < 1 is for the cube integral."""
+    message = "^r must be at least 1, got %d$" % r
+    with pytest.raises(ValueError, match=message):
+        vanishing_check(r, 1, (1,))
+    with pytest.raises(ValueError, match=message):
+        vanishing_moment_exact(r, 1, ())
+
+
 def test_vanishing_check_reports():
     rep = vanishing_check(2, Fraction(1, 2), (1, 0), samples=40_000, seed=7)
     assert rep["consistent_with_zero"]

@@ -14,10 +14,12 @@ from svjack.symfunc import (
     multiply,
     partitions,
     symfunc_to_json,
+    to_p,
     z_lambda,
 )
 
-from oracles import inner_qt, m_gen, num_partitions, p_gen
+from oracles import (inner_qt, m_gen, num_partitions, p_gen, p_to_m_row_reference,
+                     to_m_reference, to_p_reference)
 
 # reference values: number of partitions of n for n = 0..12
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -84,6 +86,34 @@ def _compose(first, then, lam):
         for nu, r in then(mu).items():
             out[nu] = out.get(nu, 0) + c * r
     return {nu: c for nu, c in out.items() if c}
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_p_to_m_rows_are_the_fraction_rows_in_ints(n):
+    """The int rows equal the Fraction rows entry by entry."""
+    for lam in partitions(n):
+        row = _p_to_m_row(lam)
+        assert row == p_to_m_row_reference(lam), lam
+        assert all(type(x) is int for x in row.values()), lam
+
+
+_T = RatFun.variable("t")
+
+
+@pytest.mark.parametrize("coeffs", [(Fraction(3, 2), Fraction(-1, 3), Fraction(5)), (3, -1, 2),
+                                    (_T / 2, 1 / (_T + 1), _T * _T - 3)],
+                         ids=["Fraction", "int", "RatFun"])
+def test_transitions_keep_the_coefficient_types(coeffs):
+    """convert(f, "m") and to_p give the values and the coefficient types
+    they gave over the Fraction rows, whatever the input coefficients."""
+    lams = ((2, 1, 1), (3, 1), (1, 1, 1, 1))
+    for basis, fn, ref in (("p", lambda f: convert(f, "m"), to_m_reference),
+                           ("m", to_p, to_p_reference)):
+        f = SymFunc(basis, dict(zip(lams, coeffs)))
+        got, want = fn(f), ref(f)
+        assert got == want
+        assert ({mu: type(c) for mu, c in got.terms.items()}
+                == {mu: type(c) for mu, c in want.terms.items()})
 
 
 @pytest.mark.parametrize("n", range(11))

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -12,6 +13,7 @@ from svjack.symfunc import SymFunc, convert, e_gen, multiply, partitions
 from svjack.uglov import uglov2_orth
 from svjack.vertexops import (
     VertexOperator,
+    _c1_rows,
     apply_vertex_mode,
     c0_apply,
     c1_apply,
@@ -33,6 +35,8 @@ from oracles import (
     GradedOperator,
     c0_mode,
     c1_apply_reference,
+    c1_apply_rows_reference,
+    c1_rows_reference,
     c1_mode,
     commuting_family_check,
     dvir_modes,
@@ -237,6 +241,44 @@ def _same_coefficients(got, want):
     """Equal keys, and per key the same coefficient repr and type."""
     return ({mu: (repr(c), type(c)) for mu, c in got.terms.items()}
             == {mu: (repr(c), type(c)) for mu, c in want.terms.items()})
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("d", range(13))
+def test_c1_rows_are_the_fraction_rows_times_a_factorial(d, n):
+    """_c1_rows(n, lam) is (A_n p_lam, B_n p_lam) over Q times (|lam| - n)!,
+    in ints, for every partition of d."""
+    scale = math.factorial(max(d - n, 0))
+    for lam in partitions(d):
+        rows = _c1_rows(n, lam)
+        want = tuple({key: x * scale for key, x in row.items() if x}
+                     for row in c1_rows_reference(n, lam))
+        assert rows == want, lam
+        assert all(type(x) is int for row in rows for x in row.values()), lam
+
+
+@pytest.mark.parametrize("coeffs", [(Fraction(3, 2), Fraction(-1, 3), Fraction(5), Fraction(1)),
+                                    (3, -1, 2, 1),
+                                    (_T / 2, 1 / (_T + 1), _T * _T - 3, _T)],
+                         ids=["Fraction", "int", "RatFun"])
+@pytest.mark.parametrize("g", [Fraction(2, 3), 3, _T])
+def test_c1_apply_keeps_the_coefficient_types(coeffs, g):
+    """Dividing each output entry by |kappa|! once gives the values the
+    Fraction rows gave, for n = -2..2, and their coefficient types, but for
+    one case: on int coefficients the Fraction rows left an int where only
+    weight-one terms reach a key (p_kappa from p_(n) p_kappa under B_n, or
+    p_kappa p_(-n) under A_n, both present here), and that coefficient is
+    now a Fraction."""
+    f = SymFunc("p", dict(zip(((2, 1, 1), (3, 1), (1, 1, 1, 1), (2,)), coeffs)))
+    for n in range(-2, 3):
+        got, want = c1_apply(g, n, f), c1_apply_rows_reference(g, n, f)
+        if type(coeffs[0]) is int:
+            assert got == want, n
+            assert ({mu: type(c) for mu, c in got.terms.items()}
+                    == {mu: Fraction if type(c) is int else type(c)
+                        for mu, c in want.terms.items()}), n
+        else:
+            assert _same_coefficients(got, want), n
 
 
 @pytest.mark.parametrize("g", ["sym", Fraction(2, 3)])
