@@ -227,10 +227,10 @@ def test_verify_checks_the_image_on_one_denominator():
 
 
 def test_p_to_m_and_c1_rows_are_built_once_in_ints():
-    """_p_to_m_row and _c1_rows are the only builders of their tables, and
-    neither calls Fraction: src/ keeps no Fraction twin of either.  The p -> m
-    rows count parts without a multiplicities dict per term, and the
-    eigencheck and c1_apply read the one C^1 row builder."""
+    """_p_to_m_row and _c1_rows alone make their tables, and neither calls
+    Fraction: src/ keeps no Fraction twin of either.  The p -> m rows count
+    parts without a multiplicities dict per term, and the eigencheck and
+    c1_apply both read _c1_rows."""
     defined = {node.name for path in SRC.glob("*.py")
                for node in ast.parse(path.read_text()).body
                if isinstance(node, ast.FunctionDef)}
