@@ -463,9 +463,9 @@ def verify_conjecture(r, s, t="sym"):
             "image is not proportional to the shape-%s family member; first "
             "mismatch at m_%s" % (list(lam), list(mismatch)))
     eigencheck = _is_c1_eigenfunction(nums, lam, hw.t)
-    lead = image_m[lam]
-    lead = (Fraction(lead[0], k) if var is None else
-            RatFun(var, Poly(var, lead), Poly(var, [k * c for c in den])))
+    top = image_m[lam]
+    lead = (Fraction(top[0], k) if var is None else
+            RatFun(var, Poly(var, top), Poly(var, [k * c for c in den])))
     # at odd rs, the image is sqrt2 times the true one: its scalar is (lead / 2) sqrt2
     scalar = Sqrt2Ext(lead, lead * 0) if r * s % 2 == 0 else Sqrt2Ext(lead * 0, lead / 2)
     return {
