@@ -651,6 +651,15 @@ class Jet(_Scalar):
         self.order = order
 
     @classmethod
+    def _of(cls, coeffs, order):
+        """The jet of exactly order + 1 coefficients, taken as they are:
+        the arithmetic's own results need no padding or truncation."""
+        jet = object.__new__(cls)
+        jet.coeffs = tuple(coeffs)
+        jet.order = order
+        return jet
+
+    @classmethod
     def exp_linear(cls, c, order):
         """exp(c*hbar) as a jet: coefficients c^k / k!."""
         out = [c * 0 + 1]
@@ -672,7 +681,7 @@ class Jet(_Scalar):
         return None  # zero jet
 
     def coeff(self, k):
-        if k > self.order:
+        if k < 0 or k > self.order:
             raise KernelError("jet truncated at order %d, coefficient %d requested"
                                  % (self.order, k))
         return self.coeffs[k]
@@ -700,31 +709,35 @@ class Jet(_Scalar):
         return hash(self.coeffs[0])
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        k = min(self.order, o.order)
-        return Jet([self.coeffs[i] + o.coeffs[i] for i in range(k + 1)], k)
+        # a scalar only moves the constant term
+        if isinstance(other, Jet):
+            return Jet._of([a + b for a, b in zip(self.coeffs, other.coeffs)],
+                           min(self.order, other.order))
+        if isinstance(other, (int, Fraction, RatFun)):
+            return Jet._of((self.coeffs[0] + other,) + self.coeffs[1:], self.order)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet([-c for c in self.coeffs], self.order)
+        return Jet._of([-c for c in self.coeffs], self.order)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        k = min(self.order, o.order)
-        zero = self.coeffs[0] * 0
-        out = [zero] * (k + 1)
-        for i in range(k + 1):
-            a = self.coeffs[i]
-            if is_zero(a):
-                continue
-            for j in range(k + 1 - i):
-                out[i + j] = out[i + j] + a * o.coeffs[j]
-        return Jet(out, k)
+        # a scalar scales each coefficient; between jets, out[n] = sum a_i b_{n-i}
+        # starts from its first product, not from a zero of the field
+        if isinstance(other, Jet):
+            a, b = self.coeffs, other.coeffs
+            k = min(self.order, other.order)
+            out = []
+            for n in range(k + 1):
+                acc = a[0] * b[n]
+                for i in range(1, n + 1):
+                    acc = acc + a[i] * b[n - i]
+                out.append(acc)
+            return Jet._of(out, k)
+        if isinstance(other, (int, Fraction, RatFun)):
+            return Jet._of([c * other for c in self.coeffs], self.order)
+        return NotImplemented
 
     __rmul__ = __mul__
 

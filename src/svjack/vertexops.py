@@ -29,8 +29,8 @@ The operators provided here:
 
 together with the eigenvalue formulas eps (Macdonald), eps0 and eps1.  The
 identities between them (the hbar expansion of eta_0 and the zero-mode
-identity of the current) are checked on images of symmetric functions, never
-through operator matrices.
+identity of the current) are checked on the images of the power sums p_lam,
+a basis, never through operator matrices.
 
 Convention note: the creation series of eta carries (1 - t^{-a}); this is the
 form whose zero mode has eigenvalue 1 + (t-1)(q-1)/t on p_1 and whose
@@ -295,20 +295,30 @@ def hbar_parameters(gamma, order):
     return q, t
 
 
-def _monomials(dmax):
-    """Yield (lam, m_lam) for every partition of degree at most dmax."""
+def _power_sums(dmax):
+    """Yield (lam, p_lam) for every partition of degree at most dmax.
+
+    The checks below compare linear operators (eta_0, C^0_0, C^1_0, T_n,
+    psi_{-n}, the h^k coefficient and the scalars), and these p_lam are a
+    basis over Q of the space the m_lam with |lam| <= dmax span.  So an
+    identity holds on every m_lam exactly when it holds on every p_lam, and
+    a p_lam is one term for the vertex modes to price, where m_lam expands
+    into up to p(|lam|) of them."""
     for d in range(dmax + 1):
         for lam in partitions(d):
-            yield lam, SymFunc("m", {lam: Fraction(1)})
+            yield lam, SymFunc("p", {lam: Fraction(1)})
 
 
 def eta_hbar_check(gamma, dmax):
     """Assert eta_0 at (q,t) = (-e^h, -e^{gamma h}) equals C0_0 + h C1_0(gamma)
-    on every m_lam with |lam| <= dmax, through jet order 1; returns the
-    verified report."""
-    gamma = Fraction(gamma)
+    on symmetric functions of degree at most dmax, through jet order 1;
+    returns the verified report.  gamma is a field element (or "sym", the
+    variable of Q(g)).  The operators are compared on each p_lam, which is
+    the check on each m_lam (see _power_sums); a failure names the lam of
+    the first p_lam that differs."""
+    gamma = as_scalar(gamma, "g")
     eta = eta_operator(*hbar_parameters(gamma, 1))
-    for lam, f in _monomials(dmax):
+    for lam, f in _power_sums(dmax):
         image = apply_vertex_mode(eta, 0, f)
         if not (_jet_part(image, 0) - c0_apply(0, f)).is_zero():
             raise VerificationFailure("h^0 mismatch at %r" % (lam,))
@@ -418,9 +428,9 @@ def dvir_jet(gamma, alpha, order):
 
 
 def _zero_mode_sums(cur, dmax):
-    """Yield (lam, m_lam, sum_{n>=0} psi_{-n} T_n m_lam) for every partition
-    of degree at most dmax; T_n m_lam = 0 for n > |lam|."""
-    for lam, f in _monomials(dmax):
+    """Yield (lam, p_lam, sum_{n>=0} psi_{-n} T_n p_lam) for every partition
+    of degree at most dmax; T_n p_lam = 0 for n > |lam|."""
+    for lam, f in _power_sums(dmax):
         out = SymFunc("p", {})
         for n in range(sum(lam) + 1):
             tn = cur.t_apply(n, f)
@@ -431,7 +441,8 @@ def _zero_mode_sums(cur, dmax):
 
 def pt_eta_check(cur, dmax):
     """Verify sum_{n=0..d} psi_{-n} T_n = eta_0 + kappa blockwise up to dmax,
-    with eta_0 at the (q, t) of the DVirCurrent ``cur``.
+    with eta_0 at the (q, t) of the DVirCurrent ``cur``, on each p_lam (see
+    _power_sums); a failure names the lam of the first p_lam that differs.
 
     Returns a report dict; raises VerificationFailure on failure.
     """
@@ -445,8 +456,11 @@ def pt_eta_check(cur, dmax):
 
 def pt_c10_check(gamma, alpha, dmax):
     """First-order part of the zero-mode identity: the h^1 coefficient of
-    sum psi_{-n} T_n  equals  C1_0(gamma) + (gamma - 1 - 2 alpha) * id."""
-    gamma, alpha = Fraction(gamma), Fraction(alpha)
+    sum psi_{-n} T_n  equals  C1_0(gamma) + (gamma - 1 - 2 alpha) * id,
+    checked on each p_lam with |lam| <= dmax (see _power_sums); a failure
+    names the lam of the first p_lam that differs.  gamma is a field
+    element (or "sym", the variable of Q(g)), alpha a rational."""
+    gamma, alpha = as_scalar(gamma, "g"), Fraction(alpha)
     cur = dvir_jet(gamma, alpha, 1)
     shift = gamma - 1 - 2 * alpha
     for lam, f, lhs in _zero_mode_sums(cur, dmax):

@@ -11,8 +11,8 @@ C^0 and C^1 modes, a second representation of operators the package
 applies as functions.
 
 The helpers after the finite-N oracles are reference forms that only the
-tests call: generic field operations, a matrix-vector product, the
-Bareiss loop over the fields (the reference for the integer one), the
+tests call: generic field operations, the jet product and sum on a
+scalar coerced into a jet, a matrix-vector product, the Bareiss loop over the fields (the reference for the integer one), the
 superpartition generating function, the corrected finite-N operators and
 the Selberg-side closed forms and estimators.  The next section holds the
 constructors, restrictions and independent solvers the tests cross-check
@@ -43,6 +43,7 @@ from svjack.finiten import (
 from svjack import fock
 from svjack.fock import _ff_terms, fermion_act, monic_image, odd_sign_involution
 from svjack.kernel import (
+    Jet,
     KernelError,
     Poly,
     RatFun,
@@ -490,6 +491,43 @@ def field_ops(x, y, op):
     if r is NotImplemented:
         raise KernelError("incompatible scalars %r and %r" % (x, y))
     return r
+
+
+def _jet_operands(x, y):
+    """(jet, jet) for the operands of a jet operation with a jet on at least
+    one side: a scalar becomes the constant jet of the other's order, the
+    field's zero (the jet's c0 * 0) plus the scalar, then zeros."""
+    if not isinstance(x, Jet):
+        x, y = y, x
+    if not isinstance(y, Jet):
+        zero = x.coeffs[0] * 0
+        y = Jet([zero + y] + [zero] * x.order, x.order)
+    return x, y
+
+
+def jet_mul_reference(x, y):
+    """x * y by convolution into zero-initialised accumulators, a scalar
+    first coerced into a jet, skipping the zero coefficients of the first
+    operand (the Jet product before it scaled scalars and summed each
+    coefficient from its first product)."""
+    x, y = _jet_operands(x, y)
+    k = min(x.order, y.order)
+    zero = x.coeffs[0] * 0
+    out = [zero] * (k + 1)
+    for i in range(k + 1):
+        a = x.coeffs[i]
+        if is_zero(a):
+            continue
+        for j in range(k + 1 - i):
+            out[i + j] = out[i + j] + a * y.coeffs[j]
+    return Jet(out, k)
+
+
+def jet_add_reference(x, y):
+    """x + y coefficientwise, a scalar first coerced into a jet."""
+    x, y = _jet_operands(x, y)
+    k = min(x.order, y.order)
+    return Jet([x.coeffs[i] + y.coeffs[i] for i in range(k + 1)], k)
 
 
 def exact_div(a, b):

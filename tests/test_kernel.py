@@ -31,6 +31,8 @@ from oracles import (
     exact_div,
     field_ops,
     inner_qt,
+    jet_add_reference,
+    jet_mul_reference,
     mat_vec,
     rank,
     ratfun_reference,
@@ -231,6 +233,55 @@ def test_jet_arithmetic_and_truncation():
     assert f.coeffs == (Fraction(1), Fraction(2), Fraction(1), Fraction(0), Fraction(0))
     g = f / (1 + h)
     assert g == 1 + h
+    assert f.coeff(4) == 0
+    # a negative index does not count from the top coefficient
+    for k in (-1, 5):
+        with pytest.raises(KernelError, match="truncated at order 4"):
+            f.coeff(k)
+
+
+_T = RatFun.variable("t")
+_JET_FIELDS = {
+    "Fraction": rationals,
+    "RatFun": st.builds(lambda a, b, c: (a * _T + b) / (_T - c),
+                        rationals, rationals, st.integers(-2, 2)),
+}
+_JET_SCALARS = {"int": st.integers(-3, 3), **_JET_FIELDS}
+
+
+def _jets(field):
+    """Jets of order 0 to 3 over one field, zero coefficients included."""
+    coeffs = st.one_of(st.just(Fraction(0) if field == "Fraction" else 0 * _T),
+                       _JET_FIELDS[field])
+    return st.integers(0, 3).flatmap(
+        lambda k: st.lists(coeffs, min_size=k + 1, max_size=k + 1).map(lambda cs: Jet(cs, k)))
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_jet_product_and_sum_equal_the_coercing_reference(data):
+    """Jet * and + equal the convolution on coerced operands: for a jet
+    over Q or Q(t) against a jet of either field and any order up to 3, or
+    an int, a rational or a rational function on either side, the same
+    coefficients and order; where the jets share one field and the scalar
+    lies in it, each coefficient also has the reference's type."""
+    field = data.draw(st.sampled_from(sorted(_JET_FIELDS)))
+    x = data.draw(_jets(field))
+    other = data.draw(st.sampled_from(["jet " + f for f in sorted(_JET_FIELDS)]
+                                      + sorted(_JET_SCALARS)))
+    if other.startswith("jet "):
+        y = data.draw(_jets(other[4:]))
+        one_field = other[4:] == field
+    else:
+        y = data.draw(_JET_SCALARS[other])
+        one_field = field == "RatFun" or other != "RatFun"
+    if data.draw(st.booleans()):
+        x, y = y, x
+    for got, want in ((x * y, jet_mul_reference(x, y)), (x + y, jet_add_reference(x, y))):
+        assert isinstance(got, Jet)
+        assert (got.order, got.coeffs) == (want.order, want.coeffs)
+        if one_field:
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
 
 
 @given(rationals, rationals, st.lists(rationals, max_size=3),

@@ -364,6 +364,46 @@ def test_pt_c10_check_catches_a_wrong_operator(monkeypatch):
         pt_c10_check(Fraction(1, 2), Fraction(3, 2), 2)
 
 
+def _plus_on_m21(right):
+    """right plus p_3 times the m_(2,1) coordinate of f, its last argument:
+    a change confined to the one input m_(2,1)."""
+    def wrong(*args):
+        out = right(*args)
+        coeff = convert(args[-1], "m").terms.get((2, 1), 0)
+        return out + SymFunc("p", {(3,): coeff}) if coeff else out
+    return wrong
+
+
+@pytest.mark.parametrize("name,order", [("c0_apply", 0), ("c1_apply", 1)])
+def test_hbar_checks_catch_an_operator_wrong_on_one_monomial(monkeypatch, name, order):
+    """The checks sweep the p_lam; an operator that differs from the right
+    one on m_(2,1) alone still fails them, at the first p_lam with an
+    m_(2,1) coordinate, p_(2,1) = m_3 + m_(2,1)."""
+    import svjack.vertexops as vertexops
+    right = getattr(vertexops, name)
+    wrong = _plus_on_m21(right)
+    args = (0,) if order == 0 else (Fraction(1), 0)
+    for d in range(4):
+        for mu in partitions(d):
+            assert (wrong(*args, m_gen(mu)) == right(*args, m_gen(mu))) == (mu != (2, 1)), mu
+    monkeypatch.setattr(vertexops, name, wrong)
+    with pytest.raises(VerificationFailure, match=r"^h\^%d mismatch at \(2, 1\)$" % order):
+        eta_hbar_check(Fraction(1), 3)
+    if order == 1:
+        with pytest.raises(VerificationFailure,
+                           match=r"^h\^1 zero-mode identity fails at \(2, 1\)$"):
+            pt_c10_check(Fraction(1, 2), Fraction(3, 2), 3)
+
+
+def test_hbar_identities_hold_over_q_of_gamma():
+    """The eta expansion and the first-order zero-mode identity at symbolic
+    gamma: the whole gamma-family at once, not samples of it."""
+    g = RatFun.variable("g")
+    assert eta_hbar_check("sym", 5) == {"gamma": str(g), "dmax": 5, "order": 1,
+                                        "verified": True}
+    assert pt_c10_check(g, Fraction(1, 2), 4)["verified"]
+
+
 def test_commuting_family():
     g = RatFun.variable("g")
     assert commuting_family_check(g, 6)
