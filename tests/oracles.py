@@ -12,9 +12,10 @@ applies as functions.
 
 The helpers after the finite-N oracles are reference forms that only the
 tests call: generic field operations, the jet product and sum on a
-scalar coerced into a jet, a matrix-vector product, the Bareiss loop over the fields (the reference for the integer one), the
-superpartition generating function, the corrected finite-N operators and
-the Selberg-side closed forms and estimators.  The next section holds the
+scalar coerced into a jet, a matrix-vector product, the Bareiss loop
+over the fields (the reference for the integer one), the superpartition
+generating function, the corrected finite-N operators and the
+Selberg-side closed forms and estimators.  The next section holds the
 constructors, restrictions and independent solvers the tests cross-check
 the package against, among them the Macdonald (q,t) inner product, the
 eigen route to the gamma-family and the verify certificate by expansion

@@ -394,7 +394,6 @@ def test_det_values():
 
 # --- the integer Bareiss loop against the loop over the fields ---------------
 
-_T = RatFun.variable("t")
 _DENOMINATORS = [1, _T, _T * _T, _T + 1, 2 * _T - 3, _T * _T + _T + 5]
 _small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
