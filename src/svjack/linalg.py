@@ -2,15 +2,18 @@
 
 Elimination follows the Bareiss fraction-free recurrence on integers.  A
 matrix over Q or Q(t) has each row's denominators cleared in one step, by
-the product of the rational-function ones and then the lcm of the integer
-ones, so its entries lie in Z or in Z[t] (integer polynomial tuples, as in
-the kernel) without any RatFun arithmetic on the way.  There every
-intermediate entry is a minor of that integer matrix, and Sylvester's
-identity makes each division by the previous pivot exact: a quotient, not
-a gcd, so an inexact one can only be a bug and raises ``KernelError``.
-The echelon rows are lifted back to Fractions or canonical RatFuns, and
-the nullspace and the determinant are read from them.  Matrices are plain
-lists of rows; all routines leave their inputs untouched.
+the product of the rational-function ones (of each distinct one once, for
+the determinant) and then the lcm of the integer ones, so its entries lie
+in Z or in Z[t] (integer polynomial tuples, as in the kernel) without any
+RatFun arithmetic on the way.  There every intermediate entry is a minor
+of the row-permuted integer matrix, and Sylvester's identity makes each
+division by the previous pivot exact: a quotient, not a gcd, so an inexact
+one can only be a bug and raises ``KernelError``.  Each pivot is the
+smallest nonzero entry left in its column, so no early pivot of high
+degree inflates every minor after it.  The echelon rows are lifted back to
+Fractions or canonical RatFuns, and the nullspace and the determinant are
+read from them.  Matrices are plain lists of rows; all routines leave
+their inputs untouched.
 """
 
 from __future__ import annotations
@@ -43,30 +46,41 @@ def _zz_step(x, piv, a, y, prev):
     return q
 
 
-def _denominator(entries):
-    """The product of the denominators of the RatFun entries, an integer
-    polynomial."""
+def _zz_size(p):
+    """The pivot size of a nonzero integer polynomial: its length, then the
+    bit length of its largest coefficient."""
+    return len(p), max(max(p), -min(p)).bit_length()
+
+
+def _denominator(row, distinct=False):
+    """The product of the denominators of the RatFun entries of ``row``, an
+    integer polynomial; with ``distinct``, of each distinct denominator
+    once."""
+    dens = [x.D for x in row if isinstance(x, RatFun)]
     den = (1,)
-    for x in entries:
-        if isinstance(x, RatFun):
-            den = _zz_mul(den, x.D)
+    for d in set(dens) if distinct else dens:
+        den = _zz_mul(den, d)
     return den
 
 
-def _integer_rows(mat):
+def _integer_rows(mat, distinct=False):
     """(var, integer rows, scales): each row of ``mat`` in Z or Z[t], times
-    the product D of its entries' RatFun denominators and then the lcm of the
-    rational denominators left, that lcm in ``scales``.
+    D = ``_denominator(row, distinct)`` and then the lcm of the rational
+    denominators left, that lcm in ``scales``.
 
     A RatFun entry c N / d becomes c N (D / d) and a rational entry x becomes
     x D, so no RatFun arithmetic is done.  Scaling a row by a nonzero factor
     changes neither the kernel nor the rank.  The entries are ints when var,
     the variable of the RatFun entries, is None and integer polynomial tuples
-    otherwise.  RatFuns in two variables, or an entry that is not an int, a
-    Fraction or a RatFun, raise KernelError.
+    otherwise.  A row whose length is not row 0's, RatFuns in two variables,
+    or an entry that is not an int, a Fraction or a RatFun, raise
+    KernelError.
     """
-    var = None
-    for row in mat:
+    var, cols = None, len(mat[0]) if mat else 0
+    for i, row in enumerate(mat):
+        if len(row) != cols:
+            raise KernelError("ragged matrix: row %d has %d entries where row 0 has %d"
+                              % (i, len(row), cols))
         for x in row:
             if isinstance(x, RatFun):
                 if var is not None and x.var != var:
@@ -77,7 +91,7 @@ def _integer_rows(mat):
                 raise KernelError("no exact elimination over %r" % (x,))
     out, scales = [], []
     for row in mat:
-        den = _denominator(row)
+        den = _denominator(row, distinct)
         # each entry as a rational content times an integer polynomial
         split = [(x.c, _zz_mul(x.N, den if x.D == (1,) else _zz_exact_quotient(den, x.D)))
                  if isinstance(x, RatFun) else (Fraction(x), den) for x in row]
@@ -101,30 +115,38 @@ def _lift(var, x, p):
     return _ratfun(var, Fraction(k, p), prim, (1,))
 
 
-def bareiss_echelon(mat):
+def bareiss_echelon(mat, distinct=False):
     """Fraction-free forward elimination of the rows of ``mat``.
 
-    The one Bareiss loop runs on the integer rows of ``_integer_rows``, in Z
-    or Z[t], where every division by the previous pivot is exact (Sylvester's
-    identity), so an inexact one raises KernelError.  Echelon row r is then
-    the row cleared of its RatFun denominators times P_r, the product of the
-    integer scales of the rows at positions 0..r, and it is lifted back
-    divided by P_r.  Pivots are chosen by zero tests alone, so the pivots,
-    the sign and the echelon form are those of the same elimination over Q
-    or Q(t).
+    The one Bareiss loop runs on the integer rows of
+    ``_integer_rows(mat, distinct)``, in Z or Z[t], where every division by
+    the previous pivot is exact (Sylvester's identity), so an inexact one
+    raises KernelError.  The pivot of column c is the smallest nonzero entry
+    among rows r.. (bit length in Z; length, then the bit length of the
+    largest coefficient, in Z[t]), the earliest of equal ones; each swap
+    flips the sign.  Echelon row r is then the row cleared of its RatFun
+    denominators times P_r, the product of the integer scales of the rows at
+    positions 0..r, and it is lifted back divided by P_r.  The pivot columns
+    do not depend on the order of the rows, so they are those of any
+    elimination over Q or Q(t); the sign and the echelon form are those of
+    the same elimination over the fields with the same pivot rule.
 
     Returns (echelon matrix, pivot column list, row permutation sign).
     """
-    var, m, scales = _integer_rows(mat)
+    var, m, scales = _integer_rows(mat, distinct)
     if not m:
         return [], [], 1
-    zero, prev, step = (0, 1, _int_step) if var is None else ((), (1,), _zz_step)
+    if var is None:
+        zero, prev, step, size = 0, 1, _int_step, int.bit_length
+    else:
+        zero, prev, step, size = (), (1,), _zz_step, _zz_size
     rows, cols = len(m), len(m[0])
     piv_cols = []
     r = 0
     sign = 1
     for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        pivot_row = min((i for i in range(r, rows) if m[i][c]),
+                        key=lambda i: size(m[i][c]), default=None)
         if pivot_row is None:
             continue
         if pivot_row != r:
@@ -154,18 +176,22 @@ def bareiss_echelon(mat):
 
 def det(mat):
     """Determinant of a square matrix: the last Bareiss pivot, which is the
-    determinant of the row-swapped matrix cleared of its RatFun denominators,
-    divided by their product and signed by the swaps."""
+    determinant of the row-swapped matrix with each row cleared of its
+    distinct RatFun denominators, divided by their product and signed by the
+    swaps.  A singular matrix gives the zero of the field the pivots are
+    lifted to, from its last echelon row, which lies past the rank."""
     n = len(mat)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in mat):
         raise KernelError("determinant of a non-square matrix")
-    ech, piv_cols, sign = bareiss_echelon(mat)
-    if len(piv_cols) < n:
-        return mat[0][0] * 0
+    ech, piv_cols, sign = bareiss_echelon(mat, distinct=True)
     d = ech[n - 1][n - 1]
-    den = _denominator(x for row in mat for x in row)
+    if len(piv_cols) < n:
+        return d
+    den = (1,)
+    for row in mat:
+        den = _zz_mul(den, _denominator(row, distinct=True))
     if den != (1,):
         d = d / _ratfun(d.var, Fraction(1), den, (1,))
     return -d if sign < 0 else d

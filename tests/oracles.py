@@ -13,7 +13,9 @@ applies as functions.
 The helpers after the finite-N oracles are reference forms that only the
 tests call: generic field operations, the jet product and sum on a
 scalar coerced into a jet, a matrix-vector product, the Bareiss loop
-over the fields (the reference for the integer one), the superpartition
+over the fields (the reference for the integer one, with either its
+first-nonzero or its smallest pivot), a determinant by Gaussian
+elimination over the fields, the superpartition
 generating function, the corrected finite-N operators and the
 Selberg-side closed forms and estimators.  The next section holds the
 constructors, restrictions and independent solvers the tests cross-check
@@ -550,45 +552,74 @@ def ratfun_reference(numer, denom):
             Poly(denom.var, [c * inv for c in denom.coeffs]))
 
 
-def _clear_denominators(mat):
+def _clear_denominators(mat, distinct=False):
     """The rows of ``mat``, each multiplied in RatFun arithmetic by the
-    product of the denominators of its RatFun entries, the factor
-    ``linalg._integer_rows`` clears before the rational lcm; rows with no
-    denominator are copied unscaled."""
+    product of the denominators of its RatFun entries (with ``distinct``,
+    of each distinct one once), the factor ``linalg._integer_rows`` clears
+    before the rational lcm; rows with no denominator are copied unscaled."""
     rows = []
     for row in mat:
-        scale = 1
+        scale, seen = 1, set()
         for x in row:
-            if isinstance(x, RatFun) and x.D != (1,):
+            if isinstance(x, RatFun) and x.D != (1,) and not (distinct and x.D in seen):
+                seen.add(x.D)
                 scale = scale * RatFun(x.var, Poly(x.var, x.D))
         rows.append(list(row) if scale == 1 else [x * scale for x in row])
     return rows
 
 
-def bareiss_echelon_reference(mat):
+def _coefficients(x):
+    """The rational coefficients of a rational number or of a RatFun that
+    is a polynomial, low degree first; none for zero."""
+    if isinstance(x, RatFun):
+        assert x.D == (1,)
+        return x.numer.coeffs
+    return [x] if x else []
+
+
+def bareiss_echelon_reference(mat, distinct=False, smallest=False):
     """The Bareiss loop over the fields themselves: the rows scaled by
     ``_clear_denominators`` are eliminated with Fraction or RatFun arithmetic,
     each division ``num / prev`` taking the field's gcds.  Returns (echelon
     matrix, pivot column list, row permutation sign), like
-    ``linalg.bareiss_echelon``, whose integer loop it cross-checks."""
-    m = _clear_denominators(mat)
+    ``linalg.bareiss_echelon``, whose integer loop it cross-checks.
+
+    The pivot of a column is the first nonzero entry below the pivots so
+    far, or with ``smallest`` the smallest one, the earliest of equal ones,
+    measured on its integer form: the entry times the lcm of the
+    coefficient denominators of its cleared row and of every pivot row so
+    far, which is the entry of the integer loop (a minor of the rows cleared
+    to Z or Z[t]).  Its size is the bit length of that integer, or, when
+    ``mat`` has a RatFun entry and the integer loop runs in Z[t], the number
+    of coefficients and then the bit length of the largest one."""
+    m = _clear_denominators(mat, distinct)
     if not m:
         return m, [], 1
+    over_zt = any(isinstance(x, RatFun) for row in mat for x in row)
+    scales = [math.lcm(*(a.denominator for x in row for a in _coefficients(x)))
+              for row in m]
+
+    def size(i, c, p):
+        ks = [a * p * scales[i] for a in _coefficients(m[i][c])]
+        assert all(k.denominator == 1 for k in ks)
+        top = max(abs(k) for k in ks).numerator.bit_length()
+        return (len(ks), top) if over_zt else top
+
     rows, cols = len(m), len(m[0])
     piv_cols = []
     prev = 1
+    p = 1  # the product of the scales of the pivot rows so far
     r = 0
     sign = 1
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if not is_zero(m[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
+        candidates = [i for i in range(r, rows) if not is_zero(m[i][c])]
+        if not candidates:
             continue
+        pivot_row = (min(candidates, key=lambda i: size(i, c, p)) if smallest
+                     else candidates[0])
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
+            scales[r], scales[pivot_row] = scales[pivot_row], scales[r]
             sign = -sign
         piv = m[r][c]
         for i in range(r + 1, rows):
@@ -599,11 +630,33 @@ def bareiss_echelon_reference(mat):
                 m[i][j] = num / prev if prev != 1 else num
             m[i][c] = m[i][c] * 0
         prev = piv
+        p *= scales[r]
         piv_cols.append(c)
         r += 1
         if r == rows:
             break
     return m, piv_cols, sign
+
+
+def det_reference(mat):
+    """The determinant by Gaussian elimination over the field itself: the
+    signed product of the pivots, each row reduced by a multiple of the
+    pivot row.  No row is cleared of its denominators, so it checks the
+    denominators ``linalg.det`` divides out."""
+    m = [list(row) for row in mat]
+    d = m[0][0] * 0 + 1
+    for c in range(len(m)):
+        pivot_row = next((i for i in range(c, len(m)) if not is_zero(m[i][c])), None)
+        if pivot_row is None:
+            return d * 0
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            d = -d
+        d = d * m[c][c]
+        for row in m[c + 1:]:
+            f = row[c] / m[c][c]
+            row[c:] = [x - f * y for x, y in zip(row[c:], m[c][c:])]
+    return d
 
 
 def graded_to_json(op):

@@ -28,6 +28,7 @@ from svjack.linalg import (
 
 from oracles import (
     bareiss_echelon_reference,
+    det_reference,
     exact_div,
     field_ops,
     inner_qt,
@@ -411,10 +412,10 @@ def _entries(field):
 
 
 @st.composite
-def _matrices(draw, field, square=False):
+def _matrices(draw, field, square=False, min_rows=1):
     """Rectangular (or square) matrices, made rank-deficient, given a zero
     column or a zero first entry (a row swap at the first pivot) at random."""
-    rows = draw(st.integers(1, 5))
+    rows = draw(st.integers(min_rows, 5))
     cols = rows if square else draw(st.integers(1, 5))
     entry = _entries(field)
     m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
@@ -449,21 +450,23 @@ def _same(mat, got, want):
         assert [type(x) for x in got] == [type(x) for x in want]
 
 
-@pytest.mark.parametrize("field", ["Q", "Qt", "mixed"])
-@given(data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_integer_bareiss_matches_the_field_loop(field, data):
-    """Pivot columns, sign, echelon form and nullspace are those of the loop
-    over Q or Q(t): the integer row scales are divided out when the rows are
-    lifted back."""
-    mat = data.draw(_matrices(field))
+def _check_against_the_field_loops(mat):
+    """The pivot columns and the nullspace, which do not depend on the order
+    of the rows, are those of the first-nonzero loop over the fields; the
+    sign and the echelon form, with rows cleared by every denominator or by
+    each distinct one once, are those of the loop over the fields with the
+    same smallest-pivot rule."""
     before = [list(row) for row in mat]
-    ech, piv_cols, sign = bareiss_echelon(mat)
-    ref_ech, ref_piv_cols, ref_sign = bareiss_echelon_reference(mat)
-    assert (piv_cols, sign) == (ref_piv_cols, ref_sign)
-    assert len(ech) == len(ref_ech)
-    for row, ref_row in zip(ech, ref_ech):
-        _same(mat, row, ref_row)
+    first_piv_cols = bareiss_echelon_reference(mat)[1]
+    for distinct in (False, True):
+        ech, piv_cols, sign = bareiss_echelon(mat, distinct)
+        ref_ech, ref_piv_cols, ref_sign = bareiss_echelon_reference(mat, distinct,
+                                                                    smallest=True)
+        assert piv_cols == ref_piv_cols == first_piv_cols
+        assert sign == ref_sign
+        assert len(ech) == len(ref_ech)
+        for row, ref_row in zip(ech, ref_ech):
+            _same(mat, row, ref_row)
     basis, ref_basis = nullspace(mat), _with_reference_loop(nullspace, mat)
     assert len(basis) == len(ref_basis)
     for v, ref_v in zip(basis, ref_basis):
@@ -474,9 +477,87 @@ def test_integer_bareiss_matches_the_field_loop(field, data):
 @pytest.mark.parametrize("field", ["Q", "Qt", "mixed"])
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
+def test_integer_bareiss_matches_the_field_loop(field, data):
+    """The integer loop against the loops over Q or Q(t): the integer row
+    scales are divided out when the rows are lifted back."""
+    _check_against_the_field_loops(data.draw(_matrices(field)))
+
+
+@pytest.mark.parametrize("field", ["Q", "Qt", "mixed"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
 def test_integer_bareiss_determinant_matches_the_field_loop(field, data):
-    mat = data.draw(_matrices(field, square=True))
+    _check_determinant(data.draw(_matrices(field, square=True)))
+
+
+def _check_determinant(mat):
+    """det, whose rows are cleared by each distinct denominator once, is the
+    determinant read from the first-nonzero loop over the fields, and the
+    one Gaussian elimination over the fields finds."""
     _same(mat, [det(mat)], [_with_reference_loop(det, mat)])
+    _same(mat, [det(mat)], [det_reference(mat)])
+
+
+def _polynomials(field):
+    """Entries with no denominator: integers over Q, integer polynomials
+    in t over Q(t)."""
+    over_q = st.integers(-6, 6).map(Fraction)
+    over_qt = st.lists(st.integers(-6, 6), min_size=1, max_size=3).map(
+        lambda coeffs: sum((c * _T ** i for i, c in enumerate(coeffs)), _T * 0))
+    return {"Q": over_q, "Qt": over_qt, "mixed": st.one_of(over_q, over_qt)}[field]
+
+
+def _large(field):
+    """Entries whose cleared integer form is longer than one coefficient, or
+    an integer of two bits or more."""
+    over_q = st.integers(2, 10 ** 6).map(Fraction) | st.integers(-10 ** 6, -2).map(Fraction)
+    # no denominator divides the numerator to a constant
+    over_qt = st.builds(lambda a, b, den: (a * _T * _T + b * _T + 1) / den,
+                        _small.filter(bool), _small, st.sampled_from(_DENOMINATORS))
+    return {"Q": over_q, "Qt": over_qt, "mixed": st.one_of(over_q, over_qt)}[field]
+
+
+@pytest.mark.parametrize("field", ["Q", "Qt", "mixed"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_smallest_pivot_is_not_the_first_nonzero_one(field, data):
+    """Where column 0 holds a large entry in row 0 and a unit in row 1, a
+    row with no denominator, the integer loop takes row 1 as its first
+    pivot row, and still finds the pivot columns, the nullspace and the
+    determinant of the first-nonzero loop over the fields."""
+    square = data.draw(st.booleans())
+    mat = data.draw(_matrices(field, square=square, min_rows=2))
+    mat[1] = [data.draw(_polynomials(field)) for _ in mat[1]]
+    mat[1][0] = mat[1][0] * 0 + 1
+    mat[0][0] = data.draw(_large(field))
+    assert bareiss_echelon(mat)[0][0] == mat[1]
+    _check_against_the_field_loops(mat)
+    if square:
+        _check_determinant(mat)
+
+
+def test_det_of_a_singular_matrix_is_the_zero_of_its_field():
+    """A singular matrix's determinant is 0 in the field of its nonsingular
+    neighbours: Q for ints, Q(t) once any entry is a RatFun."""
+    t = RatFun.variable("t")
+    cases = [([[1, 2], [2, 4]], [[1, 2], [3, 4]]),
+             ([[Fraction(1), t], [Fraction(2), 2 * t]], [[Fraction(1), t], [Fraction(2), t]]),
+             ([[t, 1 / t], [t * t, Fraction(1)]], [[t, 1 / t], [t, Fraction(1)]])]
+    for singular, nonsingular in cases:
+        zero, value = det(singular), det(nonsingular)
+        assert zero == 0 and value != 0
+        assert type(zero) is type(value), singular
+
+
+def test_ragged_rows_raise_kernel_error():
+    """A row whose length is not row 0's is named in a KernelError, not an
+    IndexError from inside the loop."""
+    with pytest.raises(KernelError, match="row 1 has 1 entries where row 0 has 2"):
+        bareiss_echelon([[1, 2], [3]])
+    with pytest.raises(KernelError, match="row 1 has 2 entries where row 0 has 3"):
+        nullspace([[1, 2, 3], [4, 5]])
+    with pytest.raises(KernelError, match="row 2 has 2 entries where row 0 has 1"):
+        nullspace([[1], [2], [3, 4]])
 
 
 def test_bareiss_reads_int_entries_as_rationals():
