@@ -20,7 +20,7 @@ from fractions import Fraction
 from .fock import screening_r1, verify_conjecture
 from .kernel import KernelError, scalar_to_json
 from .svir import kac_det_check, singular_vector
-from .symfunc import convert, symfunc_to_json
+from .symfunc import check_partition, convert, symfunc_to_json
 from .uglov import jack, macdonald, uglov2_orth
 
 SCHEMA_VERSION = "svjack-report/1"
@@ -50,10 +50,7 @@ def _parse_partition(text):
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValueError("not a partition: %r" % text)
-    if any(p < 1 for p in parts) or any(parts[i] < parts[i + 1]
-                                        for i in range(len(parts) - 1)):
-        raise ValueError("parts must be weakly decreasing positive integers")
-    return parts
+    return check_partition(parts)
 
 
 def _parse_moment(text):

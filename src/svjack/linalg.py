@@ -200,15 +200,19 @@ def det(mat):
 def nullspace(mat):
     """Exact basis of the right kernel of a rectangular matrix.
 
-    Returns a list of column vectors (lists); empty when the kernel is 0.
+    Returns a list of column vectors (lists); empty when the kernel is 0,
+    as for a matrix with no columns.  The entries lie in the field the
+    echelon rows are lifted to, Q or Q(t), whatever types the matrix mixes.
     """
     if not mat:
         return []
     cols = len(mat[0])
     ech, piv_cols, _ = bareiss_echelon(mat)
     free_cols = [c for c in range(cols) if c not in piv_cols]
+    if not free_cols:
+        return []
     basis = []
-    zero = mat[0][0] * 0
+    zero = ech[0][0] * 0
     one = zero + 1
     for fc in free_cols:
         v = [zero] * cols

@@ -18,7 +18,7 @@ from .kernel import Poly, RatFun, is_zero
 from .selberg import (aomoto_ratio_exact, selberg_closed, selberg_montecarlo,
                       selberg_quadrature, vanishing_check)
 from .svir import SuperPartition, act, gram_matrix_symbolic_h, kac_det_check, singular_vector
-from .symfunc import SymFunc, convert, e_gen, partitions, to_p
+from .symfunc import SymFunc, convert, e_gen, partitions
 from .uglov import uglov2_orth
 from .vertexops import (c0_apply, c1_apply, dvir_rational, eps0, eps1, eps_hbar_check,
                         eta_hbar_check, pt_c10_check, pt_eta_check)
@@ -97,7 +97,7 @@ def run_singular_vector_images():
     }
     ok = True
     for (r, s), expected in displays.items():
-        img = to_p(verma_to_lambda(singular_vector(r, s, "sym")))
+        img = verma_to_lambda(singular_vector(r, s, "sym"))
         key = next(iter(expected.terms))
         ratio = img.terms[key] / expected.terms[key]
         ok = ok and not is_zero(ratio)

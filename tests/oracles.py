@@ -23,7 +23,9 @@ the package against, among them the Macdonald (q,t) inner product, the
 eigen route to the gamma-family and the verify certificate by expansion
 of each m_mu in power sums.  The last one keeps the checks verify runs
 after the image as they ran over Q or Q(t), on Fraction p -> m and C^1
-rows: the reference for their one-denominator form.
+rows: the reference for their one-denominator form.  Beside it, monic_image
+divides an image by its m_lam coefficient, for the tests that compare an
+image with a monic gamma-family member.
 """
 
 import math
@@ -44,7 +46,7 @@ from svjack.finiten import (
     mp_to_orbits,
 )
 from svjack import fock
-from svjack.fock import _ff_terms, fermion_act, monic_image, odd_sign_involution
+from svjack.fock import _ff_terms, fermion_act, odd_sign_involution
 from svjack.kernel import (
     Jet,
     KernelError,
@@ -973,7 +975,7 @@ def solve_t1_alpha(r, s):
     through kappa only) and returns the unique consistent value as an exact
     rational function of t, or raises if no single value works.
     """
-    from svjack.fock import monic_image, verma_to_lambda
+    from svjack.fock import verma_to_lambda
     from svjack.svir import singular_vector
 
     raw = verma_to_lambda(singular_vector(r, s, "sym"))
@@ -1292,6 +1294,16 @@ def first_unorthogonal_solve_reference(image_p, lam, gamma):
         if nu != lam and not is_zero(x[nu]) and dominance_leq(nu, lam):
             return nu
     return None
+
+
+def monic_image(image_p, image_m, lam):
+    """(c, image_p / c) for the coefficient c of m_lam in image_m, the m-basis
+    expansion of the p-basis image image_p of a singular vector.  A missing
+    m_lam is a failed identity."""
+    lead = image_m.terms.get(lam)
+    if lead is None or is_zero(lead):
+        raise VerificationFailure("image lacks the leading monomial m_%s" % (list(lam),))
+    return lead, image_p.scale(1 / lead)
 
 
 def verify_conjecture_reference(r, s, t="sym"):

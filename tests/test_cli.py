@@ -272,6 +272,10 @@ def test_bad_argument_exits_two_without_traceback(capsys, argv):
     "jack --partition 2 --alpha -1/2",
     "selberg recursion --n x --alpha 1 --beta 1 --gamma 1",
     "selberg",
+    # a partition out of order or with a zero part, rejected by the one
+    # partition check
+    "uglov --partition 1,2",
+    "jack --partition 0,1 --alpha 1",
 ])
 def test_usage_error_json_document(capsys, argv):
     code = main(["--json"] + argv.split())

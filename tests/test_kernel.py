@@ -375,6 +375,29 @@ def test_nullspace_over_ratfun():
     assert all(x.is_zero() for x in mat_vec(m, v))
 
 
+def test_nullspace_vectors_lie_in_one_field():
+    """The kernel vectors take their field from the echelon rows, not from
+    the type of mat[0][0]: a matrix mixing Fractions and RatFuns gives
+    RatFun vectors whichever comes first, and an int matrix Fractions."""
+    t = RatFun.variable("t")
+    for m in ([[Fraction(1), t, Fraction(0)]], [[t, Fraction(1), Fraction(0)]]):
+        basis = nullspace(m)
+        assert len(basis) == 2
+        for v in basis:
+            assert all(type(x) is RatFun for x in v), v
+            assert all(x == 0 for x in mat_vec(m, v))
+    assert [[type(x) for x in v] for v in nullspace([[1, 2, 3]])] == [[Fraction] * 3] * 2
+
+
+def test_nullspace_of_a_matrix_with_no_columns():
+    """A matrix of empty rows has the zero kernel, and a ragged one still
+    raises."""
+    assert nullspace([[]]) == []
+    assert nullspace([[], []]) == []
+    with pytest.raises(KernelError, match="row 1 has 1 entries where row 0 has 0"):
+        nullspace([[], [1]])
+
+
 def test_operator_matrix_layout_and_row_basis_check():
     images = {"a": {"x": Fraction(2)}, "b": {"y": Fraction(-1), "x": Fraction(1, 3)}}
     mat = operator_matrix(images.get, ["a", "b"], ["x", "y"])

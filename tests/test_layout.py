@@ -226,6 +226,21 @@ def test_verify_checks_the_image_on_one_denominator():
     assert {"_one_denominator", "_p_to_m_row", "_c1_rows"} <= called
 
 
+def test_image_checks_run_on_the_image_as_computed():
+    """src/ names neither monic_image nor screening_series: the annihilation
+    check applies the current modes up to rs to the image as computed,
+    without converting it, and the screening residue builds only the w^s
+    coefficient."""
+    for path in SRC.glob("*.py"):
+        text = path.read_text()
+        assert "monic_image" not in text and "screening_series" not in text, path.name
+    check = _function("fock", "t1_annihilation_check")
+    args = check.args
+    assert [a.arg for a in args.args] == ["r", "s"]
+    assert not (args.defaults or args.kwonlyargs or args.vararg or args.kwarg)
+    assert "convert" not in _called(check)
+
+
 def test_p_to_m_and_c1_rows_are_built_once_in_ints():
     """_p_to_m_row and _c1_rows alone make their tables, and neither calls
     Fraction: src/ keeps no Fraction twin of either.  The p -> m rows count

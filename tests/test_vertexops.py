@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from svjack.fock import _exp_series, fermion_act, monic_image, odd_sign_involution, verma_to_lambda
+from svjack.fock import _exp_series, fermion_act, odd_sign_involution, verma_to_lambda
 from svjack.kernel import Jet, KernelError, RatFun, VerificationFailure, as_scalar
 from svjack.svir import singular_vector
 from svjack.symfunc import SymFunc, convert, e_gen, multiply, partitions
@@ -44,6 +44,7 @@ from oracles import (
     graded_apply,
     graded_to_json,
     m_gen,
+    monic_image,
     p_gen,
     solve_t1_alpha,
     vertex_mode_apply_oracle,
@@ -466,9 +467,36 @@ def test_t1_weight_rule_matches_solver(rs):
     assert solve_t1_alpha(*rs) == dvir_alpha_for_singular(rs[0], rs[1], gamma)
 
 
+def test_t1_annihilation_fails_on_a_perturbed_image(monkeypatch):
+    """Adding p_(rs) to the (2,2) image breaks the annihilation: the check
+    raises, naming the first mode and the first key it leaves."""
+    import svjack.fock as fock
+    real = fock.verma_to_lambda
+    monkeypatch.setattr(fock, "verma_to_lambda",
+                        lambda v: real(v) + SymFunc("p", {(4,): RatFun.const("t", 1)}))
+    with pytest.raises(VerificationFailure) as err:
+        t1_annihilation_check(2, 2)
+    assert str(err.value) == "T^1_1 fails to annihilate the (2,2) image at (3,)"
+
+
+def test_t1_annihilation_rejects_a_vanishing_image(monkeypatch):
+    """A zero image is annihilated by every mode, so the check refuses it
+    first, in verify's words."""
+    import svjack.fock as fock
+    monkeypatch.setattr(fock, "verma_to_lambda", lambda v: SymFunc("p", {}))
+    with pytest.raises(VerificationFailure) as err:
+        t1_annihilation_check(2, 2)
+    assert str(err.value) == "the image of the (2, 2) singular vector vanishes"
+
+
 def test_t1_modes_beyond_degree_vanish_trivially():
-    rep = t1_annihilation_check(1, 1, nmax=4)
-    assert rep["annihilated"] and rep["modes_checked"] == [1, 2, 3, 4]
+    """A mode T_n with n above the degree rs of the image gives zero, so
+    t1_annihilation_check stops at n = rs."""
+    v = verma_to_lambda(singular_vector(1, 1, "sym"))
+    gamma = 1 / (_T * _T)
+    cur = dvir_jet(gamma, dvir_alpha_for_singular(1, 1, gamma), 1)
+    for n in range(2, 5):
+        assert cur.t_apply(n, v).is_zero(), n
 
 
 def test_c0_mode_blocks_golden():
