@@ -18,11 +18,12 @@ rational function of t.
 
 from __future__ import annotations
 
-from collections import namedtuple
+import math
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .kernel import KernelError, Poly, VerificationFailure, as_scalar, is_zero
+from .kernel import KernelError, Poly, RatFun, VerificationFailure, as_scalar, is_zero
 from .linalg import det, nullspace, operator_matrix, poly_interpolate
 from .symfunc import partitions
 
@@ -356,37 +357,70 @@ def kac_factor_exponents(level):
     return out
 
 
+def kac_constant(level):
+    """The h-independent constant of det K_level once every predicted factor
+    (h - h_{r,s})^{pns(level - rs/2)} is divided out: the product, over the
+    superpartitions (lambda, mu) of the level, of
+    prod_r (2r)^{m_r} m_r! * 2^{l(mu)}, with m_r the multiplicity of r in
+    lambda and l(mu) the number of fermionic parts.
+
+    The diagonal entry <x, x> of x = L_{-lambda} G_{-mu} |h> has top h-power
+    h^{l(lambda) + l(mu)} with that coefficient, and every product in the
+    expansion of the determinant that leaves the diagonal has lower h-degree
+    (Meurman and Rocha-Caridi, Commun. Math. Phys. 107 (1986) 263-294).  The
+    top degrees sum to the Kac degree and the factored form is monic in h, so
+    its constant is the product of the diagonal top coefficients, an integer
+    that does not depend on t.
+    """
+    out = 1
+    for sp in superpartitions(int(2 * Fraction(level))):
+        for r, m in Counter(sp.bosonic).items():
+            out *= (2 * r) ** m * math.factorial(m)
+        out *= 2 ** len(sp.fermionic)
+    return out
+
+
 def kac_det_check(level, t="sym"):
     """Interpolate det K_level as a polynomial in h from its values at
     h = 0, 1, ..., degree + 1, read off the one symbolic-h Gram matrix,
-    divide out the predicted singular factors, and require a nonzero
-    h-independent quotient.
+    divide out the predicted singular factors, and require the quotient to
+    be ``kac_constant(level)``.
+
+    The Gram entries are polynomials in h and c alone, so at symbolic t the
+    matrix, its determinants and the interpolation stay in Q[c], with c a
+    formal variable, and the interpolated coefficients are mapped to Q(t) by
+    c -> c(t) once; at rational t, c is rational and they are computed in Q.
 
     Returns a report with the quotient constant; raises VerificationFailure
-    when a factor fails to divide or the quotient retains h-dependence.
+    when a factor fails to divide or the quotient is not the constant.
     """
     level = Fraction(level)
     if (2 * level).denominator != 1 or level < 0:
         raise ValueError("level must be a nonnegative half-integer, got %s" % level)
     tv = as_scalar(t, "t")
-    one = tv * 0 + 1
+    one_t = tv * 0 + 1
+    _, c_t = _rho_and_c(tv)
+    c = RatFun.variable("c") if isinstance(c_t, RatFun) else c_t
+    one = c * 0 + 1
     factors = kac_factor_exponents(level)
     degree = sum(factors.values())
     # evaluating at h = i is a ring homomorphism, so each evaluated entry is
     # the entry of gram_matrix(level, one * i, c)
-    gram = gram_matrix_symbolic_h(level, tv)
+    gram = gram_matrix(level, Poly("h", [one * 0, one]), Poly.const("h", c))
     points = []
     for i in range(degree + 2):
         hval = one * Fraction(i)
         points.append((Fraction(i), det([[x(hval) for x in row] for row in gram])))
-    poly = poly_interpolate(points, degree, var="h")
-    if poly.degree() != degree:
+    quotient = poly_interpolate(points, degree, var="h")
+    if quotient.degree() != degree:
         raise VerificationFailure("determinant degree %s, expected %s"
-                             % (poly.degree(), degree))
-    quotient = poly
+                             % (quotient.degree(), degree))
+    if c is not c_t:
+        # c -> c(t) is injective on Q[c], so the degree survives the map
+        quotient = Poly("h", [x(c_t) for x in quotient.coeffs])
     for (r, s), mult in sorted(factors.items()):
         hrs = hw_data(tv, r, s).h
-        lin = Poly("h", [-hrs, one])
+        lin = Poly("h", [-hrs, one_t])
         for _ in range(mult):
             q, rem = quotient.divmod(lin)
             if not rem.is_zero():
@@ -395,9 +429,10 @@ def kac_det_check(level, t="sym"):
             quotient = q
     if quotient.degree() > 0:
         raise VerificationFailure("quotient still depends on h: %r" % quotient)
-    const = quotient.coeffs[0] if quotient.coeffs else one * 0
-    if is_zero(const):
-        raise VerificationFailure("determinant vanished identically")
+    const, expected = quotient.coeffs[0], kac_constant(level)
+    if const != expected:
+        raise VerificationFailure("determinant constant %s, expected %d"
+                                  % (const, expected))
     return {
         "level": str(level),
         "factors": {"%d,%d" % k: v for k, v in sorted(factors.items())},

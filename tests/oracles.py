@@ -15,8 +15,9 @@ tests call: generic field operations, the jet product and sum on a
 scalar coerced into a jet, a matrix-vector product, the Bareiss loop
 over the fields (the reference for the integer one, with either its
 first-nonzero or its smallest pivot), a determinant by Gaussian
-elimination over the fields, the superpartition
-generating function, the corrected finite-N operators and the
+elimination over the fields, the Kac determinant check over the
+field of t with a Gram matrix hook that perturbs one diagonal entry, the
+superpartition generating function, the corrected finite-N operators and the
 Selberg-side closed forms and estimators.  The next section holds the
 constructors, restrictions and independent solvers the tests cross-check
 the package against, among them the Macdonald (q,t) inner product, the
@@ -59,9 +60,16 @@ from svjack.kernel import (
     poly_gcd,
     scalar_to_json,
 )
-from svjack.linalg import bareiss_echelon, nullspace, operator_matrix
+from svjack.linalg import bareiss_echelon, det, nullspace, operator_matrix, poly_interpolate
 from svjack.selberg import _log_gamma_signed
-from svjack.svir import SuperPartition, _word_of, monomial_vector
+from svjack.svir import (
+    SuperPartition,
+    _word_of,
+    gram_matrix_symbolic_h,
+    hw_data,
+    kac_factor_exponents,
+    monomial_vector,
+)
 from svjack.symfunc import (
     SymFunc,
     _back_substitute,
@@ -659,6 +667,61 @@ def det_reference(mat):
             f = row[c] / m[c][c]
             row[c:] = [x - f * y for x, y in zip(row[c:], m[c][c:])]
     return d
+
+
+def kac_det_check_reference(level, t="sym"):
+    """svir.kac_det_check with the Gram matrix, its determinants and the
+    interpolation all over the field of t, Q(t) at symbolic t, and only a
+    nonzero h-independent quotient required, whatever its value."""
+    level = Fraction(level)
+    tv = as_scalar(t, "t")
+    one = tv * 0 + 1
+    factors = kac_factor_exponents(level)
+    degree = sum(factors.values())
+    gram = gram_matrix_symbolic_h(level, tv)
+    points = []
+    for i in range(degree + 2):
+        hval = one * Fraction(i)
+        points.append((Fraction(i), det([[x(hval) for x in row] for row in gram])))
+    poly = poly_interpolate(points, degree, var="h")
+    if poly.degree() != degree:
+        raise VerificationFailure("determinant degree %s, expected %s"
+                                  % (poly.degree(), degree))
+    quotient = poly
+    for (r, s), mult in sorted(factors.items()):
+        hrs = hw_data(tv, r, s).h
+        lin = Poly("h", [-hrs, one])
+        for _ in range(mult):
+            q, rem = quotient.divmod(lin)
+            if not rem.is_zero():
+                raise VerificationFailure(
+                    "factor (h - h_{%d,%d}) does not divide the determinant" % (r, s))
+            quotient = q
+    if quotient.degree() > 0:
+        raise VerificationFailure("quotient still depends on h: %r" % quotient)
+    const = quotient.coeffs[0] if quotient.coeffs else one * 0
+    if is_zero(const):
+        raise VerificationFailure("determinant vanished identically")
+    return {
+        "level": str(level),
+        "factors": {"%d,%d" % k: v for k, v in sorted(factors.items())},
+        "degree": degree,
+        "constant": const,
+    }
+
+
+def top_diagonal_perturbed(gram_matrix, index):
+    """gram_matrix with the top h-coefficient of diagonal entry ``index``
+    raised by one, for a test to put in svir's place: the product of the
+    diagonal top coefficients is then no longer kac_constant."""
+    def perturbed(level, h, c):
+        mat = gram_matrix(level, h, c)
+        entry = mat[index][index]
+        coeffs = list(entry.coeffs)
+        coeffs[-1] = coeffs[-1] + 1
+        mat[index][index] = Poly(entry.var, coeffs)
+        return mat
+    return perturbed
 
 
 def graded_to_json(op):

@@ -106,7 +106,7 @@ def test_frontier_output_matches_recorded_digest(capsys, argv):
     """The symbolic frontier, verify at rs = 8, 7, 11 and 12, the rs = 12
     singular vector and the level-7/2 Kac determinant, and larger
     eliminations, the rs = 16 singular vector over Q and over Q(t) and the
-    level-4 and level-9/2 Kac determinants over Q(t), and the Selberg
+    level-4, level-9/2 and level-5 Kac determinants at symbolic t, and the Selberg
     quadrature, at alpha = beta = 1
     for n = 1, n = 2 and n = 2 at gamma = 0.37 and at (alpha, beta) = (2, 3)
     and (2, 2), print exactly what they printed when these digests were

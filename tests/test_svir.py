@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from svjack.kernel import Poly, RatFun, VerificationFailure, as_scalar
+from svjack import svir
+from svjack.kernel import Poly, RatFun, VerificationFailure, as_scalar, scalar_to_json
 from svjack.svir import (
     HALF,
     SuperPartition,
@@ -12,6 +14,7 @@ from svjack.svir import (
     gram_matrix,
     gram_matrix_symbolic_h,
     hw_data,
+    kac_constant,
     kac_det_check,
     kac_factor_exponents,
     monomial_vector,
@@ -20,7 +23,12 @@ from svjack.svir import (
     superpartitions,
 )
 
-from oracles import highest_weight_vector, pns_generating_function
+from oracles import (
+    highest_weight_vector,
+    kac_det_check_reference,
+    pns_generating_function,
+    top_diagonal_perturbed,
+)
 
 T = RatFun.variable("t")
 ONE = RatFun.const("t", 1)
@@ -219,22 +227,28 @@ def test_gram_symmetry_low_levels():
 
 @pytest.mark.parametrize("t", ["sym", Fraction(3, 2)], ids=["sym", "3/2"])
 def test_symbolic_h_gram_evaluates_to_each_kac_point(t):
-    """kac_det_check evaluates one symbolic-h Gram matrix at h = 0, 1, ...,
-    degree + 1; each entry equals the entry of the Gram matrix built at that
-    h, in the same scalar type."""
+    """At symbolic t, kac_det_check evaluates one Gram matrix with symbolic h
+    over Q[c], c a formal variable, at h = 0, 1, ..., degree + 1.  Each
+    entry, mapped by c -> c(t), equals the entry of the Gram matrix built at
+    that h and c(t), in the same scalar type, as does each entry of the
+    symbolic-h matrix built at c(t) itself."""
     tv = as_scalar(t, "t")
     one = tv * 0 + 1
     _, c = _rho_and_c(tv)
+    cvar = RatFun.variable("c")
+    one_c = cvar * 0 + 1
     for level2 in range(1, 7):
         level = Fraction(level2, 2)
         gram = gram_matrix_symbolic_h(level, tv)
+        gram_c = gram_matrix(level, Poly("h", [0 * one_c, one_c]), Poly.const("h", cvar))
         for i in range(sum(kac_factor_exponents(level).values()) + 2):
             hval = one * i
             direct = gram_matrix(level, hval, c)
-            evaluated = [[x(hval) for x in row] for row in gram]
-            assert evaluated == direct, (level, i)
-            assert ([type(x) for row in evaluated for x in row]
-                    == [type(x) for row in direct for x in row]), (level, i)
+            for evaluated in ([[x(hval) for x in row] for row in gram],
+                              [[x(one_c * i)(c) for x in row] for row in gram_c]):
+                assert evaluated == direct, (level, i)
+                assert ([type(x) for row in evaluated for x in row]
+                        == [type(x) for row in direct for x in row]), (level, i)
             assert {type(x) for row in direct for x in row} == {type(tv)}
 
 
@@ -262,6 +276,58 @@ def test_kac_det_level_two():
     rep = kac_det_check(2)
     assert rep["degree"] == sum(kac_factor_exponents(2).values()) == 5
     assert not (rep["constant"] * 0 == rep["constant"])  # nonzero
+
+
+_reference = lru_cache(maxsize=None)(kac_det_check_reference)
+
+
+def test_kac_constant_values():
+    assert [kac_constant(Fraction(k, 2)) for k in range(4)] == [1, 2, 2, 8]
+    assert kac_constant(3) == 73728 == 2 ** 13 * 3 ** 2
+    assert kac_constant(Fraction(9, 2)) == 182395784908505088
+    assert kac_constant(5) == 672383821486713156403200
+
+
+@pytest.mark.parametrize("t", ["sym", Fraction(3, 2), Fraction(5, 7)],
+                         ids=["sym", "3/2", "5/7"])
+def test_kac_constant_is_the_quotient_over_the_field_of_t(t):
+    """The closed form equals the constant the field-of-t check divides out,
+    which requires only that it is nonzero, at every level up to 4."""
+    for level2 in range(9):
+        level = Fraction(level2, 2)
+        assert _reference(level, t)["constant"] == kac_constant(level), level
+
+
+@pytest.mark.parametrize("t", ["sym", Fraction(3, 2)], ids=["sym", "3/2"])
+def test_kac_det_check_matches_the_field_of_t_reference(t):
+    """The Q[c] route reports what the Q(t) route reports, up to level 7/2:
+    the same factors and degree, and the same constant in the same field."""
+    for level2 in range(8):
+        level = Fraction(level2, 2)
+        rep, ref = kac_det_check(level, t), _reference(level, t)
+        assert rep == ref, level
+        assert type(rep["constant"]) is type(ref["constant"]) is type(as_scalar(t, "t"))
+        assert scalar_to_json(rep["constant"]) == scalar_to_json(ref["constant"])
+
+
+@pytest.mark.parametrize("t", ["sym", Fraction(3, 2)], ids=["sym", "3/2"])
+@pytest.mark.parametrize("level, index", [(HALF, 0), (1, 0)])
+def test_kac_constant_catches_a_perturbed_top_coefficient(monkeypatch, t, level, index):
+    """At levels 1/2 and 1 the Gram matrix is [[2h]]; [[3h]] still has the
+    predicted factor h - h_{1,1} = h, so only the closed-form constant
+    tells it apart."""
+    monkeypatch.setattr(svir, "gram_matrix", top_diagonal_perturbed(svir.gram_matrix, index))
+    with pytest.raises(VerificationFailure, match=r"determinant constant \(?3\)?, expected 2$"):
+        kac_det_check(level, t)
+
+
+@pytest.mark.parametrize("t", ["sym", Fraction(3, 2)], ids=["sym", "3/2"])
+@pytest.mark.parametrize("level, index", [(Fraction(3, 2), 0), (Fraction(3, 2), 1),
+                                          (2, 0), (2, 1), (2, 2)])
+def test_kac_det_check_fails_on_any_perturbed_top_coefficient(monkeypatch, t, level, index):
+    monkeypatch.setattr(svir, "gram_matrix", top_diagonal_perturbed(svir.gram_matrix, index))
+    with pytest.raises(VerificationFailure):
+        kac_det_check(level, t)
 
 
 # --- singular vectors -----------------------------------------------------------
