@@ -264,7 +264,17 @@ class _Parser(argparse.ArgumentParser):
         raise exc
 
 
-def build_parser():
+def build_parser(command=None):
+    """The svjack parser.  Given the subcommand a process runs, only the
+    top-level parser and that subcommand's (for selberg, with its modes) are
+    built: a subcommand's help and errors read its own parser alone, under
+    the prog prefix ``svjack`` that add_subparsers fixes before any
+    add_parser.  Argparse lists the subcommands only in the error for a
+    missing or unknown one, so with no command, or a word that names none,
+    every subparser is built."""
+    def want(name):
+        return command in (None, name)
+
     parser = _Parser(
         prog="svjack",
         description="Exact verification suite for super Virasoro singular "
@@ -273,85 +283,106 @@ def build_parser():
                         help="emit a canonical JSON document")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("uglov", help="gamma-family symmetric function")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--gamma", default="sym")
-    p.add_argument("--basis", choices=("p", "m", "e"), default="m")
-    p.set_defaults(fn=cmd_uglov)
+    if want("uglov"):
+        p = sub.add_parser("uglov", help="gamma-family symmetric function")
+        p.add_argument("--partition", required=True)
+        p.add_argument("--gamma", default="sym")
+        p.add_argument("--basis", choices=("p", "m", "e"), default="m")
+        p.set_defaults(fn=cmd_uglov)
 
-    p = sub.add_parser("macdonald", help="Macdonald function at a rational sample")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--t", required=True)
-    p.add_argument("--basis", choices=("p", "m", "e"), default="m")
-    p.set_defaults(fn=cmd_macdonald)
+    if want("macdonald"):
+        p = sub.add_parser("macdonald", help="Macdonald function at a rational sample")
+        p.add_argument("--partition", required=True)
+        p.add_argument("--q", required=True)
+        p.add_argument("--t", required=True)
+        p.add_argument("--basis", choices=("p", "m", "e"), default="m")
+        p.set_defaults(fn=cmd_macdonald)
 
-    p = sub.add_parser("jack", help="Jack function (limit oracle)")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--basis", choices=("p", "m", "e"), default="m")
-    p.set_defaults(fn=cmd_jack)
+    if want("jack"):
+        p = sub.add_parser("jack", help="Jack function (limit oracle)")
+        p.add_argument("--partition", required=True)
+        p.add_argument("--alpha", required=True)
+        p.add_argument("--basis", choices=("p", "m", "e"), default="m")
+        p.set_defaults(fn=cmd_jack)
 
-    p = sub.add_parser("singular", help="singular vector of the Verma module")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", default="sym")
-    p.set_defaults(fn=cmd_singular)
+    if want("singular"):
+        p = sub.add_parser("singular", help="singular vector of the Verma module")
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--t", default="sym")
+        p.set_defaults(fn=cmd_singular)
 
-    p = sub.add_parser("kacdet", help="determinant factorization at one level")
-    p.add_argument("--level", required=True)
-    p.add_argument("--t", default="sym")
-    p.set_defaults(fn=cmd_kacdet)
+    if want("kacdet"):
+        p = sub.add_parser("kacdet", help="determinant factorization at one level")
+        p.add_argument("--level", required=True)
+        p.add_argument("--t", default="sym")
+        p.set_defaults(fn=cmd_kacdet)
 
-    p = sub.add_parser("verify", help="singular vector vs symmetric function")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", default="sym")
-    p.set_defaults(fn=cmd_verify)
+    if want("verify"):
+        p = sub.add_parser("verify", help="singular vector vs symmetric function")
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--t", default="sym")
+        p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("screening", help="one-screening residue (odd s)")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", default="sym")
-    p.set_defaults(fn=cmd_screening)
+    if want("screening"):
+        p = sub.add_parser("screening", help="one-screening residue (odd s)")
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--t", default="sym")
+        p.set_defaults(fn=cmd_screening)
 
-    p = sub.add_parser("selberg", help="Selberg/Aomoto integrals")
-    ssub = p.add_subparsers(dest="selberg_mode", required=True)
-    pi = ssub.add_parser("integral", help="closed form vs numeric")
-    pi.add_argument("--n", type=int, required=True)
-    pi.add_argument("--alpha", type=float, required=True)
-    pi.add_argument("--beta", type=float, required=True)
-    pi.add_argument("--gamma", type=float, required=True)
-    pi.add_argument("--method", choices=("closed", "quadrature", "montecarlo"),
-                    default="quadrature")
-    pi.add_argument("--samples", type=int, default=10 ** 6)
-    pi.add_argument("--seed", type=int, default=0)
-    pi.set_defaults(fn=cmd_selberg_integral)
-    pv = ssub.add_parser("vanish", help="vanishing of torus moments")
-    pv.add_argument("--r", type=int, required=True)
-    pv.add_argument("--t", required=True)
-    pv.add_argument("--m", required=True)
-    pv.add_argument("--samples", type=int, default=10 ** 5)
-    pv.add_argument("--seed", type=int, default=7)
-    pv.set_defaults(fn=cmd_selberg_vanish, command="selberg-vanish")
-    pr = ssub.add_parser("recursion", help="contiguous recursion report")
-    pr.add_argument("--n", type=int, required=True)
-    pr.add_argument("--alpha", type=float, required=True)
-    pr.add_argument("--beta", type=float, required=True)
-    pr.add_argument("--gamma", type=float, required=True)
-    pr.set_defaults(fn=cmd_selberg_recursion, command="selberg-recursion")
+    if want("selberg"):
+        p = sub.add_parser("selberg", help="Selberg/Aomoto integrals")
+        ssub = p.add_subparsers(dest="selberg_mode", required=True)
+        pi = ssub.add_parser("integral", help="closed form vs numeric")
+        pi.add_argument("--n", type=int, required=True)
+        pi.add_argument("--alpha", type=float, required=True)
+        pi.add_argument("--beta", type=float, required=True)
+        pi.add_argument("--gamma", type=float, required=True)
+        pi.add_argument("--method", choices=("closed", "quadrature", "montecarlo"),
+                        default="quadrature")
+        pi.add_argument("--samples", type=int, default=10 ** 6)
+        pi.add_argument("--seed", type=int, default=0)
+        pi.set_defaults(fn=cmd_selberg_integral)
+        pv = ssub.add_parser("vanish", help="vanishing of torus moments")
+        pv.add_argument("--r", type=int, required=True)
+        pv.add_argument("--t", required=True)
+        pv.add_argument("--m", required=True)
+        pv.add_argument("--samples", type=int, default=10 ** 5)
+        pv.add_argument("--seed", type=int, default=7)
+        pv.set_defaults(fn=cmd_selberg_vanish, command="selberg-vanish")
+        pr = ssub.add_parser("recursion", help="contiguous recursion report")
+        pr.add_argument("--n", type=int, required=True)
+        pr.add_argument("--alpha", type=float, required=True)
+        pr.add_argument("--beta", type=float, required=True)
+        pr.add_argument("--gamma", type=float, required=True)
+        pr.set_defaults(fn=cmd_selberg_recursion, command="selberg-recursion")
 
-    p = sub.add_parser("finite-n", help="restriction diagnostic report")
-    p.add_argument("--dmax", type=int, default=3)
-    p.add_argument("--n-range", default="1..6")
-    p.add_argument("--op", choices=("c0", "c1"), default="c0")
-    p.add_argument("--gamma", default="1")
-    p.set_defaults(fn=cmd_finite_n)
+    if want("finite-n"):
+        p = sub.add_parser("finite-n", help="restriction diagnostic report")
+        p.add_argument("--dmax", type=int, default=3)
+        p.add_argument("--n-range", default="1..6")
+        p.add_argument("--op", choices=("c0", "c1"), default="c0")
+        p.add_argument("--gamma", default="1")
+        p.set_defaults(fn=cmd_finite_n)
 
-    p = sub.add_parser("reproduce-paper", help="run the whole verification suite")
-    p.add_argument("--bound", type=int, default=6)
-    p.set_defaults(fn=cmd_reproduce)
+    if want("reproduce-paper"):
+        p = sub.add_parser("reproduce-paper", help="run the whole verification suite")
+        p.add_argument("--bound", type=int, default=6)
+        p.set_defaults(fn=cmd_reproduce)
 
+    if command is not None and command not in sub.choices:
+        return build_parser()
     return parser
+
+
+def _command_word(argv):
+    """The word in the subcommand's place in ``CMD ...`` or ``--json CMD
+    ...``, the two shapes a command line takes; None when argv is empty or
+    is only ``--json``.  Any other shape (``-h`` first, an abbreviated or
+    repeated ``--json``) gives a word that names no subcommand."""
+    words = argv[1:] if argv[:1] == ["--json"] else argv
+    return words[0] if words else None
 
 
 def main(argv=None):
@@ -362,8 +393,9 @@ def main(argv=None):
     # the namespace names a command, and says whether to print JSON, even
     # when parsing stops at a bad argument
     args = argparse.Namespace(json=False, command="svjack")
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        build_parser().parse_args(argv, args)
+        build_parser(_command_word(argv)).parse_args(argv, args)
         code = args.fn(args)
     except ValueError as exc:
         # the library raises ValueError only from its argument checks

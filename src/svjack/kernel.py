@@ -530,14 +530,43 @@ class RatFun(_Scalar):
         return self * _ratfun(self.var, 1 / o.c, o.D, o.N)
 
     def __call__(self, x):
-        num = den = x * 0
-        for a in reversed(self.N):
-            num = num * x + a
-        for a in reversed(self.D):
-            den = den * x + a
-        if is_zero(den):
+        """self at x, a scalar.  At a RatFun x = P / Q, with P and Q integer
+        polynomials, N and D are evaluated homogeneously, Q^deg N N(P / Q)
+        in Z[var], and the quotient is canonicalised by one gcd."""
+        if not isinstance(x, RatFun):
+            num = den = x * 0
+            for a in reversed(self.N):
+                num = num * x + a
+            for a in reversed(self.D):
+                den = den * x + a
+            if is_zero(den):
+                raise KernelError("evaluation at a pole of the denominator")
+            return self.c * num / den
+        P, Q = _zz_mul((x.c.numerator,), x.N), _zz_mul((x.c.denominator,), x.D)
+        Qpow = [(1,)]
+        for _ in range(max(len(self.N), len(self.D))):
+            Qpow.append(_zz_mul(Qpow[-1], Q))
+
+        def homogeneous(f):
+            acc = f[-1:]
+            for k, a in enumerate(reversed(f[:-1]), 1):
+                acc = _zz_combine(1, _zz_mul(acc, P), a, Qpow[k])
+            return acc
+
+        num, den = homogeneous(self.N), homogeneous(self.D)
+        if not den:
             raise KernelError("evaluation at a pole of the denominator")
-        return self.c * num / den
+        if not num:
+            return _ratfun(x.var, Fraction(0), (), (1,))
+        # N(x) / D(x) = Q^(deg D - deg N) num / den
+        shift = len(self.D) - len(self.N)
+        if shift > 0:
+            num = _zz_mul(num, Qpow[shift])
+        else:
+            den = _zz_mul(den, Qpow[-shift])
+        (kn, num), (kd, den) = _zz_primitive(num), _zz_primitive(den)
+        _, num, den = _zz_gcd(num, den)
+        return _ratfun(x.var, self.c * Fraction(kn, kd), num, den)
 
     def __repr__(self):
         numer, denom = self.numer, self.denom

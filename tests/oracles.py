@@ -562,6 +562,20 @@ def ratfun_reference(numer, denom):
             Poly(denom.var, [c * inv for c in denom.coeffs]))
 
 
+def ratfun_call_reference(f, x):
+    """f(x) for a RatFun f at a RatFun x by Horner in RatFun arithmetic,
+    each step canonicalised: the reference for the homogeneous evaluation
+    over Z of RatFun.__call__."""
+    num = den = x * 0
+    for a in reversed(f.N):
+        num = num * x + a
+    for a in reversed(f.D):
+        den = den * x + a
+    if is_zero(den):
+        raise KernelError("evaluation at a pole of the denominator")
+    return f.c * num / den
+
+
 def _clear_denominators(mat, distinct=False):
     """The rows of ``mat``, each multiplied in RatFun arithmetic by the
     product of the denominators of its RatFun entries (with ``distinct``,

@@ -6,7 +6,7 @@ import shlex
 
 import pytest
 
-from svjack import fock
+from svjack import cli, fock
 from svjack.cli import build_parser, main
 
 from fresh import run_fresh
@@ -26,6 +26,24 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, "--json", *argv)
     return code, json.loads(out)
+
+
+def main_outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv); -h exits by SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def whole_tree_outcome(capsys, monkeypatch, argv):
+    """main_outcome with every subparser built, whatever argv names."""
+    build = cli.build_parser
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", lambda command=None: build())
+        return main_outcome(capsys, argv)
 
 
 def _schema():
@@ -152,9 +170,11 @@ def test_readme_examples_parse(capsys):
     for line in lines:
         argv = shlex.split(line, comments=True)[1:]
         try:
-            parser.parse_args(argv)
+            namespace = parser.parse_args(argv)
         except ValueError as exc:
             raise AssertionError("README example does not parse: %s" % line) from exc
+        # the parser of the named subcommand alone reads the same namespace
+        assert build_parser(cli._command_word(argv)).parse_args(argv) == namespace, line
         if "reproduce-paper" in argv:
             continue
         argv = argv if "--json" in argv else ["--json"] + argv
@@ -277,12 +297,14 @@ def test_bad_argument_exits_two_without_traceback(capsys, argv):
     "uglov --partition 1,2",
     "jack --partition 0,1 --alpha 1",
 ])
-def test_usage_error_json_document(capsys, argv):
-    code = main(["--json"] + argv.split())
-    captured = capsys.readouterr()
+def test_usage_error_json_document(capsys, monkeypatch, argv):
+    outcome = main_outcome(capsys, ["--json"] + argv.split())
+    # byte for byte what the parser with every subcommand gives
+    assert outcome == whole_tree_outcome(capsys, monkeypatch, ["--json"] + argv.split())
+    code, out, err = outcome
     assert code == 2
-    assert captured.err.startswith("usage error: ")
-    doc = json.loads(captured.out)
+    assert err.startswith("usage error: ")
+    doc = json.loads(out)
     # the command a success document of the same invocation names
     words = argv.split()
     command = {"selberg vanish": "selberg-vanish",
@@ -291,7 +313,7 @@ def test_usage_error_json_document(capsys, argv):
                    "ok": False, "error": doc["error"]}
     assert doc["error"].startswith("UsageError: ")
     # canonical: the same compact encoding as a report
-    assert captured.out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_unknown_flag_exits_two(capsys):
@@ -303,6 +325,62 @@ def test_parse_error_without_a_subcommand_names_svjack(capsys, argv):
     assert main(["--json"] + argv) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["command"] == "svjack" and doc["error"].startswith("UsageError: ")
+
+
+COMMANDS = ["uglov", "macdonald", "jack", "singular", "kacdet", "verify", "screening",
+            "selberg", "finite-n", "reproduce-paper"]
+SELBERG_MODES = ["selberg integral", "selberg vanish", "selberg recursion"]
+SUBCOMMAND_PATHS = COMMANDS + SELBERG_MODES
+
+
+@pytest.mark.parametrize("path", SUBCOMMAND_PATHS)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["plain", "json"])
+def test_subcommand_help_matches_the_whole_tree(capsys, monkeypatch, path, json_flag):
+    """Each subcommand's -h, built with its own parser alone, prints what
+    the parser with every subcommand prints, and exits alike."""
+    argv = json_flag + path.split() + ["-h"]
+    outcome = main_outcome(capsys, argv)
+    assert outcome == whole_tree_outcome(capsys, monkeypatch, argv)
+    assert outcome[0] == 0 and outcome[1].startswith("usage: svjack %s [-h]" % path)
+
+
+def _parsers_built(capsys, monkeypatch, argv):
+    """The progs of the parsers main(argv) builds, in order."""
+    progs = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli._Parser, "__init__", counting)
+        main_outcome(capsys, argv)
+    return progs
+
+
+VERIFY_11 = ["verify", "--r", "1", "--s", "1"]
+
+
+def test_main_builds_only_the_parser_of_the_named_subcommand(capsys, monkeypatch):
+    """CMD ... and --json CMD ... build the top-level parser and CMD's; every
+    other shape builds them all, whose names the unknown-command error
+    lists."""
+    whole = _parsers_built(capsys, monkeypatch, ["--json"])
+    after = COMMANDS.index("selberg") + 1
+    assert whole == ["svjack"] + ["svjack " + path for path in
+                                  COMMANDS[:after] + SELBERG_MODES + COMMANDS[after:]]
+    assert _parsers_built(capsys, monkeypatch, ["--json"] + VERIFY_11) == \
+        ["svjack", "svjack verify"]
+    assert _parsers_built(capsys, monkeypatch, VERIFY_11) == ["svjack", "svjack verify"]
+    assert _parsers_built(capsys, monkeypatch, ["selberg", "vanish", "-h"]) == \
+        ["svjack", "svjack selberg"] + ["svjack " + path for path in SELBERG_MODES]
+    for argv in ([], ["-h"], ["bogus"], ["--js"] + VERIFY_11, ["--json", "--json"] + VERIFY_11):
+        assert set(_parsers_built(capsys, monkeypatch, argv)) == set(whole), argv
+    code, out, err = main_outcome(capsys, ["--json", "bogus"])
+    listed = ", ".join("'%s'" % name for name in COMMANDS)
+    assert err == "usage error: argument command: invalid choice: 'bogus' " \
+        "(choose from %s)\n" % listed
 
 
 def test_singular_subcommand(capsys):

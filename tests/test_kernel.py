@@ -36,6 +36,7 @@ from oracles import (
     jet_mul_reference,
     mat_vec,
     rank,
+    ratfun_call_reference,
     ratfun_reference,
 )
 
@@ -121,6 +122,40 @@ def test_ratfun_matches_euclid_reference(n, d, fn, fd, cn, cd):
                                    denom * _poly(*fn))),
                           (x + w, (numer + w_numer, denom))):
         _same_as_reference(value, a, b)
+
+
+def _ratfuns(var):
+    return st.builds(lambda c, n, d: RatFun(var, _poly(n, scale=c), _poly(d)),
+                     rationals, st.lists(small_ints, max_size=4),
+                     st.lists(small_ints, min_size=1, max_size=4).filter(any))
+
+
+@given(_ratfuns("c"), st.one_of(_ratfuns("t"), rationals.map(lambda a: RatFun.const("t", a))))
+@settings(max_examples=300, deadline=None)
+def test_ratfun_at_a_ratfun_matches_horner(f, x):
+    """f(x), N and D evaluated homogeneously over Z and canonicalised once,
+    is Horner's value in RatFun arithmetic, field for field, and both fail
+    alike at a pole; x ranges over constants (0 among them) too."""
+    try:
+        expected = ratfun_call_reference(f, x)
+    except KernelError as exc:
+        with pytest.raises(KernelError, match=str(exc)):
+            f(x)
+        return
+    got = f(x)
+    assert (got.var, got.c, got.N, got.D) == (expected.var, expected.c, expected.N, expected.D)
+
+
+def test_ratfun_at_c_of_t_matches_horner():
+    """The c -> c(t) map of kac_det_check, c = 3/2 - 3 (t - 1/t)^2, on
+    numerators and denominators up to degree 4 in c, large coefficients
+    among them."""
+    t, c = RatFun.variable("t"), RatFun.variable("c")
+    c_t = Fraction(3, 2) - 3 * (t - 1 / t) ** 2
+    for f in (c, c ** 4 - 2 ** 70 * c + 5, (c * c - 1) / (2 * c + 3), 1 / c ** 3,
+              RatFun.const("c", Fraction(-7, 3)), c * 0, (c - Fraction(3, 2)) / (c + 6)):
+        got, expected = f(c_t), ratfun_call_reference(f, c_t)
+        assert (got.var, got.c, got.N, got.D) == ("t", expected.c, expected.N, expected.D)
 
 
 def test_gcd_falls_back_to_euclid(monkeypatch):
