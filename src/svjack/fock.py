@@ -41,8 +41,9 @@ tuple of positive odd integers, twice the half-odd indices k_i, standing for
     p_even b~_{-k_1} ... b~_{-k_l} 1.
 
 Inside this module a fermion index k is always carried as the odd integer
-2k, so states hash and compare plain ints; fermion_act keeps its half-odd
-Fraction argument.  The sign rule: b~_{-k} inserts 2k with (-1)^(number of
+2k, and a generator as svir's ("L", 2n) or ("G", 2k), so states and words
+hash and compare plain ints; fermion_act keeps its half-odd Fraction
+argument.  The sign rule: b~_{-k} inserts 2k with (-1)^(number of
 larger indices), or gives 0 if 2k is there; b~_k (k > 0) removes 2k with
 2 (-1)^(number of larger indices), or gives 0 if 2k is absent.  a_n acts on
 even alone: -2 t n m_{2n}(even) on removing a part 2n, -1/(2t) on inserting
@@ -167,10 +168,10 @@ def _ff_terms(gen, d, rho):
     """The terms of ff_act's formulas that can act on states of degree <= d,
     as (coefficient, left mode, right mode): the right mode acts first, None
     is the identity, and a mode is ("a", m) or ("b", 2k) for b~_k, its
-    half-odd index doubled to an odd integer."""
+    half-odd index doubled to an odd integer.  gen is doubled the same way."""
     hi = d // 2 + 2
     if gen[0] == "L":
-        n = int(gen[1])
+        n = gen[1] // 2
         lo = n - d // 2 - 2
         for m in range(lo, hi + 1):
             yield HALF, ("a", min(m, n - m)), ("a", max(m, n - m))
@@ -181,9 +182,9 @@ def _ff_terms(gen, d, rho):
             yield (Fraction(-(k + 1) if k <= l else k + 1, 8),
                    ("b", min(k, l)), ("b", max(k, l)))
     elif gen[0] == "G":
-        k = Fraction(gen[1])
-        k2 = int(2 * k)
-        for m in range(int(k - Fraction(d, 2)) - 2, hi + 1):
+        k2 = gen[1]
+        # b~_{k-m} a_m vanishes unless 2(k - m) <= d, that is m >= ceil((2k - d)/2)
+        for m in range(-((d - k2) // 2) - 2, hi + 1):
             yield 1, ("b", k2 - 2 * m), ("a", m)
         yield -rho * (k2 + 1), ("b", k2), None
     else:
@@ -192,7 +193,8 @@ def _ff_terms(gen, d, rho):
 
 def ff_act(gen, state, alpha, rho, t):
     """The free-field form of a super Virasoro generator on an exterior state
-    with a_0-weight alpha; ("G", k) gives G~_k = sqrt2 G_k:
+    with a_0-weight alpha.  gen is ("L", 2n) or ("G", 2k), on the doubled
+    index of svir's words, and ("G", 2k) gives G~_k = sqrt2 G_k:
 
       L_n  = 1/2 sum_m :a_m a_{n-m}: - rho (n+1) a_n - 1/4 sum_k (k+1/2) :b~_k b~_{n-k}:
       G~_k = sum_m b~_{k-m} a_m - 2 rho (k+1/2) b~_k

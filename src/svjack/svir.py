@@ -2,14 +2,18 @@
 field, generator actions by normal ordering, contravariant Gram matrices,
 Kac-determinant factorization checks, and singular vectors as kernels.
 
-Generators are encoded as ('L', n) with integer n and ('G', k) with
-half-odd Fraction k; the central element acts as the scalar c.  A basis
+Generators are given to ``act`` as ('L', n) with integer n and ('G', k)
+with half-odd Fraction k; the central element acts as the scalar c.  Inside
+the module every mode index is doubled, ('L', 2n) and ('G', 2k), so the G
+indices are odd ints and words hash and compare plain ints.  A basis
 monomial applied to the highest-weight vector is stored as a word of
 negative-index generators in canonical order: the L block with magnitudes
 ascending left to right, then the G block with magnitudes ascending;
 equivalently L_{-a_l} ... L_{-a_1} G_{-b_m} ... G_{-b_1}
 for the bosonic partition (a_1 >= ... >= a_l) and the strict half-odd
-fermionic partition (b_1 > ... > b_m).
+fermionic partition (b_1 > ... > b_m).  A SuperPartition keeps its
+half-odd Fraction parts; _word_of and _sp_of convert, once per
+superpartition and per word.
 
 The whole theory is parametrized by one symbol t: with rho = (t - 1/t)/2 the
 central charge is c = 3/2 - 3 (t - 1/t)^2 and every derived weight is a
@@ -64,20 +68,20 @@ class SuperPartition(namedtuple("SuperPartition", "bosonic fermionic")):
                 tuple(-p for p in self.fermionic) + (1,))
 
 
-def _fermionic_sets(level):
-    """Strictly decreasing half-odd tuples with sum <= level and integer
-    complement."""
+def _fermionic_sets(level2):
+    """Strictly decreasing tuples of positive odd ints, the doubled
+    fermionic parts, with sum <= level2 and even complement."""
     out = []
 
     def rec(smallest, acc, total):
-        if (level - total).denominator == 1:
-            out.append(tuple(sorted(acc, reverse=True)))
+        if (level2 - total) % 2 == 0:
+            out.append(tuple(reversed(acc)))
         k = smallest
-        while total + k <= level:
-            rec(k + 1, acc + [k], total + k)
-            k += 1
+        while total + k <= level2:
+            rec(k + 2, acc + [k], total + k)
+            k += 2
 
-    rec(HALF, [], Fraction(0))
+    rec(1, [], 0)
     return out
 
 
@@ -87,16 +91,14 @@ def superpartitions(level2):
 
     The argument is twice the level so the cache key stays an integer.
     """
-    level = Fraction(level2, 2)
-    if level < 0:
+    if level2 < 0:
         return ()
-    out = []
-    for ferm in _fermionic_sets(level):
-        rest = level - sum(ferm, Fraction(0))
-        for lam in partitions(int(rest)):
-            out.append(SuperPartition(bosonic=lam, fermionic=ferm))
-    out.sort(key=SuperPartition.sort_key)
-    return tuple(out)
+    pairs = [(lam, ferm) for ferm in _fermionic_sets(level2)
+             for lam in partitions((level2 - sum(ferm)) // 2)]
+    # SuperPartition.sort_key at one size, on the doubled fermionic parts
+    pairs.sort(key=lambda p: (tuple(-a for a in p[0]) + (1,), tuple(-k for k in p[1]) + (1,)))
+    return tuple(SuperPartition(lam, tuple(Fraction(k, 2) for k in ferm))
+                 for lam, ferm in pairs)
 
 
 def pns(level):
@@ -161,43 +163,57 @@ def _vacuum(gen, h):
 
 
 def _swap(x, y, c, one):
-    """x y = sign * y x + brackets; brackets is a list of (scalar, gen or None)."""
+    """x y = sign * y x + brackets; brackets is a list of (scalar, gen or None).
+    The indices are doubled: x = ("L", 2m) is L_m and ("G", 2k) is G_k."""
     kx, ky = x[0], y[0]
     if kx == "L" and ky == "L":
-        m, n = x[1], y[1]
+        m, n = x[1] // 2, y[1] // 2
         br = []
         if m != n:
-            br.append((Fraction(m - n) * one, ("L", m + n)))
+            br.append(((m - n) * one, ("L", x[1] + y[1])))
         if m + n == 0:
             br.append((Fraction(m ** 3 - m, 12) * c, None))
         return 1, br
     if kx == "L" and ky == "G":
-        n, k = x[1], y[1]
-        return 1, [((Fraction(n) * HALF - k) * one, ("G", n + k))]
+        # [L_n, G_k] = (n/2 - k) G_{n+k}, and n/2 - k = (2n - 2(2k))/4
+        return 1, [(Fraction(x[1] - 2 * y[1], 4) * one, ("G", x[1] + y[1]))]
     if kx == "G" and ky == "L":
-        k, n = x[1], y[1]
-        return 1, [((k - Fraction(n) * HALF) * one, ("G", n + k))]
-    # G G: anticommutator
-    k, l = x[1], y[1]
-    br = [(2 * one, ("L", int(k + l)))] if k + l != 0 else [(2 * one, ("L", 0))]
-    if k + l == 0:
-        br.append((Fraction(1, 3) * (k * k - Fraction(1, 4)) * c, None))
+        return 1, [(Fraction(2 * x[1] - y[1], 4) * one, ("G", x[1] + y[1]))]
+    # G G: anticommutator, with central term (k^2 - 1/4)/3 = ((2k)^2 - 1)/12
+    br = [(2 * one, ("L", x[1] + y[1]))]
+    if x[1] + y[1] == 0:
+        br.append((Fraction(x[1] * x[1] - 1, 12) * c, None))
     return -1, br
 
 
-# typed: equal h of different fields (Fraction(3) == RatFun.const("t", 3))
-# must not share entries, because the coefficients carry the field of h
-@lru_cache(maxsize=None, typed=True)
-def _push(gen, word, h, c):
+# one memo per module |h, c>, keyed by the types as well as the values: equal
+# h of different fields (Fraction(3) == RatFun.const("t", 3)) must not share
+# entries, because the coefficients carry the field of h
+_MEMOS = {}
+
+
+def _memo(h, c):
+    return _MEMOS.setdefault((type(h), h, type(c), c), {})
+
+
+def _push(gen, word, h, c, memo):
     """Normal-order gen * (word |h, c>) into canonical monomials, with
-    coefficients in the field of h."""
+    coefficients in the field of h; memo is _memo(h, c)."""
+    key = gen, word
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = _normal_order(gen, word, h, c, memo)
+    return out
+
+
+def _normal_order(gen, word, h, c, memo):
     if not word:
         return _vacuum(gen, h)
     y = word[0]
     rest = word[1:]
     if gen[0] == "G" and y[0] == "G" and gen[1] == y[1]:
         # G_k G_k = L_{2k}  (the central term needs k + k = 0, impossible)
-        return _push(("L", int(2 * gen[1])), rest, h, c)
+        return _push(("L", 2 * gen[1]), rest, h, c, memo)
     one = h * 0 + 1
     if _gen_key(gen) <= _gen_key(y) and _gen_key(gen)[0] == 0:
         return {(gen,) + word: one}
@@ -210,29 +226,54 @@ def _push(gen, word, h, c):
         else:
             out[w] = coeff
 
-    for w1, c1 in _push(gen, rest, h, c).items():
+    for w1, c1 in _push(gen, rest, h, c, memo).items():
         c1s = c1 if sign == 1 else -c1
-        for w2, c2 in _push(y, w1, h, c).items():
+        for w2, c2 in _push(y, w1, h, c, memo).items():
             add(w2, c1s * c2)
     for coeff, g in brackets:
         if g is None:
             add(rest, coeff)
         else:
-            for w2, c2 in _push(g, rest, h, c).items():
+            for w2, c2 in _push(g, rest, h, c, memo).items():
                 add(w2, coeff * c2)
     return {w: x for w, x in out.items() if not is_zero(x)}
 
 
+def _apply(gen, state, h, c, memo):
+    """gen on a vector held as {word: coefficient}, zero terms dropped."""
+    out = {}
+    for word, coeff in state.items():
+        for w, scal in _push(gen, word, h, c, memo).items():
+            term = coeff * scal
+            out[w] = out[w] + term if w in out else term
+    return {w: x for w, x in out.items() if not is_zero(x)}
+
+
+@lru_cache(maxsize=None)
 def _word_of(sp):
-    word = tuple(("L", -a) for a in reversed(sp.bosonic))
-    word += tuple(("G", -b) for b in reversed(sp.fermionic))
+    word = tuple(("L", -2 * a) for a in reversed(sp.bosonic))
+    word += tuple(("G", -int(2 * b)) for b in reversed(sp.fermionic))
     return word
 
 
+@lru_cache(maxsize=None)
 def _sp_of(word):
-    bos = tuple(sorted((-g[1] for g in word if g[0] == "L"), reverse=True))
-    ferm = tuple(sorted((-g[1] for g in word if g[0] == "G"), reverse=True))
-    return SuperPartition(bosonic=bos, fermionic=ferm)
+    bos = sorted((-i // 2 for kind, i in word if kind == "L"), reverse=True)
+    ferm = sorted(i for kind, i in word if kind == "G")
+    return SuperPartition(tuple(bos), tuple(Fraction(-i, 2) for i in ferm))
+
+
+def _doubled(gen):
+    """A generator ("L", n), n an integer, or ("G", k), k half-odd, on the
+    doubled index: ("L", 2n) or ("G", 2k)."""
+    kind = gen[0]
+    if kind not in ("L", "G"):
+        raise ValueError("unsupported generator %r" % (gen,))
+    i = 2 * Fraction(gen[1])
+    if i.denominator != 1 or i.numerator % 2 != (kind == "G"):
+        raise ValueError("unsupported generator %r: %s modes take %s indices"
+                         % (gen, kind, "half-odd" if kind == "G" else "integer"))
+    return kind, i.numerator
 
 
 # ---------------------------------------------------------------------------
@@ -276,31 +317,13 @@ def monomial_vector(sp, hw=None, h=None, c=None):
 
 
 def act(gen, v):
-    """Apply a single generator, re-expressing the result in the PBW basis."""
-    kind = gen[0]
-    if kind == "G":
-        gen = ("G", Fraction(gen[1]))
-        shift = -gen[1]
-    elif kind == "L":
-        gen = ("L", int(gen[1]))
-        shift = Fraction(-gen[1])
-    else:
-        raise ValueError("unsupported generator %r" % (gen,))
-    out = {}
-    for sp, coeff in v.terms.items():
-        for word, scal in _push(gen, _word_of(sp), v.h, v.c).items():
-            key = _sp_of(word)
-            term = coeff * scal
-            out[key] = out[key] + term if key in out else term
-    out = {k: x for k, x in out.items() if not is_zero(x)}
-    return VermaVector(v.level + shift, out, v.weight, v.h, v.c)
-
-
-def apply_word(gens, v):
-    """Apply a product of generators, rightmost factor first."""
-    for gen in reversed(list(gens)):
-        v = act(gen, v)
-    return v
+    """Apply a single generator, ("L", n) with integer n or ("G", k) with
+    half-odd k, re-expressing the result in the PBW basis."""
+    gen = _doubled(gen)
+    state = {_word_of(sp): x for sp, x in v.terms.items()}
+    out = _apply(gen, state, v.h, v.c, _memo(v.h, v.c))
+    return VermaVector(v.level - Fraction(gen[1], 2), {_sp_of(w): x for w, x in out.items()},
+                       v.weight, v.h, v.c)
 
 
 # ---------------------------------------------------------------------------
@@ -308,28 +331,31 @@ def apply_word(gens, v):
 # ---------------------------------------------------------------------------
 
 def _dual_word(sp):
-    """Adjoint of the basis monomial: G_{b_1} ... G_{b_m} L_{a_1} ... L_{a_l}."""
-    word = tuple(("G", b) for b in sp.fermionic)
-    word += tuple(("L", a) for a in sp.bosonic)
-    return word
+    """Adjoint of the basis monomial: G_{b_1} ... G_{b_m} L_{a_1} ... L_{a_l},
+    on the doubled indices."""
+    return tuple((kind, -i) for kind, i in reversed(_word_of(sp)))
 
 
 def gram_matrix(level, h, c):
     """Contravariant form on the level subspace, rows and columns in the
     canonical superpartition order.  h may be symbolic (a Poly in 'h') or a
-    scalar; c likewise.  The entries lie in the field of h.
+    scalar; c likewise.  The entries lie in the field of h.  The form is
+    symmetric, so only the entries on and above the diagonal are computed.
     """
     level = Fraction(level)
     basis = superpartitions(int(2 * level))
-    vac = SuperPartition((), ())
-    mat = []
-    for row_sp in basis:
-        row = []
-        for col_sp in basis:
-            v = monomial_vector(col_sp, h=h, c=c)
-            w = apply_word(_dual_word(row_sp), v)
-            row.append(w.terms[vac] if vac in w.terms else v.h * 0)
-        mat.append(row)
+    h, c = as_scalar(h, "h"), as_scalar(c, "c")
+    memo = _memo(h, c)
+    one = h * 0 + 1
+    n = len(basis)
+    mat = [[None] * n for _ in range(n)]
+    for i, row_sp in enumerate(basis):
+        dual = _dual_word(row_sp)
+        for j in range(i, n):
+            state = {_word_of(basis[j]): one}
+            for gen in reversed(dual):
+                state = _apply(gen, state, h, c, memo)
+            mat[i][j] = mat[j][i] = state.get((), h * 0)
     return mat
 
 

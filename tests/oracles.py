@@ -15,7 +15,9 @@ tests call: generic field operations, the jet product and sum on a
 scalar coerced into a jet, a matrix-vector product, the Bareiss loop
 over the fields (the reference for the integer one, with either its
 first-nonzero or its smallest pivot), a determinant by Gaussian
-elimination over the fields, the Kac determinant check over the
+elimination over the fields, svir's PBW straightening, generator action,
+Gram matrix (every entry computed) and superpartition enumeration as they
+ran on Fraction mode indices, the Kac determinant check over the
 field of t with a Gram matrix hook that perturbs one diagonal entry, the
 superpartition generating function, the corrected finite-N operators and the
 Selberg-side closed forms and estimators.  The next section holds the
@@ -64,6 +66,7 @@ from svjack.linalg import bareiss_echelon, det, nullspace, operator_matrix, poly
 from svjack.selberg import _log_gamma_signed
 from svjack.svir import (
     SuperPartition,
+    VermaVector,
     _word_of,
     gram_matrix_symbolic_h,
     hw_data,
@@ -681,6 +684,184 @@ def det_reference(mat):
             f = row[c] / m[c][c]
             row[c:] = [x - f * y for x, y in zip(row[c:], m[c][c:])]
     return d
+
+
+# ---------------------------------------------------------------------------
+# PBW straightening on Fraction mode indices
+# ---------------------------------------------------------------------------
+
+# svir's normal ordering, generator action and superpartition enumeration as
+# they ran before the mode indices were doubled to ints: the references for
+# the doubled-index code, with the helpers renamed apart from svir's
+
+HALF = Fraction(1, 2)
+
+
+def _fermionic_sets_reference(level):
+    """Strictly decreasing half-odd tuples with sum <= level and integer
+    complement."""
+    out = []
+
+    def rec(smallest, acc, total):
+        if (level - total).denominator == 1:
+            out.append(tuple(sorted(acc, reverse=True)))
+        k = smallest
+        while total + k <= level:
+            rec(k + 1, acc + [k], total + k)
+            k += 1
+
+    rec(HALF, [], Fraction(0))
+    return out
+
+
+def superpartitions_reference(level2):
+    """svir.superpartitions by Fraction sums, sorted by SuperPartition.sort_key."""
+    level = Fraction(level2, 2)
+    if level < 0:
+        return ()
+    out = []
+    for ferm in _fermionic_sets_reference(level):
+        rest = level - sum(ferm, Fraction(0))
+        for lam in partitions(int(rest)):
+            out.append(SuperPartition(bosonic=lam, fermionic=ferm))
+    out.sort(key=SuperPartition.sort_key)
+    return tuple(out)
+
+
+def _gen_key_reference(gen):
+    """Total order used for PBW straightening: negative modes first (L block
+    before G block, magnitudes ascending), then zero modes, then positive."""
+    kind, idx = gen
+    cls = 0 if idx < 0 else (1 if idx == 0 else 2)
+    block = 0 if kind == "L" else 1
+    return (cls, block, abs(idx))
+
+
+def _vacuum_reference(gen, h):
+    idx = gen[1]
+    if idx > 0:
+        return {}
+    if idx == 0:
+        return {(): h}
+    return {(gen,): h * 0 + 1}
+
+
+def _swap_reference(x, y, c, one):
+    """x y = sign * y x + brackets; brackets is a list of (scalar, gen or None)."""
+    kx, ky = x[0], y[0]
+    if kx == "L" and ky == "L":
+        m, n = x[1], y[1]
+        br = []
+        if m != n:
+            br.append((Fraction(m - n) * one, ("L", m + n)))
+        if m + n == 0:
+            br.append((Fraction(m ** 3 - m, 12) * c, None))
+        return 1, br
+    if kx == "L" and ky == "G":
+        n, k = x[1], y[1]
+        return 1, [((Fraction(n) * HALF - k) * one, ("G", n + k))]
+    if kx == "G" and ky == "L":
+        k, n = x[1], y[1]
+        return 1, [((k - Fraction(n) * HALF) * one, ("G", n + k))]
+    # G G: anticommutator
+    k, l = x[1], y[1]
+    br = [(2 * one, ("L", int(k + l)))] if k + l != 0 else [(2 * one, ("L", 0))]
+    if k + l == 0:
+        br.append((Fraction(1, 3) * (k * k - Fraction(1, 4)) * c, None))
+    return -1, br
+
+
+# typed: equal h of different fields (Fraction(3) == RatFun.const("t", 3))
+# must not share entries, because the coefficients carry the field of h
+@lru_cache(maxsize=None, typed=True)
+def _push_reference(gen, word, h, c):
+    """Normal-order gen * (word |h, c>) into canonical monomials, with
+    coefficients in the field of h."""
+    if not word:
+        return _vacuum_reference(gen, h)
+    y = word[0]
+    rest = word[1:]
+    if gen[0] == "G" and y[0] == "G" and gen[1] == y[1]:
+        # G_k G_k = L_{2k}  (the central term needs k + k = 0, impossible)
+        return _push_reference(("L", int(2 * gen[1])), rest, h, c)
+    one = h * 0 + 1
+    if _gen_key_reference(gen) <= _gen_key_reference(y) and _gen_key_reference(gen)[0] == 0:
+        return {(gen,) + word: one}
+    sign, brackets = _swap_reference(gen, y, c, one)
+    out = {}
+
+    def add(w, coeff):
+        if w in out:
+            out[w] = out[w] + coeff
+        else:
+            out[w] = coeff
+
+    for w1, c1 in _push_reference(gen, rest, h, c).items():
+        c1s = c1 if sign == 1 else -c1
+        for w2, c2 in _push_reference(y, w1, h, c).items():
+            add(w2, c1s * c2)
+    for coeff, g in brackets:
+        if g is None:
+            add(rest, coeff)
+        else:
+            for w2, c2 in _push_reference(g, rest, h, c).items():
+                add(w2, coeff * c2)
+    return {w: x for w, x in out.items() if not is_zero(x)}
+
+
+def _word_of_reference(sp):
+    word = tuple(("L", -a) for a in reversed(sp.bosonic))
+    word += tuple(("G", -b) for b in reversed(sp.fermionic))
+    return word
+
+
+def _sp_of_reference(word):
+    bos = tuple(sorted((-g[1] for g in word if g[0] == "L"), reverse=True))
+    ferm = tuple(sorted((-g[1] for g in word if g[0] == "G"), reverse=True))
+    return SuperPartition(bosonic=bos, fermionic=ferm)
+
+
+def act_reference(gen, v):
+    """Apply a single generator, re-expressing the result in the PBW basis."""
+    kind = gen[0]
+    if kind == "G":
+        gen = ("G", Fraction(gen[1]))
+        shift = -gen[1]
+    elif kind == "L":
+        gen = ("L", int(gen[1]))
+        shift = Fraction(-gen[1])
+    else:
+        raise ValueError("unsupported generator %r" % (gen,))
+    out = {}
+    for sp, coeff in v.terms.items():
+        for word, scal in _push_reference(gen, _word_of_reference(sp), v.h, v.c).items():
+            key = _sp_of_reference(word)
+            term = coeff * scal
+            out[key] = out[key] + term if key in out else term
+    out = {k: x for k, x in out.items() if not is_zero(x)}
+    return VermaVector(v.level + shift, out, v.weight, v.h, v.c)
+
+
+def gram_matrix_reference(level, h, c):
+    """svir.gram_matrix with every entry computed, above the diagonal and
+    below it, by act_reference: <row| = the adjoint word of the row's
+    monomial, applied to the column's monomial, read at the vacuum."""
+    level = Fraction(level)
+    basis = superpartitions_reference(int(2 * level))
+    vac = SuperPartition((), ())
+    mat = []
+    for row_sp in basis:
+        dual = tuple(("G", b) for b in row_sp.fermionic)
+        dual += tuple(("L", a) for a in row_sp.bosonic)
+        row = []
+        for col_sp in basis:
+            v = monomial_vector(col_sp, h=h, c=c)
+            w = v
+            for gen in reversed(dual):
+                w = act_reference(gen, w)
+            row.append(w.terms[vac] if vac in w.terms else v.h * 0)
+        mat.append(row)
+    return mat
 
 
 def kac_det_check_reference(level, t="sym"):

@@ -22,7 +22,7 @@ from svjack.fock import (
 )
 from svjack.kernel import (RatFun, Sqrt2Ext, VerificationFailure, _one_denominator, as_scalar,
                            is_zero)
-from svjack.svir import act, hw_data, monomial_vector, singular_vector, superpartitions
+from svjack.svir import _doubled, act, hw_data, monomial_vector, singular_vector, superpartitions
 from svjack.symfunc import (SymFunc, convert, dominance_leq, e_gen, merge_partitions,
                              partitions, to_p)
 from svjack.uglov import uglov2_orth, uglov_inner
@@ -232,7 +232,8 @@ def test_exterior_fermion_is_the_vertex_fermion():
 
 def test_exterior_degree_rule():
     """A state's degree is |even| + 2 sum(indices), the degree of its image;
-    a level-n generator raises it by 2n."""
+    a level-n generator, ("L", 2n) or ("G", 2n) on the doubled index, lowers
+    it by 2n."""
     rng = random.Random(6)
     hw, alpha, rho, t = _weights(2, 2)
     for _ in range(20):
@@ -240,9 +241,9 @@ def test_exterior_degree_rule():
         (key,) = f
         assert _degree(key) == sum(key[0]) + 2 * sum(Fraction(k, 2) for k in key[1])
         assert homogeneous_degree(exterior_image(f)) == _degree(key)
-        for gen in (("L", -1), ("L", 1), ("G", -HALF), ("G", Fraction(3, 2))):
+        for gen in (("L", -2), ("L", 2), ("G", -1), ("G", 3)):
             out = ff_act(gen, f, alpha, rho, t)
-            assert {_degree(k) for k in out} <= {_degree(key) - int(2 * gen[1])}, gen
+            assert {_degree(k) for k in out} <= {_degree(key) - gen[1]}, gen
 
 
 def test_fermion_monomials_are_cached_over_q():
@@ -281,7 +282,7 @@ def test_ff_l0_weight_on_vacuum():
 
 def test_ff_g_minus_half_on_vacuum():
     hw, alpha, rho, t = _weights(1, 1)
-    f = ff_act(("G", -HALF), VACUUM, alpha, rho, t)
+    f = ff_act(("G", -1), VACUUM, alpha, rho, t)
     assert same_state(f, {((), (1,)): alpha})
     assert exterior_image(f) == fermion_act(-HALF, SymFunc.one("p")).scale(alpha)
 
@@ -290,7 +291,7 @@ def test_ff_fock_image_display_level_three_halves():
     """L_{-1}G_{-1/2}|hw> maps to alpha^2 a_{-1} b_{-1/2} + alpha b_{-3/2}
     applied to the vacuum."""
     hw, alpha, rho, t = _weights(3, 1)
-    lhs = ff_act(("L", -1), ff_act(("G", -HALF), VACUUM, alpha, rho, t), alpha, rho, t)
+    lhs = ff_act(("L", -2), ff_act(("G", -1), VACUUM, alpha, rho, t), alpha, rho, t)
     rhs = {((2,), (1,)): alpha * alpha * (-1 / (2 * t)),
            ((), (3,)): alpha}
     assert same_state(lhs, rhs)
@@ -299,7 +300,7 @@ def test_ff_fock_image_display_level_three_halves():
 def test_ff_g_minus_three_halves_display():
     """G_{-3/2}|hw> maps to a_{-1} b_{-1/2} + (2 rho + alpha) b_{-3/2}."""
     hw, alpha, rho, t = _weights(1, 3)
-    lhs = ff_act(("G", Fraction(-3, 2)), VACUUM, alpha, rho, t)
+    lhs = ff_act(("G", -3), VACUUM, alpha, rho, t)
     rhs = {((2,), (1,)): -1 / (2 * t), ((), (3,)): alpha + 2 * rho}
     assert same_state(lhs, rhs)
 
@@ -316,18 +317,19 @@ def test_l_row_is_the_g_anticommutator(r, s):
         return ff_act(gen, f, alpha, rho, t)
 
     for n in range(-3, 4):
-        g, g_half = ("G", n - HALF), ("G", HALF)
+        g, g_half = ("G", 2 * n - 1), ("G", 1)  # G~_{n-1/2} and G~_{1/2}
         for _ in range(3):
             f = random_exterior_state(rng)
             anti = add_states(ff(g, ff(g_half, f)), ff(g_half, ff(g, f)))
-            assert same_state(ff(("L", n), f), scale_state(anti, Fraction(1, 4))), (n, f)
+            assert same_state(ff(("L", 2 * n), f), scale_state(anti, Fraction(1, 4))), (n, f)
 
 
-@pytest.mark.parametrize("gen", [("L", -2), ("L", 1), ("G", Fraction(-3, 2)), ("G", HALF)])
+@pytest.mark.parametrize("gen", [("L", -4), ("L", 2), ("G", -3), ("G", 1)])
 def test_ff_act_matches_the_symmetric_function_reference(gen):
     """ff_act on exterior states, mapped to symmetric functions, is the
     reference ff_act that extracts a vertex mode on every intermediate
-    symmetric function."""
+    symmetric function; gen is on the doubled index: L_{-2}, L_1, G_{-3/2},
+    G_{1/2}."""
     hw, alpha, rho, t = _weights(2, 2)
     rng = random.Random(str(gen))
     for _ in range(4):
@@ -355,7 +357,8 @@ def test_intertwining_on_random_vectors(gen):
         from svjack.svir import VermaVector
         v = VermaVector(Fraction(level2, 2), terms, hw, hw.h, hw.c)
         left = verma_to_lambda(act(gen, v))
-        right = ff_act_reference(gen, verma_to_lambda(v), hw.alpha_plus, hw.rho, hw.t)
+        right = ff_act_reference(_doubled(gen), verma_to_lambda(v), hw.alpha_plus, hw.rho,
+                                 hw.t)
         if gen[0] == "G":
             right = right.scale(Fraction(1, 2 ** (level2 % 2)))
         assert (left - right).is_zero()

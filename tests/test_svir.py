@@ -24,9 +24,12 @@ from svjack.svir import (
 )
 
 from oracles import (
+    act_reference,
+    gram_matrix_reference,
     highest_weight_vector,
     kac_det_check_reference,
     pns_generating_function,
+    superpartitions_reference,
     top_diagonal_perturbed,
 )
 
@@ -107,13 +110,81 @@ def test_act_pairing_examples():
     assert w.terms[vac] == 2 * h + Fraction(14, 3)
 
 
-@pytest.mark.parametrize("gen", [("C",), ("X", 1)])
+@pytest.mark.parametrize("gen", [("C",), ("X", 1), ("L", HALF), ("G", 1)])
 def test_act_rejects_other_generators(gen):
     """Only L and G modes act; the central element is the scalar c, not a
-    generator, and any other kind is bad input."""
+    generator, and any other kind is bad input, as are an L mode with a
+    non-integer index and a G mode whose index is not half-odd."""
     v = monomial_vector(SuperPartition((1,), ()), hw=hw_data(Fraction(3, 2), 1, 1))
     with pytest.raises(ValueError, match="unsupported generator"):
         act(gen, v)
+
+
+_ACT_GENS = [("L", n) for n in range(-2, 3)] + [("G", k) for k in (-Fraction(3, 2), -HALF,
+                                                                  HALF, Fraction(3, 2))]
+
+
+def _q_of_c_module():
+    one = RatFun.const("c", 1)
+    return {"h": Poly("h", [0 * one, one]), "c": Poly.const("h", RatFun.variable("c"))}
+
+
+@pytest.mark.parametrize("field", ["sym", "3/2", "Q[c]"])
+def test_act_matches_the_fraction_indexed_reference(field):
+    """The straightening on doubled int indices gives what it gave on
+    Fraction indices, term for term and in the same scalar type, for L_n
+    (n = -2..2) and G_k (k = +-1/2, +-3/2) on every basis monomial up to
+    level 4: at symbolic t, at t = 3/2 and at symbolic h over Q[c]."""
+    if field == "Q[c]":
+        module = _q_of_c_module()
+    else:
+        module = {"hw": hw_data("sym" if field == "sym" else Fraction(3, 2), 3, 3)}
+    for level2 in range(9):
+        for sp in superpartitions(level2):
+            v = monomial_vector(sp, **module)
+            for gen in _ACT_GENS:
+                got, want = act(gen, v), act_reference(gen, v)
+                assert got.level == want.level and got.terms == want.terms, (gen, sp)
+                assert ([(k, type(x)) for k, x in got.terms.items()]
+                        == [(k, type(x)) for k, x in want.terms.items()]), (gen, sp)
+
+
+def test_act_keeps_equal_weights_of_different_fields_apart():
+    """h = 3, c = 5 over Q and over Q(t) are equal but do not share
+    straightening entries: each action stays in its own field."""
+    sp = SuperPartition((1,), (HALF,))
+    for h, c in ((Fraction(3), Fraction(5)), (RatFun.const("t", 3), RatFun.const("t", 5)),
+                 (Fraction(3), Fraction(5))):
+        for gen in (("L", 1), ("G", HALF), ("G", Fraction(3, 2))):
+            got = act(gen, monomial_vector(sp, h=h, c=c))
+            assert got.terms == act_reference(gen, monomial_vector(sp, h=h, c=c)).terms
+            assert {type(x) for x in got.terms.values()} == {type(h)}, (h, gen)
+
+
+def test_straightening_sees_only_int_mode_indices(monkeypatch):
+    """Every generator and word the straightening is asked about while the
+    (3, 5) singular vector at t = 3/2 is solved holds its mode indices as
+    the ints 2n and 2k."""
+    real = svir._push
+    seen = []
+
+    def recording(gen, word, *rest):
+        seen.append((gen, word))
+        return real(gen, word, *rest)
+
+    monkeypatch.setattr(svir, "_push", recording)
+    singular_vector(3, 5, Fraction(3, 2))
+    assert seen
+    assert all(type(i) is int for gen, word in seen for _, i in (gen,) + word)
+
+
+def test_superpartitions_match_the_fraction_enumeration():
+    """The doubled-int enumeration gives the superpartitions the Fraction
+    sums gave, in the same order and with Fraction fermionic parts."""
+    for level2 in range(17):
+        got = superpartitions(level2)
+        assert got == superpartitions_reference(level2), level2
+        assert all(type(b) is Fraction for sp in got for b in sp.fermionic), level2
 
 
 def test_l0_grading():
@@ -217,12 +288,23 @@ def test_gram_level_three_halves_matrix():
 
 
 def test_gram_symmetry_low_levels():
-    for level2 in range(0, 7):
-        mat = gram_matrix_symbolic_h(Fraction(level2, 2))
-        n = len(mat)
-        for i in range(n):
-            for j in range(n):
-                assert mat[i][j] == mat[j][i]
+    """The Gram matrix with every entry computed is symmetric, and
+    gram_matrix, which computes the entries on and above the diagonal and
+    mirrors them, equals it: at symbolic h and at (h, c) = (7/3, 5/11), at
+    every level up to 7/2."""
+    _, c_t = _rho_and_c(T)
+    h_poly = Poly("h", [0 * ONE, ONE])
+    for level2 in range(8):
+        level = Fraction(level2, 2)
+        for h, c, got in ((h_poly, Poly.const("h", c_t), gram_matrix_symbolic_h(level)),
+                          (Fraction(7, 3), Fraction(5, 11), None)):
+            want = gram_matrix_reference(level, h, c)
+            n = len(want)
+            assert all(want[i][j] == want[j][i] for i in range(n) for j in range(n)), level
+            got = gram_matrix(level, h, c) if got is None else got
+            assert got == want, level
+            assert ([type(x) for row in got for x in row]
+                    == [type(x) for row in want for x in row]), level
 
 
 @pytest.mark.parametrize("t", ["sym", Fraction(3, 2)], ids=["sym", "3/2"])
