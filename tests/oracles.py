@@ -65,6 +65,7 @@ from svjack.kernel import (
 from svjack.linalg import bareiss_echelon, det, nullspace, operator_matrix, poly_interpolate
 from svjack.selberg import _log_gamma_signed
 from svjack.svir import (
+    HALF,
     SuperPartition,
     VermaVector,
     _word_of,
@@ -690,11 +691,9 @@ def det_reference(mat):
 # PBW straightening on Fraction mode indices
 # ---------------------------------------------------------------------------
 
-# svir's normal ordering, generator action and superpartition enumeration as
-# they ran before the mode indices were doubled to ints: the references for
-# the doubled-index code, with the helpers renamed apart from svir's
-
-HALF = Fraction(1, 2)
+# svir's normal ordering, generator action and superpartition enumeration on
+# Fraction mode indices, G_k with k a half-odd Fraction: the references for
+# svir's doubled-int code, with the helpers renamed apart from svir's
 
 
 def _fermionic_sets_reference(level):

@@ -232,8 +232,8 @@ def test_exterior_fermion_is_the_vertex_fermion():
 
 def test_exterior_degree_rule():
     """A state's degree is |even| + 2 sum(indices), the degree of its image;
-    a level-n generator, ("L", 2n) or ("G", 2n) on the doubled index, lowers
-    it by 2n."""
+    a generator of mode index n, ("L", 2n) or ("G", 2n) on the doubled index,
+    changes it by -2n."""
     rng = random.Random(6)
     hw, alpha, rho, t = _weights(2, 2)
     for _ in range(20):

@@ -124,11 +124,6 @@ _ACT_GENS = [("L", n) for n in range(-2, 3)] + [("G", k) for k in (-Fraction(3, 
                                                                   HALF, Fraction(3, 2))]
 
 
-def _q_of_c_module():
-    one = RatFun.const("c", 1)
-    return {"h": Poly("h", [0 * one, one]), "c": Poly.const("h", RatFun.variable("c"))}
-
-
 @pytest.mark.parametrize("field", ["sym", "3/2", "Q[c]"])
 def test_act_matches_the_fraction_indexed_reference(field):
     """The straightening on doubled int indices gives what it gave on
@@ -136,7 +131,8 @@ def test_act_matches_the_fraction_indexed_reference(field):
     (n = -2..2) and G_k (k = +-1/2, +-3/2) on every basis monomial up to
     level 4: at symbolic t, at t = 3/2 and at symbolic h over Q[c]."""
     if field == "Q[c]":
-        module = _q_of_c_module()
+        one = RatFun.const("c", 1)
+        module = {"h": Poly("h", [0 * one, one]), "c": Poly.const("h", RatFun.variable("c"))}
     else:
         module = {"hw": hw_data("sym" if field == "sym" else Fraction(3, 2), 3, 3)}
     for level2 in range(9):
@@ -150,11 +146,12 @@ def test_act_matches_the_fraction_indexed_reference(field):
 
 
 def test_act_keeps_equal_weights_of_different_fields_apart():
-    """h = 3, c = 5 over Q and over Q(t) are equal but do not share
-    straightening entries: each action stays in its own field."""
+    """h = 31/7, c = 43/9 over Q(t) and over Q are equal but do not share
+    straightening entries: each action stays in its own field.  Q(t) goes
+    first, so a shared entry would carry its field into the Q action."""
     sp = SuperPartition((1,), (HALF,))
-    for h, c in ((Fraction(3), Fraction(5)), (RatFun.const("t", 3), RatFun.const("t", 5)),
-                 (Fraction(3), Fraction(5))):
+    a, b = Fraction(31, 7), Fraction(43, 9)
+    for h, c in ((RatFun.const("t", a), RatFun.const("t", b)), (a, b)):
         for gen in (("L", 1), ("G", HALF), ("G", Fraction(3, 2))):
             got = act(gen, monomial_vector(sp, h=h, c=c))
             assert got.terms == act_reference(gen, monomial_vector(sp, h=h, c=c)).terms
