@@ -5,8 +5,9 @@ with the infinite-variable modes.
 
 The N-variable operators divide by the Vandermonde; the implementation forms
 the common-denominator numerator, applies the sign shifts x_i -> -x_i, and
-performs exact multivariate division, so a nonpolynomial result (which would
-signal an implementation error) is detected rather than approximated.
+reads the quotient off the numerator's coefficients at the exponents
+mu + delta, since an alternating polynomial over the Vandermonde is a sum
+of Schur functions.
 
 Desk computation shows the literal restriction claim fails on constants
 (the N = 1 and N = 2 images of 1 are 2 and 0 against 1 upstairs), while the
@@ -20,12 +21,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial, lcm
+from math import lcm
 from operator import add
 
-from .kernel import VerificationFailure
 from .linalg import identity, operator_matrix
-from .symfunc import SymFunc, convert, multiplicities, partitions
+from .symfunc import SymFunc, convert, kostka, partitions
 from .vertexops import c0_apply, c1_apply
 
 
@@ -74,36 +74,6 @@ def _mp_accumulate(out, a, c=1):
         out[e] = out.get(e, 0) + c * x
 
 
-def mp_div_linear(a, i, j):
-    """Exact division by (x_i - x_j); raises VerificationFailure on remainder.
-
-    Terms sharing the other exponents and the total s = p + q of x_i^p x_j^q
-    form one group.  By the telescoping (x_i^p x_j^q - x_j^s) / (x_i - x_j)
-    = sum_{u<p} x_i^u x_j^{s-1-u}, the group's quotient has coefficient
-    sum_{p>u} c_p at x_i^u x_j^{s-1-u}, and its remainder is the substitution
-    x_i -> x_j, the sum of all c_p, which must cancel.
-    """
-    groups = {}
-    for e, c in a.items():
-        base = list(e)
-        base[i] = 0
-        base[j] = e[i] + e[j]
-        groups.setdefault(tuple(base), {})[e[i]] = c
-    quot = {}
-    for base, coeffs in groups.items():
-        run = 0  # sum_{p > u} c_p
-        for u in range(max(coeffs) - 1, -1, -1):
-            run += coeffs.get(u + 1, 0)
-            if run:
-                key = list(base)
-                key[i] = u
-                key[j] = base[j] - 1 - u
-                quot[tuple(key)] = run
-        if run + coeffs.get(0, 0) != 0:
-            raise VerificationFailure("division by (x_%d - x_%d) leaves a remainder" % (i, j))
-    return quot
-
-
 # ---------------------------------------------------------------------------
 # N-variable symmetric polynomials by monomial orbit
 # ---------------------------------------------------------------------------
@@ -116,32 +86,6 @@ def orbit_to_mp(lam, n):
     return {perm: 1 for perm in set(permutations(exps))}
 
 
-def _orbit_size(lam, n):
-    size = factorial(n) // factorial(n - len(lam))
-    for m in multiplicities(lam).values():
-        size //= factorial(m)
-    return size
-
-
-def mp_to_orbits(a, n, scale=1):
-    """Collect a symmetric exponent dict into {partition: scale * coefficient};
-    raises if the polynomial is not symmetric.
-
-    Symmetric means every exponent vector of an orbit carries the same
-    coefficient and the whole orbit is present, which is checked by counting
-    against the orbit size."""
-    seen = {}
-    count = {}
-    for e, c in a.items():
-        lam = tuple(sorted((p for p in e if p != 0), reverse=True))
-        if seen.setdefault(lam, c) != c:
-            raise VerificationFailure("polynomial is not symmetric")
-        count[lam] = count.get(lam, 0) + 1
-    if any(k != _orbit_size(lam, n) for lam, k in count.items()):
-        raise VerificationFailure("polynomial is not symmetric")
-    return {lam: c * scale for lam, c in seen.items()}
-
-
 # ---------------------------------------------------------------------------
 # the n-variable shift operators
 # ---------------------------------------------------------------------------
@@ -152,8 +96,8 @@ def mp_to_orbits(a, n, scale=1):
 # Vandermonde of x_1..x_{n-1} and P = prod_{j >= 1} -(x_0 + x_j).  Since f is
 # symmetric and V alternating, the i-th summand is minus the 0th with x_0 and
 # x_i swapped.  So K is built once per n, each image costs one product per
-# part, and the numerator keeps integer coefficients through the exact
-# division; the rational scale is applied when collecting orbits.
+# part, and the numerator keeps integer coefficients until the orbits are
+# read off; the rational scale is applied last.
 
 @lru_cache(maxsize=None)
 def _kernel(n):
@@ -177,25 +121,32 @@ def _integer_poly(orbits, n):
     return f, den
 
 
-def _divide_by_vandermonde(num, n):
-    out = num
-    for a in range(n):
-        for b in range(a + 1, n):
-            out = mp_div_linear(out, a, b)
-    return out
-
-
 def _collect(first, n, scale):
-    """Orbits of scale * (numerator / V), given the numerator's i = 0 summand."""
-    num = dict(first)
-    for i in range(1, n):
-        for e, c in first.items():
-            key = list(e)
-            key[0], key[i] = e[i], e[0]
-            key = tuple(key)
-            num[key] = num.get(key, 0) - c
-    num = {e: c for e, c in num.items() if c != 0}
-    return mp_to_orbits(_divide_by_vandermonde(num, n), n, scale)
+    """Orbits of scale * num / V, where num = first - sum_{i >= 1}
+    swap_{0i}(first) is the numerator whose i = 0 summand is ``first``.
+
+    A permutation of the variables permutes the operator's summands, so its
+    image is symmetric and num, V times it, alternates.  An alternating
+    polynomial is sum_mu a_mu a_{mu+delta}, delta = (n-1, ..., 0), with a_mu
+    its coefficient at x^{mu+delta}.  Then num / V = sum_mu a_mu s_mu, and
+    s_mu = sum_nu K_{mu nu} m_nu (Macdonald, I.3 and I.6), so no division is
+    made; mu runs over the partitions of each degree first carries with at
+    most n parts, and m_nu vanishes in n variables unless l(nu) <= n."""
+    shift = n * (n - 1) // 2
+    out = {}
+    for degree in {sum(e) - shift for e in first}:
+        shapes = [mu for mu in partitions(degree) if len(mu) <= n]
+        for mu in shapes:
+            e = [p + n - 1 - k for k, p in enumerate(mu + (0,) * (n - len(mu)))]
+            a = first.get(tuple(e), 0)
+            for i in range(1, n):
+                e[0], e[i] = e[i], e[0]
+                a -= first.get(tuple(e), 0)
+                e[0], e[i] = e[i], e[0]
+            if a:
+                for nu in shapes:
+                    out[nu] = out.get(nu, 0) + a * kostka(mu, nu)
+    return {nu: c * scale for nu, c in out.items() if c}
 
 
 def c0n_apply(orbits, n):

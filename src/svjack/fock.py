@@ -403,8 +403,8 @@ def verify_conjecture(r, s, t="sym"):
     form is nondegenerate on it (positive definite for gamma > 0, so its
     Gram determinant over Q(t) is a nonzero rational function), so f - c P_lam
     lies in that span, is orthogonal to it, and vanishes (Macdonald,
-    Symmetric Functions and Hall Polynomials, 2nd ed., VI.4; ROADMAP
-    direction 2 spells the proof out).  A failure names the first monomial,
+    Symmetric Functions and Hall Polynomials, 2nd ed., VI.4; README's "The
+    proof that `verify` cites" spells the proof out).  A failure names the first monomial,
     in partitions() order, that breaks check 1 or 3.
 
     Every check is linear and homogeneous in f, so all three run on

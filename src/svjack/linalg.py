@@ -2,18 +2,17 @@
 
 Elimination follows the Bareiss fraction-free recurrence on integers.  A
 matrix over Q or Q(t) has each row's denominators cleared in one step, by
-the product of the rational-function ones (of each distinct one once, for
-the determinant) and then the lcm of the integer ones, so its entries lie
-in Z or in Z[t] (integer polynomial tuples, as in the kernel) without any
-RatFun arithmetic on the way.  There every intermediate entry is a minor
-of the row-permuted integer matrix, and Sylvester's identity makes each
-division by the previous pivot exact: a quotient, not a gcd, so an inexact
-one can only be a bug and raises ``KernelError``.  Each pivot is the
-smallest nonzero entry left in its column, so no early pivot of high
-degree inflates every minor after it.  The echelon rows are lifted back to
-Fractions or canonical RatFuns, and the nullspace and the determinant are
-read from them.  Matrices are plain lists of rows; all routines leave
-their inputs untouched.
+the product of the rational-function ones and then the lcm of the integer
+ones, so its entries lie in Z or in Z[t] (integer polynomial tuples, as in
+the kernel) without any RatFun arithmetic on the way.  There every
+intermediate entry is a minor of the row-permuted integer matrix, and
+Sylvester's identity makes each division by the previous pivot exact: a
+quotient, not a gcd, so an inexact one can only be a bug and raises
+``KernelError``.  Each pivot is the smallest nonzero entry left in its
+column, so no early pivot of high degree inflates every minor after it.
+The echelon rows are lifted back to Fractions or canonical RatFuns, and
+the nullspace and the determinant are read from them.  Matrices are plain
+lists of rows; all routines leave their inputs untouched.
 """
 
 from __future__ import annotations
@@ -52,21 +51,20 @@ def _zz_size(p):
     return len(p), max(max(p), -min(p)).bit_length()
 
 
-def _denominator(row, distinct=False):
+def _denominator(row):
     """The product of the denominators of the RatFun entries of ``row``, an
-    integer polynomial; with ``distinct``, of each distinct denominator
-    once."""
-    dens = [x.D for x in row if isinstance(x, RatFun)]
+    integer polynomial."""
     den = (1,)
-    for d in set(dens) if distinct else dens:
-        den = _zz_mul(den, d)
+    for x in row:
+        if isinstance(x, RatFun):
+            den = _zz_mul(den, x.D)
     return den
 
 
-def _integer_rows(mat, distinct=False):
+def _integer_rows(mat):
     """(var, integer rows, scales): each row of ``mat`` in Z or Z[t], times
-    D = ``_denominator(row, distinct)`` and then the lcm of the rational
-    denominators left, that lcm in ``scales``.
+    D = ``_denominator(row)`` and then the lcm of the rational denominators
+    left, that lcm in ``scales``.
 
     A RatFun entry c N / d becomes c N (D / d) and a rational entry x becomes
     x D, so no RatFun arithmetic is done.  Scaling a row by a nonzero factor
@@ -91,7 +89,7 @@ def _integer_rows(mat, distinct=False):
                 raise KernelError("no exact elimination over %r" % (x,))
     out, scales = [], []
     for row in mat:
-        den = _denominator(row, distinct)
+        den = _denominator(row)
         # each entry as a rational content times an integer polynomial
         split = [(x.c, _zz_mul(x.N, den if x.D == (1,) else _zz_exact_quotient(den, x.D)))
                  if isinstance(x, RatFun) else (Fraction(x), den) for x in row]
@@ -115,25 +113,25 @@ def _lift(var, x, p):
     return _ratfun(var, Fraction(k, p), prim, (1,))
 
 
-def bareiss_echelon(mat, distinct=False):
+def bareiss_echelon(mat):
     """Fraction-free forward elimination of the rows of ``mat``.
 
-    The one Bareiss loop runs on the integer rows of
-    ``_integer_rows(mat, distinct)``, in Z or Z[t], where every division by
-    the previous pivot is exact (Sylvester's identity), so an inexact one
-    raises KernelError.  The pivot of column c is the smallest nonzero entry
-    among rows r.. (bit length in Z; length, then the bit length of the
-    largest coefficient, in Z[t]), the earliest of equal ones; each swap
-    flips the sign.  Echelon row r is then the row cleared of its RatFun
-    denominators times P_r, the product of the integer scales of the rows at
-    positions 0..r, and it is lifted back divided by P_r.  The pivot columns
-    do not depend on the order of the rows, so they are those of any
-    elimination over Q or Q(t); the sign and the echelon form are those of
-    the same elimination over the fields with the same pivot rule.
+    The one Bareiss loop runs on the integer rows of ``_integer_rows(mat)``,
+    in Z or Z[t], where every division by the previous pivot is exact
+    (Sylvester's identity), so an inexact one raises KernelError.  The pivot
+    of column c is the smallest nonzero entry among rows r.. (bit length in
+    Z; length, then the bit length of the largest coefficient, in Z[t]), the
+    earliest of equal ones; each swap flips the sign.  Echelon row r is then
+    the row cleared of its RatFun denominators times P_r, the product of the
+    integer scales of the rows at positions 0..r, and it is lifted back
+    divided by P_r.  The pivot columns do not depend on the order of the
+    rows, so they are those of any elimination over Q or Q(t); the sign and
+    the echelon form are those of the same elimination over the fields with
+    the same pivot rule.
 
     Returns (echelon matrix, pivot column list, row permutation sign).
     """
-    var, m, scales = _integer_rows(mat, distinct)
+    var, m, scales = _integer_rows(mat)
     if not m:
         return [], [], 1
     if var is None:
@@ -176,22 +174,23 @@ def bareiss_echelon(mat, distinct=False):
 
 def det(mat):
     """Determinant of a square matrix: the last Bareiss pivot, which is the
-    determinant of the row-swapped matrix with each row cleared of its
-    distinct RatFun denominators, divided by their product and signed by the
-    swaps.  A singular matrix gives the zero of the field the pivots are
-    lifted to, from its last echelon row, which lies past the rank."""
+    determinant of the row-swapped matrix with each row cleared by the
+    product of its RatFun denominators, as ``nullspace`` clears it, divided
+    by their product and signed by the swaps.  A singular matrix gives the
+    zero of the field the pivots are lifted to, from its last echelon row,
+    which lies past the rank."""
     n = len(mat)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in mat):
         raise KernelError("determinant of a non-square matrix")
-    ech, piv_cols, sign = bareiss_echelon(mat, distinct=True)
+    ech, piv_cols, sign = bareiss_echelon(mat)
     d = ech[n - 1][n - 1]
     if len(piv_cols) < n:
         return d
     den = (1,)
     for row in mat:
-        den = _zz_mul(den, _denominator(row, distinct=True))
+        den = _zz_mul(den, _denominator(row))
     if den != (1,):
         d = d / _ratfun(d.var, Fraction(1), den, (1,))
     return -d if sign < 0 else d

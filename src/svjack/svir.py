@@ -433,10 +433,14 @@ def kac_det_check(level, t="sym"):
     # evaluating at h = i is a ring homomorphism, so each evaluated entry is
     # the entry of gram_matrix(level, one * i, c)
     gram = gram_matrix(level, Poly("h", [one * 0, one]), Poly.const("h", c))
+    n = len(gram)
     points = []
     for i in range(degree + 2):
         hval = one * Fraction(i)
-        points.append((Fraction(i), det([[x(hval) for x in row] for row in gram])))
+        # the matrix is symmetric: evaluate on and above the diagonal, mirror
+        upper = [[x(hval) for x in row[a:]] for a, row in enumerate(gram)]
+        mat = [[upper[min(a, b)][abs(b - a)] for b in range(n)] for a in range(n)]
+        points.append((Fraction(i), det(mat)))
     quotient = poly_interpolate(points, degree, var="h")
     if quotient.degree() != degree:
         raise VerificationFailure("determinant degree %s, expected %s"

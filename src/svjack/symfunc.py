@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import product
 
 from .kernel import is_zero, scalar_to_json
 
@@ -73,6 +74,24 @@ def dominance_leq(mu, lam):
         if acc_mu > acc_lam:
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def kostka(mu, nu):
+    """The Kostka number K_{mu nu}, the m_nu coefficient of the Schur
+    function s_mu: the number of semistandard tableaux of shape mu and
+    content nu.  The boxes holding the largest entry, len(nu), form a
+    horizontal strip mu / lam of nu[-1] boxes, lam_i in [mu_{i+1}, mu_i],
+    so K_{mu nu} = sum over those lam of K_{lam, nu[:-1]} (Macdonald, I.6)."""
+    if not nu:
+        return int(not mu)
+    if sum(mu) != sum(nu):
+        return 0
+    total = 0
+    for lam in product(*(range(low, part + 1) for part, low in zip(mu, mu[1:] + (0,)))):
+        if sum(lam) == sum(mu) - nu[-1]:
+            total += kostka(tuple(p for p in lam if p), nu[:-1])
+    return total
 
 
 def merge_partitions(a, b):

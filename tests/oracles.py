@@ -40,14 +40,7 @@ from itertools import permutations
 import numpy as np
 from scipy.special import gammaln
 
-from svjack.finiten import (
-    c0n_apply,
-    c1n_apply,
-    mp_const,
-    mp_div_linear,
-    mp_mul,
-    mp_to_orbits,
-)
+from svjack.finiten import c0n_apply, c1n_apply, mp_const, mp_mul
 from svjack import fock
 from svjack.fock import _ff_terms, fermion_act, odd_sign_involution
 from svjack.kernel import (
@@ -354,7 +347,10 @@ def c1_mode(gamma, n, dmax):
 #
 # These are the direct implementations the production operators replaced:
 # every factor of every summand is rebuilt for each input, all arithmetic is
-# in Fraction, and symmetry is checked by enumerating every orbit member.
+# in Fraction, the numerator is divided by the Vandermonde one linear factor
+# at a time, a remainder raising, and symmetry is checked by enumerating
+# every orbit member.  The production operators read the quotient off the
+# numerator instead, so these divisions check what they skip.
 
 def _mp_add(a, b):
     out = dict(a)
@@ -413,6 +409,36 @@ def _mp_to_orbits(a, n):
             if a.get(e, Fraction(0)) != c:
                 raise AssertionError("polynomial is not symmetric")
     return seen
+
+
+def mp_div_linear(a, i, j):
+    """Exact division by (x_i - x_j); raises VerificationFailure on remainder.
+
+    Terms sharing the other exponents and the total s = p + q of x_i^p x_j^q
+    form one group.  By the telescoping (x_i^p x_j^q - x_j^s) / (x_i - x_j)
+    = sum_{u<p} x_i^u x_j^{s-1-u}, the group's quotient has coefficient
+    sum_{p>u} c_p at x_i^u x_j^{s-1-u}, and its remainder is the substitution
+    x_i -> x_j, the sum of all c_p, which must cancel.
+    """
+    groups = {}
+    for e, c in a.items():
+        base = list(e)
+        base[i] = 0
+        base[j] = e[i] + e[j]
+        groups.setdefault(tuple(base), {})[e[i]] = c
+    quot = {}
+    for base, coeffs in groups.items():
+        run = 0  # sum_{p > u} c_p
+        for u in range(max(coeffs) - 1, -1, -1):
+            run += coeffs.get(u + 1, 0)
+            if run:
+                key = list(base)
+                key[i] = u
+                key[j] = base[j] - 1 - u
+                quot[tuple(key)] = run
+        if run + coeffs.get(0, 0) != 0:
+            raise VerificationFailure("division by (x_%d - x_%d) leaves a remainder" % (i, j))
+    return quot
 
 
 def _sub_vandermonde(n, skip):
@@ -580,17 +606,16 @@ def ratfun_call_reference(f, x):
     return f.c * num / den
 
 
-def _clear_denominators(mat, distinct=False):
+def _clear_denominators(mat):
     """The rows of ``mat``, each multiplied in RatFun arithmetic by the
-    product of the denominators of its RatFun entries (with ``distinct``,
-    of each distinct one once), the factor ``linalg._integer_rows`` clears
-    before the rational lcm; rows with no denominator are copied unscaled."""
+    product of the denominators of its RatFun entries, the factor
+    ``linalg._integer_rows`` clears before the rational lcm; rows with no
+    denominator are copied unscaled."""
     rows = []
     for row in mat:
-        scale, seen = 1, set()
+        scale = 1
         for x in row:
-            if isinstance(x, RatFun) and x.D != (1,) and not (distinct and x.D in seen):
-                seen.add(x.D)
+            if isinstance(x, RatFun) and x.D != (1,):
                 scale = scale * RatFun(x.var, Poly(x.var, x.D))
         rows.append(list(row) if scale == 1 else [x * scale for x in row])
     return rows
@@ -605,7 +630,7 @@ def _coefficients(x):
     return [x] if x else []
 
 
-def bareiss_echelon_reference(mat, distinct=False, smallest=False):
+def bareiss_echelon_reference(mat, smallest=False):
     """The Bareiss loop over the fields themselves: the rows scaled by
     ``_clear_denominators`` are eliminated with Fraction or RatFun arithmetic,
     each division ``num / prev`` taking the field's gcds.  Returns (echelon
@@ -620,7 +645,7 @@ def bareiss_echelon_reference(mat, distinct=False, smallest=False):
     to Z or Z[t]).  Its size is the bit length of that integer, or, when
     ``mat`` has a RatFun entry and the integer loop runs in Z[t], the number
     of coefficients and then the bit length of the largest one."""
-    m = _clear_denominators(mat, distinct)
+    m = _clear_denominators(mat)
     if not m:
         return m, [], 1
     over_zt = any(isinstance(x, RatFun) for row in mat for x in row)
@@ -1280,7 +1305,7 @@ def pr_n(f, n):
         for e, x in term.items():
             out[e] = out.get(e, Fraction(0)) + c * x
     out = {e: c for e, c in out.items() if c != 0}
-    return mp_to_orbits(out, n)
+    return _mp_to_orbits(out, n)
 
 
 def pr_n_exponential(f, n):
@@ -1316,7 +1341,7 @@ def pr_n_exponential(f, n):
             for e, x in term.items():
                 out[e] = out.get(e, Fraction(0)) + x
     out = {e: c for e, c in out.items() if c != 0}
-    return mp_to_orbits(out, n)
+    return _mp_to_orbits(out, n)
 
 
 def inner_qt(f, g, q, t):

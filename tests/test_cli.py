@@ -127,8 +127,9 @@ def test_frontier_output_matches_recorded_digest(capsys, argv):
     level-4, level-9/2 and level-5 Kac determinants at symbolic t, and the Selberg
     quadrature, at alpha = beta = 1
     for n = 1, n = 2 and n = 2 at gamma = 0.37 and at (alpha, beta) = (2, 3)
-    and (2, 2), print exactly what they printed when these digests were
-    recorded."""
+    and (2, 2), and the finite-N tables up to N = 7 (c0, degree <= 3) and
+    N = 6 (c1, degree <= 4), beyond the reach of the per-vector oracle,
+    print exactly what they printed when these digests were recorded."""
     code, out = run_cli(capsys, "--json", *argv.split())
     assert code == 0
     digests = json.loads(FRONTIER_DIGESTS.read_text())

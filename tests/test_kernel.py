@@ -511,20 +511,17 @@ def _same(mat, got, want):
 def _check_against_the_field_loops(mat):
     """The pivot columns and the nullspace, which do not depend on the order
     of the rows, are those of the first-nonzero loop over the fields; the
-    sign and the echelon form, with rows cleared by every denominator or by
-    each distinct one once, are those of the loop over the fields with the
+    sign and the echelon form are those of the loop over the fields with the
     same smallest-pivot rule."""
     before = [list(row) for row in mat]
     first_piv_cols = bareiss_echelon_reference(mat)[1]
-    for distinct in (False, True):
-        ech, piv_cols, sign = bareiss_echelon(mat, distinct)
-        ref_ech, ref_piv_cols, ref_sign = bareiss_echelon_reference(mat, distinct,
-                                                                    smallest=True)
-        assert piv_cols == ref_piv_cols == first_piv_cols
-        assert sign == ref_sign
-        assert len(ech) == len(ref_ech)
-        for row, ref_row in zip(ech, ref_ech):
-            _same(mat, row, ref_row)
+    ech, piv_cols, sign = bareiss_echelon(mat)
+    ref_ech, ref_piv_cols, ref_sign = bareiss_echelon_reference(mat, smallest=True)
+    assert piv_cols == ref_piv_cols == first_piv_cols
+    assert sign == ref_sign
+    assert len(ech) == len(ref_ech)
+    for row, ref_row in zip(ech, ref_ech):
+        _same(mat, row, ref_row)
     basis, ref_basis = nullspace(mat), _with_reference_loop(nullspace, mat)
     assert len(basis) == len(ref_basis)
     for v, ref_v in zip(basis, ref_basis):
@@ -549,7 +546,7 @@ def test_integer_bareiss_determinant_matches_the_field_loop(field, data):
 
 
 def _check_determinant(mat):
-    """det, whose rows are cleared by each distinct denominator once, is the
+    """det, whose rows are cleared by the product of their denominators, is the
     determinant read from the first-nonzero loop over the fields, and the
     one Gaussian elimination over the fields finds."""
     _same(mat, [det(mat)], [_with_reference_loop(det, mat)])

@@ -378,3 +378,14 @@ def test_cli_start_up_loads_no_numeric_or_deferred_module():
     code = ("import sys, svjack.cli; print([m for m in %r if m in sys.modules])"
             % deferred)
     assert run_fresh(code).strip() == "[]"
+
+
+def test_finite_n_reads_the_quotient_without_dividing():
+    """finiten reads its images off the alternating numerator: it imports
+    nothing from kernel, so raises no VerificationFailure, and defines
+    neither the linear-factor division nor the orbit collector with its
+    symmetry check, which live in tests/oracles.py."""
+    assert "svjack.kernel" not in {name for name, _ in _imports("finiten")}
+    defined = {node.name for node in ast.parse((SRC / "finiten.py").read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"mp_div_linear", "mp_to_orbits"}

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from svjack.symfunc import (
     convert,
     dominance_leq,
     e_gen,
+    kostka,
     multiply,
     partitions,
     symfunc_to_json,
@@ -50,6 +52,28 @@ def test_dominance():
     assert not dominance_leq((2, 2, 2), (3, 1, 1, 1))
     # different sizes compare false
     assert not dominance_leq((1,), (2,))
+
+
+def _hook_length_count(mu):
+    """The number of standard tableaux of shape mu: |mu|! over the product
+    of the hook lengths."""
+    conj = [sum(1 for p in mu if p > j) for j in range(mu[0])] if mu else []
+    hooks = math.prod(part - j + conj[j] - i - 1
+                      for i, part in enumerate(mu) for j in range(part))
+    return math.factorial(sum(mu)) // hooks
+
+
+def test_kostka_numbers():
+    """K_{mu mu} = 1, K_{mu (1^n)} is the hook-length count, and K_{mu nu}
+    vanishes unless nu <= mu in dominance, for every |mu| <= 7."""
+    for n in range(8):
+        for mu in partitions(n):
+            assert kostka(mu, mu) == 1
+            assert kostka(mu, (1,) * n) == _hook_length_count(mu), mu
+            for nu in partitions(n):
+                assert (kostka(mu, nu) != 0) == dominance_leq(nu, mu), (mu, nu)
+    assert kostka((3, 2), (2, 2, 1)) == 2
+    assert kostka((4, 2, 1), (2, 2, 2, 1)) == 6
 
 
 def test_p1_squared_in_monomials():
